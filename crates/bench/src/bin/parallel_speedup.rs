@@ -10,8 +10,8 @@
 //! ```
 
 use mps_bench::cli::{arg_value, effort_from_args};
-use mps_bench::{fmt_duration, markdown_table, scaled_config};
-use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
+use mps_bench::{fmt_duration, fmt_phases, markdown_table, scaled_config};
+use mps_core::{GenerationReport, GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use mps_netlist::benchmarks;
 use std::time::{Duration, Instant};
 
@@ -45,12 +45,12 @@ fn assert_identical(a: &MultiPlacementStructure, b: &MultiPlacementStructure) {
 fn timed(
     circuit: &mps_netlist::Circuit,
     config: GeneratorConfig,
-) -> (MultiPlacementStructure, Duration) {
+) -> (MultiPlacementStructure, GenerationReport, Duration) {
     let start = Instant::now();
-    let mps = MpsGenerator::new(circuit, config)
-        .generate()
+    let (mps, report) = MpsGenerator::new(circuit, config)
+        .generate_with_report()
         .expect("benchmark circuits are valid");
-    (mps, start.elapsed())
+    (mps, report, start.elapsed())
 }
 
 fn main() {
@@ -79,8 +79,13 @@ fn main() {
         ..base
     };
 
-    let (mps_serial, t_serial) = timed(&bm.circuit, serial);
-    let (mps_parallel, t_parallel) = timed(&bm.circuit, parallel);
+    let (mps_serial, report_serial, t_serial) = timed(&bm.circuit, serial);
+    let (mps_parallel, report_parallel, t_parallel) = timed(&bm.circuit, parallel);
+    eprintln!("  1 thread:   {}", fmt_phases(&report_serial.phases));
+    eprintln!(
+        "  {threads} threads:  {}",
+        fmt_phases(&report_parallel.phases)
+    );
 
     assert_identical(&mps_serial, &mps_parallel);
     mps_parallel

@@ -9,7 +9,7 @@
 //! land in the same tens-to-hundreds band.
 
 use mps_bench::cli::{obtain_structure, BenchArgs, StructureSource};
-use mps_bench::{fmt_duration, markdown_table, measure_instantiation};
+use mps_bench::{fmt_duration, fmt_phases, markdown_table, measure_instantiation};
 use mps_netlist::benchmarks;
 
 fn main() {
@@ -42,6 +42,7 @@ fn main() {
                     ex.stored_forked,
                     ex.stored_annihilated,
                 );
+                eprintln!("  {:<18} {}", "", fmt_phases(&report.phases));
                 fmt_duration(report.duration)
             }
             StructureSource::Loaded(path) => {

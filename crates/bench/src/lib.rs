@@ -242,6 +242,19 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// One line of generation phase timings, e.g. for a report's
+/// [`mps_core::GenerationReport::phases`].
+#[must_use]
+pub fn fmt_phases(phases: &mps_core::PhaseTimings) -> String {
+    format!(
+        "expansion {}  bdio {}  resolve+store {}  merge {}",
+        fmt_duration(phases.expansion),
+        fmt_duration(phases.bdio),
+        fmt_duration(phases.resolve_store),
+        fmt_duration(phases.merge),
+    )
+}
+
 /// Renders a markdown table.
 #[must_use]
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -10,14 +10,15 @@
 //! from (§3.1.4). The loop stops when the user's coverage target is
 //! reached or the iteration budget is exhausted.
 
-use crate::resolve::{resolve_overlaps, ResolveStats};
-use crate::{Bdio, MultiPlacementStructure, StoredPlacement};
+use crate::resolve::resolve_and_store;
+use crate::{Bdio, MultiPlacementStructure, PhaseTimings, StoredPlacement};
 use mps_anneal::{metropolis, AdaptiveSchedule, Schedule};
-use mps_geom::{Coord, Dims, Point, Rect};
+use mps_geom::{Coord, Dims, DimsBox, Point, Rect};
 use mps_netlist::Circuit;
 use mps_placer::{expand_placement, ExpansionConfig, Placement, SequencePair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Tuning of the outer loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,15 +92,8 @@ pub struct ExplorerStats {
     pub reached_target: bool,
 }
 
-impl ExplorerStats {
-    pub(crate) fn absorb(&mut self, r: &ResolveStats) {
-        self.stored_shrunk += r.stored_shrunk;
-        self.stored_forked += r.stored_forked;
-        self.stored_annihilated += r.stored_annihilated;
-    }
-}
-
-/// Runs the Placement Explorer, filling `mps`.
+/// Runs the Placement Explorer, filling `mps`, and adds the time spent in
+/// expansion, the BDIO and resolve-and-store to `timings`.
 ///
 /// `bdio` must be configured over the same circuit/cost calculator the
 /// structure serves.
@@ -110,6 +104,7 @@ pub(crate) fn explore(
     expansion: &ExpansionConfig,
     config: &ExplorerConfig,
     seed: u64,
+    timings: &mut PhaseTimings,
 ) -> ExplorerStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = ExplorerStats::default();
@@ -149,78 +144,40 @@ pub(crate) fn explore(
         };
         stats.proposals += 1;
 
-        // §3.1.2 Placement Expansion. Proposals that overlap at minimum
-        // dimensions are first legalized by a sequence-pair round-trip at
-        // minimum dimensions (preserving the proposal's relative
-        // arrangement); only placements that still fail are rejected.
-        let (candidate, first_box) =
-            match expand_placement(circuit, &candidate, &floorplan, expansion) {
-                Ok(b) => (candidate, b),
-                Err(_) => {
-                    let packed =
-                        SequencePair::from_placement(&candidate, &min_dims).pack(&min_dims);
-                    match expand_placement(circuit, &packed, &floorplan, expansion) {
-                        Ok(b) => (packed, b),
-                        Err(_) => {
-                            stats.rejected_illegal += 1;
-                            continue; // never accepted, current unchanged
-                        }
-                    }
-                }
-            };
-
-        // Compaction (quality refinement over the paper's bare algorithm,
-        // see DESIGN.md): repack the proposal's relative arrangement at the
-        // expanded box's upper corner, eliminating the whitespace random
-        // proposals carry. Legality at the upper corner implies legality
-        // over the whole box, so the invariant is untouched; re-expansion
-        // then grants the compacted coordinates their own (usually larger)
-        // box. Falls back to the raw proposal when the sequence-pair
-        // round-trip does not help.
-        let (candidate, expanded_box) =
-            match compact(circuit, &candidate, &first_box, &floorplan, expansion) {
-                Some(pair) => pair,
-                None => (candidate, first_box),
-            };
+        let expansion_started = Instant::now();
+        let expanded = expand(circuit, candidate, &min_dims, &floorplan, expansion);
+        timings.expansion += expansion_started.elapsed();
+        let Some((candidate, expanded_box)) = expanded else {
+            stats.rejected_illegal += 1;
+            continue; // never accepted, current unchanged
+        };
 
         // §3.2 Block Dimensions-Intervals Optimizer.
+        let bdio_started = Instant::now();
         let bdio_seed = rng.random::<u64>();
         let result = bdio.optimize(&candidate, &expanded_box, bdio_seed);
+        let proposal = StoredPlacement {
+            placement: candidate,
+            dims_box: result.reduced_box,
+            avg_cost: result.avg_cost,
+            best_cost: result.best_cost,
+            best_dims: Dims::from_vec_unchecked(result.best_dims),
+        };
 
         // §3.1.3 Resolve Overlaps, then Store Placement.
-        let (survivors, rstats) = resolve_overlaps(
-            mps,
-            result.reduced_box,
-            result.avg_cost,
-            config.fork_on_containment,
-        );
-        stats.absorb(&rstats);
-        for dims_box in survivors {
-            let best_dims = Dims::from_vec_unchecked(
-                dims_box
-                    .ranges()
-                    .iter()
-                    .zip(&result.best_dims)
-                    .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
-                    .collect(),
-            );
-            mps.insert_unchecked(StoredPlacement {
-                placement: candidate.clone(),
-                dims_box,
-                avg_cost: result.avg_cost,
-                best_cost: result.best_cost,
-                best_dims,
-            });
-            stats.boxes_stored += 1;
-        }
+        let resolve_started = Instant::now();
+        timings.bdio += resolve_started - bdio_started;
+        stats.boxes_stored +=
+            resolve_and_store(mps, &proposal, config.fork_on_containment, &mut stats);
+        timings.resolve_store += resolve_started.elapsed();
 
         // Accept-New-Placement check (Metropolis on the BDIO average).
         let temperature = schedule.temperature(k, config.outer_iterations);
-        let delta = result.avg_cost - current_cost;
+        let delta = proposal.avg_cost - current_cost;
         if metropolis(delta, temperature, &mut rng) {
             stats.accepted += 1;
-            current = candidate;
-            current_cost = result.avg_cost;
+            current = proposal.placement;
+            current_cost = proposal.avg_cost;
         }
     }
 
@@ -229,16 +186,49 @@ pub(crate) fn explore(
     stats
 }
 
+/// §3.1.2 Placement Expansion. A proposal that overlaps at minimum
+/// dimensions is first legalized by a sequence-pair round-trip at minimum
+/// dimensions (preserving its relative arrangement); `None` when that
+/// still fails.
+///
+/// The expanded proposal is then compacted, a quality refinement over the
+/// paper's bare algorithm: its relative arrangement is repacked at the
+/// expanded box's upper corner, eliminating the whitespace random
+/// proposals carry. Legality at the upper corner implies legality over
+/// the whole box, so the invariant is untouched; re-expansion then grants
+/// the compacted coordinates their own (usually larger) box. The raw
+/// proposal is kept when the round-trip does not help.
+fn expand(
+    circuit: &Circuit,
+    candidate: Placement,
+    min_dims: &[(Coord, Coord)],
+    floorplan: &Rect,
+    expansion: &ExpansionConfig,
+) -> Option<(Placement, DimsBox)> {
+    let (candidate, first_box) = match expand_placement(circuit, &candidate, floorplan, expansion) {
+        Ok(b) => (candidate, b),
+        Err(_) => {
+            let packed = SequencePair::from_placement(&candidate, min_dims).pack(min_dims);
+            let b = expand_placement(circuit, &packed, floorplan, expansion).ok()?;
+            (packed, b)
+        }
+    };
+    Some(
+        compact(circuit, &candidate, &first_box, floorplan, expansion)
+            .unwrap_or((candidate, first_box)),
+    )
+}
+
 /// Repacks `candidate`'s relative arrangement at the expanded box's upper
 /// corner and re-expands. Returns `None` when the round-trip fails to
 /// produce a legal floorplan (extraction is heuristic).
 fn compact(
     circuit: &Circuit,
     candidate: &Placement,
-    expanded_box: &mps_geom::DimsBox,
+    expanded_box: &DimsBox,
     floorplan: &Rect,
     expansion: &ExpansionConfig,
-) -> Option<(Placement, mps_geom::DimsBox)> {
+) -> Option<(Placement, DimsBox)> {
     let top: Vec<(Coord, Coord)> = expanded_box
         .ranges()
         .iter()
@@ -372,6 +362,7 @@ mod tests {
             &ExpansionConfig::default(),
             &config,
             seed,
+            &mut PhaseTimings::default(),
         );
         (mps, stats)
     }

@@ -252,6 +252,32 @@ pub struct GenerationReport {
     /// thread-count independent: the same seeds produce the same entries
     /// whether the starts ran serially or in parallel.
     pub per_start: Vec<ExplorerStats>,
+    /// Time per generation phase.
+    pub phases: PhaseTimings,
+}
+
+/// Where generation time went, by phase. Each phase is summed over the
+/// explorer starts, so with several threads the sum can exceed the
+/// wall-clock [`GenerationReport::duration`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimings {
+    /// Placement expansion (§3.1.2), with legalization and compaction.
+    pub expansion: Duration,
+    /// BDIO range optimization and costing (§3.2).
+    pub bdio: Duration,
+    /// Resolve Overlaps and Store Placement inside the walks (§3.1.3).
+    pub resolve_store: Duration,
+    /// The serial multi-start merge (zero for a single start).
+    pub merge: Duration,
+}
+
+impl std::ops::AddAssign for PhaseTimings {
+    fn add_assign(&mut self, other: Self) {
+        self.expansion += other.expansion;
+        self.bdio += other.bdio;
+        self.resolve_store += other.resolve_store;
+        self.merge += other.merge;
+    }
 }
 
 /// The one-time generator (Fig. 1a): runs the nested annealer over a
@@ -331,12 +357,14 @@ impl<'a> MpsGenerator<'a> {
             .circuit
             .suggested_floorplan(self.config.floorplan_slack);
 
+        let mut phases = PhaseTimings::default();
         let (mut mps, per_start, explorer_stats) = if self.config.num_starts > 1 {
             crate::parallel::generate_multi_start(
                 self.circuit,
                 &self.config,
                 self.symmetry,
                 floorplan,
+                &mut phases,
             )
         } else {
             let mut mps = MultiPlacementStructure::new(self.circuit, floorplan);
@@ -354,6 +382,7 @@ impl<'a> MpsGenerator<'a> {
                 &self.config.expansion,
                 &self.config.explorer,
                 self.config.seed,
+                &mut phases,
             );
             (mps, vec![explorer_stats], explorer_stats)
         };
@@ -381,6 +410,7 @@ impl<'a> MpsGenerator<'a> {
             // must describe what actually ran.
             starts: per_start.len(),
             per_start,
+            phases,
         };
         Ok((mps, report))
     }
@@ -409,6 +439,11 @@ mod tests {
         assert_eq!(report.placements, mps.placement_count());
         assert!(report.coverage > 0.0);
         assert!(report.duration.as_nanos() > 0);
+        let phases = report.phases;
+        assert!(phases.expansion > Duration::ZERO && phases.bdio > Duration::ZERO);
+        assert!(phases.resolve_store > Duration::ZERO);
+        assert_eq!(phases.merge, Duration::ZERO, "a single start has no merge");
+        assert!(phases.expansion + phases.bdio + phases.resolve_store <= report.duration);
         mps.check_invariants().unwrap();
         assert!(mps.fallback().is_some());
     }

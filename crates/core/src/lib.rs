@@ -69,6 +69,7 @@ pub use entry::{PlacementId, StoredPlacement};
 pub use explorer::{ExplorerConfig, ExplorerStats};
 pub use generator::{
     GenerateError, GenerationReport, GeneratorConfig, GeneratorConfigBuilder, MpsGenerator,
+    PhaseTimings,
 };
 pub use invariant::InvariantError;
 #[cfg(feature = "serde")]

@@ -41,13 +41,14 @@
 //! ```
 
 use crate::explorer::{explore, ExplorerStats};
-use crate::resolve::resolve_overlaps;
-use crate::{Bdio, GeneratorConfig, MultiPlacementStructure, StoredPlacement};
-use mps_geom::{Dims, Rect};
+use crate::resolve::resolve_and_store;
+use crate::{Bdio, GeneratorConfig, MultiPlacementStructure, PhaseTimings};
+use mps_geom::Rect;
 use mps_netlist::Circuit;
 use mps_placer::{CostCalculator, SymmetryConstraints};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// The RNG seed of one start: a SplitMix64 mix of the master seed and the
 /// start index. Start 0 uses the master seed itself, so a multi-start run
@@ -81,6 +82,7 @@ pub fn effective_threads(configured: usize, starts: usize) -> usize {
 struct StartOutcome {
     mps: MultiPlacementStructure,
     stats: ExplorerStats,
+    timings: PhaseTimings,
 }
 
 /// Runs one independently seeded explorer walk into a fresh structure.
@@ -99,6 +101,7 @@ fn run_one_start(
         calc = calc.with_symmetry(sym);
     }
     let bdio = Bdio::new(&calc, config.bdio);
+    let mut timings = PhaseTimings::default();
     let stats = explore(
         circuit,
         &mut mps,
@@ -106,8 +109,13 @@ fn run_one_start(
         &config.expansion,
         &config.explorer,
         start_seed(config.seed, start),
+        &mut timings,
     );
-    StartOutcome { mps, stats }
+    StartOutcome {
+        mps,
+        stats,
+        timings,
+    }
 }
 
 /// Runs `config.num_starts` explorer walks (in parallel when
@@ -115,12 +123,14 @@ fn run_one_start(
 ///
 /// Returns the merged structure (without fallback — the generator
 /// installs it), the per-start explorer counters, and the aggregate
-/// counters including merge-time resolutions.
+/// counters including merge-time resolutions. The starts' phase timings
+/// and the merge time are added to `timings`.
 pub(crate) fn generate_multi_start(
     circuit: &Circuit,
     config: &GeneratorConfig,
     symmetry: Option<&SymmetryConstraints>,
     floorplan: Rect,
+    timings: &mut PhaseTimings,
 ) -> (MultiPlacementStructure, Vec<ExplorerStats>, ExplorerStats) {
     let starts = config.num_starts;
     let threads = effective_threads(config.threads, starts);
@@ -156,7 +166,10 @@ pub(crate) fn generate_multi_start(
             .collect()
     };
 
-    merge(circuit, config, floorplan, outcomes)
+    let merge_started = Instant::now();
+    let merged = merge(circuit, config, floorplan, outcomes, timings);
+    timings.merge += merge_started.elapsed();
+    merged
 }
 
 /// Serially re-resolves every start's stored placements into one
@@ -175,6 +188,7 @@ fn merge(
     config: &GeneratorConfig,
     floorplan: Rect,
     outcomes: Vec<StartOutcome>,
+    timings: &mut PhaseTimings,
 ) -> (MultiPlacementStructure, Vec<ExplorerStats>, ExplorerStats) {
     let mut merged = MultiPlacementStructure::new(circuit, floorplan);
     let mut aggregate = ExplorerStats::default();
@@ -185,37 +199,17 @@ fn merge(
         aggregate.accepted += outcome.stats.accepted;
         aggregate.rejected_illegal += outcome.stats.rejected_illegal;
         per_start.push(outcome.stats);
+        *timings += outcome.timings;
     }
 
     for outcome in outcomes {
         for (_, entry) in outcome.mps.iter() {
-            let (survivors, rstats) = resolve_overlaps(
+            aggregate.boxes_stored += resolve_and_store(
                 &mut merged,
-                entry.dims_box.clone(),
-                entry.avg_cost,
+                entry,
                 config.explorer.fork_on_containment,
+                &mut aggregate,
             );
-            aggregate.absorb(&rstats);
-            for dims_box in survivors {
-                // Same idiom as the explorer's store step: the recorded
-                // best dims may fall outside a shrunk surviving piece.
-                let best_dims = Dims::from_vec_unchecked(
-                    dims_box
-                        .ranges()
-                        .iter()
-                        .zip(&entry.best_dims)
-                        .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
-                        .collect(),
-                );
-                merged.insert_unchecked(StoredPlacement {
-                    placement: entry.placement.clone(),
-                    dims_box,
-                    avg_cost: entry.avg_cost,
-                    best_cost: entry.best_cost,
-                    best_dims,
-                });
-                aggregate.boxes_stored += 1;
-            }
         }
     }
 

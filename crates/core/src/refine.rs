@@ -29,9 +29,11 @@
 //! order, exactly like multi-start generation.
 
 use crate::parallel::generate_multi_start;
-use crate::resolve::resolve_overlaps;
-use crate::{ExplorerStats, GeneratorConfig, InvariantError, MultiPlacementStructure};
-use mps_geom::{BlockRanges, Dims};
+use crate::resolve::resolve_and_store;
+use crate::{
+    ExplorerStats, GeneratorConfig, InvariantError, MultiPlacementStructure, PhaseTimings,
+};
+use mps_geom::BlockRanges;
 use mps_netlist::{Block, Circuit};
 use std::fmt;
 
@@ -206,8 +208,13 @@ fn merge_region_walks(
     circuit: &Circuit,
     config: &GeneratorConfig,
 ) -> Result<(MultiPlacementStructure, RefineReport), RefineError> {
-    let (region_mps, _per_start, explorer) =
-        generate_multi_start(circuit, config, None, structure.floorplan());
+    let (region_mps, _per_start, explorer) = generate_multi_start(
+        circuit,
+        config,
+        None,
+        structure.floorplan(),
+        &mut PhaseTimings::default(),
+    );
     let mut refined = structure.clone();
     let mut report = RefineReport {
         starts: config.num_starts.max(1),
@@ -217,33 +224,12 @@ fn merge_region_walks(
         ..RefineReport::default()
     };
     for (_, entry) in region_mps.iter() {
-        let (survivors, rstats) = resolve_overlaps(
+        report.inserted_boxes += resolve_and_store(
             &mut refined,
-            entry.dims_box.clone(),
-            entry.avg_cost,
+            entry,
             config.explorer.fork_on_containment,
+            &mut report.explorer,
         );
-        report.explorer.absorb(&rstats);
-        for dims_box in survivors {
-            // The recorded best dims may fall outside a shrunk
-            // surviving piece — same clamp as the explorer's store step.
-            let best_dims = Dims::from_vec_unchecked(
-                dims_box
-                    .ranges()
-                    .iter()
-                    .zip(&entry.best_dims)
-                    .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
-                    .collect(),
-            );
-            refined.insert_unchecked(crate::StoredPlacement {
-                placement: entry.placement.clone(),
-                dims_box,
-                avg_cost: entry.avg_cost,
-                best_cost: entry.best_cost,
-                best_dims,
-            });
-            report.inserted_boxes += 1;
-        }
     }
     refined.check_invariants().map_err(RefineError::Invariant)?;
     report.placements_after = refined.placement_count();
@@ -254,7 +240,7 @@ fn merge_region_walks(
 mod tests {
     use super::*;
     use crate::MpsGenerator;
-    use mps_geom::Interval;
+    use mps_geom::{Dims, Interval};
     use mps_netlist::benchmarks;
 
     fn seed_structure() -> (Circuit, MultiPlacementStructure) {

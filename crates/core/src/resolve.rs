@@ -11,8 +11,8 @@
 //! into two placements, each assuming new shrunk intervals on each side of
 //! the un-changed placement."
 
-use crate::{MultiPlacementStructure, PlacementId, StoredPlacement};
-use mps_geom::{Dims, DimsBox};
+use crate::{ExplorerStats, MultiPlacementStructure, PlacementId, StoredPlacement};
+use mps_geom::DimsBox;
 
 /// Outcome counters of one resolution pass (for generation reporting and
 /// the ablation study).
@@ -30,10 +30,47 @@ pub(crate) struct ResolveStats {
     pub new_forked: usize,
 }
 
+/// Resolve Overlaps, then Store Placement (§3.1.3), as the explorer and
+/// both merges (multi-start and refinement) run them: each surviving piece
+/// of `proposal`'s box is stored as a copy of `proposal`, its best
+/// dimensions clamped into the piece. Adds the resolution counters to
+/// `stats` and returns the number of boxes stored.
+pub(crate) fn resolve_and_store(
+    mps: &mut MultiPlacementStructure,
+    proposal: &StoredPlacement,
+    fork_on_containment: bool,
+    stats: &mut ExplorerStats,
+) -> usize {
+    let (survivors, resolved) = resolve_overlaps(
+        mps,
+        proposal.dims_box.clone(),
+        proposal.avg_cost,
+        fork_on_containment,
+    );
+    stats.stored_shrunk += resolved.stored_shrunk;
+    stats.stored_forked += resolved.stored_forked;
+    stats.stored_annihilated += resolved.stored_annihilated;
+    let stored = survivors.len();
+    for dims_box in survivors {
+        mps.insert_unchecked(StoredPlacement {
+            placement: proposal.placement.clone(),
+            best_dims: dims_box.clamp_dims(&proposal.best_dims),
+            dims_box,
+            ..*proposal
+        });
+    }
+    stored
+}
+
 /// Makes `new_box` disjoint from every stored validity box, shrinking
 /// whichever side has the higher average cost along the dimension of
 /// smallest overlap. Returns the surviving pieces of `new_box` (empty when
 /// the new placement lost everywhere) plus resolution counters.
+///
+/// As in the paper's pseudo-code, each step settles the piece against one
+/// stored placement, the overlapping one with the smallest live id
+/// ([`MultiPlacementStructure::first_overlapping`]), then looks again: a
+/// cut changes the overlapping set, so the whole set is never built.
 ///
 /// When `fork_on_containment` is `false` (ablation A3), a cut that would
 /// fork a box instead keeps only the larger remaining piece.
@@ -48,33 +85,24 @@ pub(crate) fn resolve_overlaps(
     let mut survivors = Vec::new();
 
     'next_pending: while let Some(piece) = pending.pop() {
-        let overlaps = mps.overlapping_ids(&piece);
-        let Some(&victim_candidate) = overlaps.first() else {
+        let Some(victim) = mps.first_overlapping(&piece) else {
             survivors.push(piece);
             continue;
         };
-        // Resolve against one stored placement at a time, as in the
-        // paper's pseudo-code; the piece re-enters the work list until it
-        // is clean.
+        // The piece re-enters the work list until it is clean.
         let stored = mps
-            .entry(victim_candidate)
-            .expect("overlapping_ids returns live ids");
+            .entry(victim)
+            .expect("first_overlapping returns live ids");
         let stored_box = stored.dims_box.clone();
         let stored_avg = stored.avg_cost;
         let (dim, cut) = piece
             .smallest_overlap_dim(&stored_box)
-            .expect("overlapping_ids guarantees overlap");
+            .expect("first_overlapping guarantees overlap");
 
         if stored_avg > new_avg_cost {
             // The stored placement loses: shrink it along `dim`.
             let pieces = stored_box.subtract_along(dim, cut);
-            apply_to_stored(
-                mps,
-                victim_candidate,
-                pieces,
-                fork_on_containment,
-                &mut stats,
-            );
+            apply_to_stored(mps, victim, pieces, fork_on_containment, &mut stats);
             // The piece still owns `cut`; it may overlap other stored
             // placements, so re-queue it.
             pending.push(piece);
@@ -123,21 +151,13 @@ fn apply_to_stored(
                 let first = pieces.pop().expect("two pieces");
                 let entry = mps.entry(id).expect("live").clone();
                 mps.shrink(id, first);
-                let mut fork = StoredPlacement {
-                    dims_box: second,
-                    ..entry
-                };
                 // The fork keeps the same coordinates and costs; its best
                 // dims may fall outside the half it owns — clamp them in.
-                fork.best_dims = Dims::from_vec_unchecked(
-                    fork.dims_box
-                        .ranges()
-                        .iter()
-                        .zip(&fork.best_dims)
-                        .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
-                        .collect(),
-                );
-                mps.insert_unchecked(fork);
+                mps.insert_unchecked(StoredPlacement {
+                    best_dims: second.clamp_dims(&entry.best_dims),
+                    dims_box: second,
+                    ..entry
+                });
             } else {
                 stats.stored_shrunk += 1;
                 keep_larger(&mut pieces);
@@ -165,9 +185,11 @@ fn keep_larger(pieces: &mut Vec<DimsBox>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_geom::{BlockRanges, Coord, Interval, Point, Rect};
+    use mps_geom::{BlockRanges, Coord, Dims, Interval, Point, Rect};
     use mps_netlist::{Block, Circuit};
     use mps_placer::Placement;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn circuit() -> Circuit {
         Circuit::builder("r")
@@ -322,6 +344,110 @@ mod tests {
         let third = m.entry(PlacementId(2)).unwrap();
         assert_eq!(third.dims_box, dbox((161, 200), (1, 200)));
         m.check_invariants().unwrap();
+    }
+
+    /// Reference answers for `first_overlapping`: the minimum live id
+    /// whose box overlaps `probe`, found once by trying every id and once
+    /// through the rows (intersecting `ids_overlapping` over all 2N rows,
+    /// the lookup Resolve Overlaps used before the direct scan).
+    fn reference_first_overlapping(
+        m: &MultiPlacementStructure,
+        probe: &DimsBox,
+        max_id: u32,
+    ) -> (Option<PlacementId>, Option<PlacementId>) {
+        let brute = (0..=max_id)
+            .map(PlacementId)
+            .find(|&id| m.entry(id).is_some_and(|e| e.dims_box.overlaps(probe)));
+        let mut via_rows: Option<Vec<u32>> = None;
+        for (i, r) in probe.ranges().iter().enumerate() {
+            for ids in [
+                m.w_row(i).ids_overlapping(r.w),
+                m.h_row(i).ids_overlapping(r.h),
+            ] {
+                via_rows = Some(match via_rows {
+                    None => ids,
+                    Some(mut prev) => {
+                        prev.retain(|c| ids.binary_search(c).is_ok());
+                        prev
+                    }
+                });
+            }
+        }
+        let rows = via_rows
+            .unwrap_or_default()
+            .first()
+            .map(|&c| PlacementId(c));
+        (brute, rows)
+    }
+
+    fn random_box(rng: &mut StdRng, blocks: usize) -> DimsBox {
+        let mut interval = || {
+            let a = rng.random_range(1..=200);
+            let b = rng.random_range(1..=200);
+            Interval::new(a.min(b), a.max(b))
+        };
+        DimsBox::new(
+            (0..blocks)
+                .map(|_| BlockRanges::new(interval(), interval()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn first_overlapping_matches_brute_force_on_resolved_streams() {
+        let mut totals = ExplorerStats::default();
+        for blocks in 1..=3 {
+            for fork in [true, false] {
+                for seed in 0..4u64 {
+                    let mut rng = StdRng::seed_from_u64(seed * 31 + blocks as u64);
+                    let circuit = (0..blocks)
+                        .fold(Circuit::builder("d"), |b, i| {
+                            b.block(Block::new(format!("B{i}"), 1, 200, 1, 200))
+                        })
+                        .build()
+                        .unwrap();
+                    let mut m =
+                        MultiPlacementStructure::new(&circuit, Rect::from_xywh(0, 0, 1_000, 1_000));
+                    let mut stats = ExplorerStats::default();
+                    for _ in 0..48 {
+                        let dims_box = random_box(&mut rng, blocks);
+                        let best_dims = Dims::from_vec_unchecked(
+                            dims_box
+                                .ranges()
+                                .iter()
+                                .map(|r| (r.w.lo(), r.h.lo()))
+                                .collect(),
+                        );
+                        // A few distinct costs, so ties and both winners occur.
+                        let cost = f64::from(rng.random_range(1..=5u32));
+                        let proposal = StoredPlacement {
+                            placement: Placement::new(vec![Point::new(0, 0); blocks]),
+                            dims_box,
+                            avg_cost: cost,
+                            best_cost: cost,
+                            best_dims,
+                        };
+                        stats.boxes_stored +=
+                            resolve_and_store(&mut m, &proposal, fork, &mut stats);
+                        let max_id = (stats.boxes_stored + stats.stored_forked) as u32;
+                        for _ in 0..8 {
+                            let probe = random_box(&mut rng, blocks);
+                            let (brute, rows) = reference_first_overlapping(&m, &probe, max_id);
+                            let got = m.first_overlapping(&probe);
+                            assert_eq!(got, brute, "blocks {blocks} fork {fork} probe {probe:?}");
+                            assert_eq!(got, rows, "rows disagree with boxes on {probe:?}");
+                        }
+                    }
+                    totals.stored_shrunk += stats.stored_shrunk;
+                    totals.stored_forked += stats.stored_forked;
+                    totals.stored_annihilated += stats.stored_annihilated;
+                }
+            }
+        }
+        // The streams must reach every resolution outcome, dead ids included.
+        assert!(totals.stored_shrunk > 0, "{totals:?}");
+        assert!(totals.stored_forked > 0, "{totals:?}");
+        assert!(totals.stored_annihilated > 0, "{totals:?}");
     }
 
     #[test]

@@ -527,14 +527,7 @@ impl MultiPlacementStructure {
         );
         let old_box = std::mem::replace(&mut entry.dims_box, new_box.clone());
         // Keep the recorded best dimensions inside the surviving region.
-        entry.best_dims = Dims::from_vec_unchecked(
-            new_box
-                .ranges()
-                .iter()
-                .zip(&entry.best_dims)
-                .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
-                .collect(),
-        );
+        entry.best_dims = new_box.clamp_dims(&entry.best_dims);
         // Update only the axes that changed.
         for (i, (old, new)) in old_box.ranges().iter().zip(new_box.ranges()).enumerate() {
             if old.w != new.w {
@@ -548,37 +541,17 @@ impl MultiPlacementStructure {
         }
     }
 
-    /// All live placements whose validity box overlaps `probe` — the
-    /// retrieval step of Resolve Overlaps, computed through the rows as in
-    /// the paper's pseudo-code (intersection over blocks of the ids whose
-    /// intervals overlap the probe's intervals).
+    /// The smallest live id whose validity box overlaps `probe` — the
+    /// retrieval step of Resolve Overlaps, which settles one stored
+    /// placement at a time and then looks again. A scan in id order that
+    /// stops at the first box overlap picks the same victim as intersecting
+    /// the rows' id lists over all 2N dimensions, without building them;
+    /// the rows remain the index behind [`Self::query`].
     #[must_use]
-    pub(crate) fn overlapping_ids(&self, probe: &DimsBox) -> Vec<PlacementId> {
-        debug_assert_eq!(probe.block_count(), self.bounds.len());
-        let mut candidates: Option<Vec<u32>> = None;
-        for (i, r) in probe.ranges().iter().enumerate() {
-            for (row, iv) in [(&self.w_rows[i], r.w), (&self.h_rows[i], r.h)] {
-                let ids = row.ids_overlapping(iv);
-                candidates = Some(match candidates {
-                    None => ids,
-                    Some(mut prev) => {
-                        prev.retain(|c| ids.binary_search(c).is_ok());
-                        prev
-                    }
-                });
-                if candidates.as_ref().is_some_and(Vec::is_empty) {
-                    return Vec::new();
-                }
-            }
-        }
-        // Per-row interval overlap in every dimension is exactly box
-        // overlap, but verify defensively against the entry's box.
-        candidates
-            .unwrap_or_default()
-            .into_iter()
-            .map(PlacementId)
-            .filter(|&id| self.entry(id).is_some_and(|e| e.dims_box.overlaps(probe)))
-            .collect()
+    pub(crate) fn first_overlapping(&self, probe: &DimsBox) -> Option<PlacementId> {
+        self.iter()
+            .find(|(_, e)| e.dims_box.overlaps(probe))
+            .map(|(id, _)| id)
     }
 
     /// Read access to one block's width row (the `W_i` function of Eq. 3):
@@ -974,22 +947,23 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_ids_finds_box_overlaps() {
-        let (_, mps) = two_entry_structure();
+    fn first_overlapping_finds_the_smallest_overlapping_id() {
+        let (_, mut mps) = two_entry_structure();
         let probe = DimsBox::new(vec![
             BlockRanges::new(Interval::new(40, 60), Interval::new(10, 20)),
             BlockRanges::new(Interval::new(10, 20), Interval::new(10, 20)),
         ]);
-        let ids = mps.overlapping_ids(&probe);
-        assert_eq!(ids, vec![PlacementId(0), PlacementId(1)]);
+        assert_eq!(mps.first_overlapping(&probe), Some(PlacementId(0)));
+        // Probe w0 [10,50] misses entry 1's [51,100] and h0 [60,100]
+        // misses entry 0's [10,50]: neither overlaps.
         let far = DimsBox::new(vec![
             BlockRanges::new(Interval::new(10, 50), Interval::new(60, 100)),
             BlockRanges::new(Interval::new(10, 20), Interval::new(10, 20)),
         ]);
-        // Entry 0 h0 caps at 50, entry 1 w0 starts at 51: only entry 1
-        // overlaps a probe with w0 up to 50? No — probe w0 [10,50] misses
-        // entry 1's [51,100]. Neither overlaps.
-        assert!(mps.overlapping_ids(&far).is_empty());
+        assert_eq!(mps.first_overlapping(&far), None);
+        // A dead id is skipped: the next overlapping entry answers.
+        mps.remove(PlacementId(0));
+        assert_eq!(mps.first_overlapping(&probe), Some(PlacementId(1)));
     }
 
     #[test]

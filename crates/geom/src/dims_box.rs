@@ -1,6 +1,6 @@
 //! Hyper-rectangular validity regions in block-dimension space.
 
-use crate::{Coord, Interval};
+use crate::{Coord, Dims, Interval};
 use std::fmt;
 
 /// The width/height validity intervals of one block inside one stored
@@ -183,6 +183,20 @@ impl DimsBox {
             .iter()
             .zip(dims)
             .all(|(r, &(w, h))| r.contains(w, h))
+    }
+
+    /// The vector of the box nearest to `dims`: each width and height
+    /// clamped into its block's interval. Keeps a placement's recorded
+    /// best dimensions inside a validity box that was shrunk or split.
+    #[must_use]
+    pub fn clamp_dims(&self, dims: &Dims) -> Dims {
+        Dims::from_vec_unchecked(
+            self.ranges
+                .iter()
+                .zip(dims)
+                .map(|(r, &(w, h))| (r.w.clamp_value(w), r.h.clamp_value(h)))
+                .collect(),
+        )
     }
 
     /// Whether the two boxes share at least one dimension vector
@@ -412,6 +426,14 @@ mod tests {
         assert!(b.contains(&[(5, 5), (6, 3)]));
         assert!(!b.contains(&[(11, 5), (6, 3)]));
         assert!(!b.contains(&[(5, 5), (6, 5)]));
+    }
+
+    #[test]
+    fn clamp_dims_moves_each_coordinate_into_its_interval() {
+        let b = DimsBox::new(vec![br(0, 10, 0, 10), br(5, 8, 2, 4)]);
+        let clamped = b.clamp_dims(&crate::dims![(12, 5), (3, 3)]);
+        assert_eq!(clamped, crate::dims![(10, 5), (5, 3)]);
+        assert!(b.contains(&clamped));
     }
 
     #[test]

@@ -92,8 +92,8 @@ impl<T: Copy + Ord> IntervalMap<T> {
     /// All distinct indices whose interval overlaps `range`
     /// (sorted ascending, deduplicated).
     ///
-    /// Resolve Overlaps uses this to retrieve the candidate set of stored
-    /// placements whose validity region may intersect a new placement's.
+    /// Intersected over every row of a structure, these sets name the
+    /// stored placements whose validity boxes overlap a probe box.
     #[must_use]
     pub fn ids_overlapping(&self, range: Interval) -> Vec<T> {
         let mut out: Vec<T> = Vec::new();

@@ -88,6 +88,48 @@ fn generation_recipe_still_matches_fixture() {
     assert_eq!(fixture_structure().to_json_pretty(), FIXTURE);
 }
 
+/// FNV-1a (64-bit): a hash fixed by its definition, unlike
+/// `DefaultHasher`, whose output may change between toolchains.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// (benchmark, live placements, FNV-1a of `to_json()`) for the
+/// multi-start recipe in `multi_start_generation_still_matches_hashes`.
+/// Recorded before Resolve Overlaps switched to the first-overlap scan,
+/// so a match shows that the switch changed no generated structure.
+const MULTI_START_PINS: &[(&str, usize, u64)] = &[
+    ("tso-cascode", 30, 0xa773_3edc_63a3_e570),
+    ("benchmark24", 24, 0x549d_ab29_361c_b6c0),
+];
+
+#[test]
+fn multi_start_generation_still_matches_hashes() {
+    // The single-start fixture above never runs the start merge. This
+    // recipe does: two starts on two threads, merged through Resolve
+    // Overlaps, so any change to the resolver's victim order or to the
+    // store step shows up as a different hash.
+    let actual: Vec<(&str, usize, u64)> = MULTI_START_PINS
+        .iter()
+        .map(|&(name, _, _)| {
+            let bm = benchmarks::by_name(name).unwrap();
+            let config = GeneratorConfig::builder()
+                .outer_iterations(80)
+                .inner_iterations(30)
+                .coverage_target(0.93)
+                .num_starts(2)
+                .threads(2)
+                .seed(20050307)
+                .build();
+            let mps = MpsGenerator::new(&bm.circuit, config).generate().unwrap();
+            (name, mps.placement_count(), fnv1a(mps.to_json().as_bytes()))
+        })
+        .collect();
+    assert_eq!(actual, MULTI_START_PINS, "multi-start to_json() changed");
+}
+
 /// Rewrites the committed fixture. Run explicitly after an intentional
 /// format change: `cargo test -- --ignored regenerate_golden_fixture`,
 /// then update the hard-coded expectations above.
