@@ -7,12 +7,30 @@
 //! *average* and *best* cost encountered (the average is the Placement
 //! Explorer's cost signal), and (3) shrinks the validity intervals around
 //! the best dimensions with Eq. 6 (*Optimize Ranges*).
+//!
+//! Each annealing step resizes one block, so the inner problem costs
+//! steps with an [`IncrementalCost`] instead of recosting the whole
+//! placement. The evaluator caches the current state's block rects, the
+//! integer HPWL of each net, the overlap of each block pair, each block's
+//! area outside the floorplan and the bounding box, and a step recomputes
+//! only what the moved block touches: its nets (plus the pad nets when the
+//! bounding box moves), its N−1 overlap pairs, its escape area and the
+//! box. The annealer's accept hook ([`Problem::accept`]) commits a step;
+//! a rejected step is dropped at the next proposal. The energies stay
+//! bit-identical to [`CostCalculator::cost`]: the integer terms update
+//! exactly, and the f64 terms are never patched by a delta — the
+//! wirelength is re-summed from the cached per-net values in net order,
+//! the symmetry term is recomputed in full, and the total goes through
+//! the same [`mps_placer::CostBreakdown::total`]. Equal energies keep the
+//! annealer's random stream and decisions, so every result equals that of
+//! costing each step with `cost` (pinned by `tests/bdio_pin.rs`).
 
 use mps_anneal::{Annealer, AnnealerConfig, Problem};
 use mps_geom::{Coord, DimsBox, Interval};
-use mps_placer::{CostCalculator, Placement};
+use mps_placer::{CostCalculator, IncrementalCost, Placement};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cell::RefCell;
 
 /// Tuning of the inner annealing loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +140,7 @@ impl<'a> Bdio<'a> {
             placement,
             dims_box,
             perturb_fraction: self.config.perturb_fraction,
+            cost: RefCell::new(None),
         };
         let annealer = Annealer::new(
             AnnealerConfig::builder()
@@ -190,12 +209,16 @@ fn optimize_ranges(
 }
 
 /// The inner annealing problem: state = one dimension vector inside the
-/// box.
+/// box. The energy of the annealer's current state lives in an
+/// [`IncrementalCost`], which each proposal updates for the one block it
+/// moved.
 struct DimsProblem<'a> {
     calc: &'a CostCalculator<'a>,
     placement: &'a Placement,
     dims_box: &'a DimsBox,
     perturb_fraction: f64,
+    /// Built at the starting state by [`Problem::energy`].
+    cost: RefCell<Option<IncrementalCost<'a>>>,
 }
 
 impl Problem for DimsProblem<'_> {
@@ -215,8 +238,13 @@ impl Problem for DimsProblem<'_> {
             .collect()
     }
 
+    /// Costs `state` from scratch and makes it the evaluator's current
+    /// state.
     fn energy(&self, state: &Self::State) -> f64 {
-        self.calc.cost(self.placement, state)
+        let cost = self.calc.incremental(self.placement, state);
+        let energy = cost.energy();
+        *self.cost.borrow_mut() = Some(cost);
+        energy
     }
 
     fn neighbor(&self, state: &Self::State, rng: &mut StdRng) -> Self::State {
@@ -232,6 +260,33 @@ impl Problem for DimsProblem<'_> {
         };
         next[i] = (jitter(r.w, next[i].0, rng), jitter(r.h, next[i].1, rng));
         next
+    }
+
+    fn neighbor_energy(&self, current: &Self::State, candidate: &Self::State) -> f64 {
+        // `neighbor` moves one block; an unchanged vector proposes block 0
+        // at its own dims, which costs nothing.
+        let i = current
+            .iter()
+            .zip(candidate)
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        debug_assert!(
+            current[i + 1..] == candidate[i + 1..],
+            "more than one block moved"
+        );
+        self.cost
+            .borrow_mut()
+            .as_mut()
+            .expect("energy() builds the evaluator first")
+            .propose(i, candidate[i])
+    }
+
+    fn accept(&self, _candidate: &Self::State) {
+        self.cost
+            .borrow_mut()
+            .as_mut()
+            .expect("energy() builds the evaluator first")
+            .commit();
     }
 }
 

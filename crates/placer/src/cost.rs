@@ -5,9 +5,11 @@
 //! a cost for the proposed circuit based on the wire-lengths and area of
 //! that proposed design. This cost function is customizable."
 
+use crate::placement::{escape_area, pairwise_overlap_area};
 use crate::{Placement, SymmetryConstraints};
 use mps_geom::{Coord, Point, Rect};
-use mps_netlist::Circuit;
+use mps_netlist::{BlockId, Circuit, Net};
+use std::sync::OnceLock;
 
 /// Weights of the customizable cost function.
 ///
@@ -106,6 +108,64 @@ pub struct CostCalculator<'a> {
     weights: CostWeights,
     floorplan: Option<Rect>,
     symmetry: Option<&'a SymmetryConstraints>,
+    /// Built by the first [`CostCalculator::incremental`] call.
+    adjacency: OnceLock<NetAdjacency>,
+}
+
+/// Which nets a move must recost.
+#[derive(Debug, Clone)]
+struct NetAdjacency {
+    /// Per block, the nets with a pin on it (ascending).
+    block_nets: Vec<Vec<usize>>,
+    /// The nets with an external pad, which follow the bounding box.
+    pad_nets: Vec<usize>,
+}
+
+impl NetAdjacency {
+    fn of(circuit: &Circuit) -> Self {
+        Self {
+            block_nets: (0..circuit.block_count())
+                .map(|b| circuit.nets_of_block(BlockId(b)))
+                .collect(),
+            pad_nets: (0..circuit.nets().len())
+                .filter(|&k| circuit.nets()[k].pad().is_some())
+                .collect(),
+        }
+    }
+}
+
+/// Half-perimeter wirelength of `net`: its pins on `rects` plus its pad
+/// on the bounding box `bb`, or `None` for a net with nothing to measure.
+/// The one HPWL definition, shared by [`CostCalculator::wirelength`] and
+/// [`IncrementalCost`].
+fn net_hpwl(net: &Net, rects: &[Rect], bb: Option<&Rect>) -> Option<Coord> {
+    let mut min_x = Coord::MAX;
+    let mut max_x = Coord::MIN;
+    let mut min_y = Coord::MAX;
+    let mut max_y = Coord::MIN;
+    let mut visit = |p: Point| {
+        min_x = min_x.min(p.x);
+        max_x = max_x.max(p.x);
+        min_y = min_y.min(p.y);
+        max_y = max_y.max(p.y);
+    };
+    for pin in net.pins() {
+        visit(pin.offset.locate(&rects[pin.block.index()]));
+    }
+    if let (Some(pad), Some(bb)) = (net.pad(), bb) {
+        visit(pad.locate(bb));
+    }
+    (max_x >= min_x).then(|| (max_x - min_x) + (max_y - min_y))
+}
+
+/// Σ `weight · hpwl` over the nets, in net order. Every wirelength goes
+/// through this one sum, so fresh and cached per-net values give the same
+/// bits.
+fn weighted_wirelength(nets: &[Net], hpwl: impl Iterator<Item = Option<Coord>>) -> f64 {
+    nets.iter().zip(hpwl).fold(0.0, |total, (net, h)| match h {
+        Some(h) => total + net.weight() * h as f64,
+        None => total,
+    })
 }
 
 impl<'a> CostCalculator<'a> {
@@ -118,6 +178,7 @@ impl<'a> CostCalculator<'a> {
             weights: CostWeights::default(),
             floorplan: None,
             symmetry: None,
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -167,31 +228,12 @@ impl<'a> CostCalculator<'a> {
     #[must_use]
     pub fn wirelength(&self, placement: &Placement, dims: &[(Coord, Coord)]) -> f64 {
         let rects = placement.rects(dims);
-        let bb = Rect::bounding_box_of(&rects);
-        let mut total = 0.0;
-        for net in self.circuit.nets() {
-            let mut min_x = Coord::MAX;
-            let mut max_x = Coord::MIN;
-            let mut min_y = Coord::MAX;
-            let mut max_y = Coord::MIN;
-            let mut visit = |p: Point| {
-                min_x = min_x.min(p.x);
-                max_x = max_x.max(p.x);
-                min_y = min_y.min(p.y);
-                max_y = max_y.max(p.y);
-            };
-            for pin in net.pins() {
-                visit(pin.offset.locate(&rects[pin.block.index()]));
-            }
-            if let (Some(pad), Some(bb)) = (net.pad(), bb.as_ref()) {
-                visit(pad.locate(bb));
-            }
-            if max_x >= min_x {
-                let hpwl = (max_x - min_x) + (max_y - min_y);
-                total += net.weight() * hpwl as f64;
-            }
-        }
-        total
+        self.wirelength_of(&rects, Rect::bounding_box_of(&rects).as_ref())
+    }
+
+    fn wirelength_of(&self, rects: &[Rect], bb: Option<&Rect>) -> f64 {
+        let nets = self.circuit.nets();
+        weighted_wirelength(nets, nets.iter().map(|net| net_hpwl(net, rects, bb)))
     }
 
     /// Computes all raw cost terms.
@@ -201,15 +243,37 @@ impl<'a> CostCalculator<'a> {
     /// Panics if `dims.len()` differs from the circuit's block count.
     #[must_use]
     pub fn breakdown(&self, placement: &Placement, dims: &[(Coord, Coord)]) -> CostBreakdown {
-        let bb = placement.bounding_box(dims);
-        let area_half_perimeter = bb.map_or(0.0, |b| (b.width() + b.height()) as f64);
+        let rects = placement.rects(dims);
+        let bb = Rect::bounding_box_of(&rects);
+        let escape = self
+            .floorplan
+            .map_or(0, |fp| rects.iter().map(|r| escape_area(r, &fp)).sum());
+        self.assemble(
+            self.wirelength_of(&rects, bb.as_ref()),
+            bb,
+            pairwise_overlap_area(&rects),
+            escape,
+            placement,
+            dims,
+        )
+    }
+
+    /// The breakdown from its integer terms; the symmetry term is always
+    /// computed afresh.
+    fn assemble(
+        &self,
+        wirelength: f64,
+        bb: Option<Rect>,
+        overlap_area: u64,
+        out_of_bounds_area: u64,
+        placement: &Placement,
+        dims: &[(Coord, Coord)],
+    ) -> CostBreakdown {
         CostBreakdown {
-            wirelength: self.wirelength(placement, dims),
-            area_half_perimeter,
-            overlap_area: placement.total_overlap_area(dims) as f64,
-            out_of_bounds_area: self
-                .floorplan
-                .map_or(0.0, |fp| placement.out_of_bounds_area(dims, &fp) as f64),
+            wirelength,
+            area_half_perimeter: bb.map_or(0.0, |b| (b.width() + b.height()) as f64),
+            overlap_area: overlap_area as f64,
+            out_of_bounds_area: out_of_bounds_area as f64,
             symmetry: self.symmetry.map_or(0.0, |s| s.deviation(placement, dims)),
         }
     }
@@ -223,6 +287,280 @@ impl<'a> CostCalculator<'a> {
     pub fn cost(&self, placement: &Placement, dims: &[(Coord, Coord)]) -> f64 {
         self.breakdown(placement, dims).total(&self.weights)
     }
+
+    /// An evaluator of this calculator's cost for `placement`, starting at
+    /// `dims`, that recosts one-block moves incrementally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims.len()` differs from the circuit's block count.
+    #[must_use]
+    pub fn incremental<'s>(
+        &'s self,
+        placement: &'s Placement,
+        dims: &[(Coord, Coord)],
+    ) -> IncrementalCost<'s> {
+        IncrementalCost::new(self, placement, dims)
+    }
+}
+
+/// [`CostCalculator::cost`] of one placement whose block dimensions move
+/// one block at a time — the BDIO's inner anneal (§3.2).
+///
+/// The evaluator caches the current state's terms: the block rects, the
+/// integer HPWL of each net, the overlap of each block pair, each block's
+/// area outside the floorplan, and the bounding box. A proposal that
+/// resizes block `i` recomputes only `i`'s nets (plus the pad nets when
+/// the bounding box changes), `i`'s N−1 overlap pairs, `i`'s escape area
+/// and the bounding box. [`IncrementalCost::commit`] keeps the proposal;
+/// the next [`IncrementalCost::propose`] drops an uncommitted one.
+///
+/// Every energy equals [`CostCalculator::cost`] bit for bit. HPWL,
+/// overlap and escape are integers, so their updates are exact. No f64
+/// delta is added to a running total: the wirelength is re-summed from the
+/// cached per-net values in net order, the symmetry term is recomputed in
+/// full, and the total goes through the same [`CostBreakdown::total`].
+///
+/// # Example
+///
+/// ```
+/// use mps_netlist::benchmarks;
+/// use mps_placer::{CostCalculator, Template};
+///
+/// let circuit = benchmarks::circ01();
+/// let mut dims = circuit.min_dims().into_vec();
+/// let placement = Template::expert_default(&circuit, 2).instantiate(&circuit.max_dims());
+/// let calc = CostCalculator::new(&circuit);
+/// let mut eval = calc.incremental(&placement, &dims);
+/// dims[1].0 += 3;
+/// let proposed = eval.propose(1, dims[1]);
+/// assert_eq!(proposed.to_bits(), calc.cost(&placement, &dims).to_bits());
+/// eval.commit();
+/// assert_eq!(eval.energy().to_bits(), proposed.to_bits());
+/// ```
+#[derive(Debug)]
+pub struct IncrementalCost<'a> {
+    calc: &'a CostCalculator<'a>,
+    adjacency: &'a NetAdjacency,
+    placement: &'a Placement,
+    dims: Vec<(Coord, Coord)>,
+    rects: Vec<Rect>,
+    bb: Option<Rect>,
+    hpwl: Vec<Option<Coord>>,
+    /// Row-major `n × n` pair overlaps. While a proposal is pending only
+    /// the moved block's row is current; commit mirrors it into the column.
+    overlap: Vec<u64>,
+    overlap_total: u64,
+    escape: Vec<u64>,
+    escape_total: u64,
+    energy: f64,
+    pending: Option<Pending>,
+    /// Net values the pending proposal overwrote, in overwrite order.
+    saved_hpwl: Vec<(usize, Option<Coord>)>,
+    /// The moved block's overlap row before the pending proposal.
+    saved_row: Vec<u64>,
+}
+
+/// What a pending proposal overwrote, and the energy it proposed.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    block: usize,
+    dims: (Coord, Coord),
+    rect: Rect,
+    bb: Option<Rect>,
+    escape: u64,
+    overlap_total: u64,
+    escape_total: u64,
+    energy: f64,
+}
+
+impl<'a> IncrementalCost<'a> {
+    fn new(
+        calc: &'a CostCalculator<'a>,
+        placement: &'a Placement,
+        dims: &[(Coord, Coord)],
+    ) -> Self {
+        let rects = placement.rects(dims);
+        let bb = Rect::bounding_box_of(&rects);
+        let n = rects.len();
+        let mut overlap = vec![0; n * n];
+        let mut overlap_total = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let area = rects[i].overlap_area(&rects[j]);
+                overlap[i * n + j] = area;
+                overlap[j * n + i] = area;
+                overlap_total += area;
+            }
+        }
+        let escape: Vec<u64> = match calc.floorplan {
+            Some(fp) => rects.iter().map(|r| escape_area(r, &fp)).collect(),
+            None => vec![0; n],
+        };
+        let mut eval = Self {
+            calc,
+            adjacency: calc
+                .adjacency
+                .get_or_init(|| NetAdjacency::of(calc.circuit)),
+            placement,
+            dims: dims.to_vec(),
+            hpwl: calc
+                .circuit
+                .nets()
+                .iter()
+                .map(|net| net_hpwl(net, &rects, bb.as_ref()))
+                .collect(),
+            escape_total: escape.iter().sum(),
+            escape,
+            rects,
+            bb,
+            overlap,
+            overlap_total,
+            energy: 0.0,
+            pending: None,
+            saved_hpwl: Vec::new(),
+            saved_row: Vec::with_capacity(n),
+        };
+        eval.energy = eval.total();
+        eval
+    }
+
+    /// Energy of the current (last committed) state.
+    #[must_use]
+    pub fn energy(&self) -> f64 {
+        self.energy
+    }
+
+    /// Energy of the current state with block `block` resized to `dims`.
+    /// Drops any uncommitted earlier proposal first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range or `dims` is not positive.
+    pub fn propose(&mut self, block: usize, dims: (Coord, Coord)) -> f64 {
+        self.discard();
+        if dims == self.dims[block] {
+            return self.energy;
+        }
+        let calc = self.calc;
+        let adjacency = self.adjacency;
+        let old_rect = self.rects[block];
+        let rect = Rect::new(self.placement.coords()[block], dims.0, dims.1);
+        let mut pending = Pending {
+            block,
+            dims: self.dims[block],
+            rect: old_rect,
+            bb: self.bb,
+            escape: self.escape[block],
+            overlap_total: self.overlap_total,
+            escape_total: self.escape_total,
+            energy: 0.0,
+        };
+        self.dims[block] = dims;
+        self.rects[block] = rect;
+
+        // Dropping the old rect can only shrink the box if it reached an
+        // edge and the new rect does not cover it.
+        self.bb = match self.bb {
+            Some(bb) if !touches_edge(&old_rect, &bb) || old_rect.fits_inside(&rect) => {
+                Some(bb.bounding_union(&rect))
+            }
+            _ => Rect::bounding_box_of(&self.rects),
+        };
+
+        let nets = calc.circuit.nets();
+        let own = &adjacency.block_nets[block];
+        for &k in own {
+            self.saved_hpwl.push((k, self.hpwl[k]));
+            self.hpwl[k] = net_hpwl(&nets[k], &self.rects, self.bb.as_ref());
+        }
+        if self.bb != pending.bb {
+            for &k in &adjacency.pad_nets {
+                if own.binary_search(&k).is_err() {
+                    self.saved_hpwl.push((k, self.hpwl[k]));
+                    self.hpwl[k] = net_hpwl(&nets[k], &self.rects, self.bb.as_ref());
+                }
+            }
+        }
+
+        let n = self.rects.len();
+        let row = &mut self.overlap[block * n..(block + 1) * n];
+        self.saved_row.clear();
+        self.saved_row.extend_from_slice(row);
+        let mut overlap_total = self.overlap_total - row.iter().sum::<u64>();
+        for (j, (slot, other)) in row.iter_mut().zip(&self.rects).enumerate() {
+            if j != block {
+                *slot = rect.overlap_area(other);
+                overlap_total += *slot;
+            }
+        }
+        self.overlap_total = overlap_total;
+
+        if let Some(fp) = calc.floorplan {
+            let escape = escape_area(&rect, &fp);
+            self.escape_total = self.escape_total - self.escape[block] + escape;
+            self.escape[block] = escape;
+        }
+
+        pending.energy = self.total();
+        self.pending = Some(pending);
+        pending.energy
+    }
+
+    /// Makes the last proposal the current state. Does nothing when there
+    /// is none or it changed nothing.
+    pub fn commit(&mut self) {
+        let Some(pending) = self.pending.take() else {
+            return;
+        };
+        let (i, n) = (pending.block, self.rects.len());
+        for j in 0..n {
+            self.overlap[j * n + i] = self.overlap[i * n + j];
+        }
+        self.saved_hpwl.clear();
+        self.energy = pending.energy;
+    }
+
+    /// Restores the state the pending proposal (if any) overwrote.
+    fn discard(&mut self) {
+        let Some(p) = self.pending.take() else {
+            return;
+        };
+        let (i, n) = (p.block, self.rects.len());
+        for (k, h) in self.saved_hpwl.drain(..).rev() {
+            self.hpwl[k] = h;
+        }
+        self.overlap[i * n..(i + 1) * n].copy_from_slice(&self.saved_row);
+        self.dims[i] = p.dims;
+        self.rects[i] = p.rect;
+        self.bb = p.bb;
+        self.escape[i] = p.escape;
+        self.overlap_total = p.overlap_total;
+        self.escape_total = p.escape_total;
+    }
+
+    /// The weighted total of the cached terms.
+    fn total(&self) -> f64 {
+        let wirelength = weighted_wirelength(self.calc.circuit.nets(), self.hpwl.iter().copied());
+        self.calc
+            .assemble(
+                wirelength,
+                self.bb,
+                self.overlap_total,
+                self.escape_total,
+                self.placement,
+                &self.dims,
+            )
+            .total(&self.calc.weights)
+    }
+}
+
+/// Whether `rect` reaches an edge of the bounding box `bb` it lies in.
+fn touches_edge(rect: &Rect, bb: &Rect) -> bool {
+    rect.left() == bb.left()
+        || rect.right() == bb.right()
+        || rect.bottom() == bb.bottom()
+        || rect.top() == bb.top()
 }
 
 #[cfg(feature = "serde")]

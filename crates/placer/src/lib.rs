@@ -7,6 +7,9 @@
 //!   wire-lengths and area" (§3.2.2): weighted half-perimeter wirelength
 //!   plus bounding-box half-perimeter, with an optional overlap penalty for
 //!   optimization-based placers and an optional symmetry penalty.
+//! * [`IncrementalCost`] — the same cost, bit for bit, for a placement
+//!   whose block dimensions move one block at a time (the BDIO's inner
+//!   anneal): a move recomputes only what the moved block touches.
 //! * [`expand_placement`] — the *Placement Expansion* step (§3.1.2): grow
 //!   block dimensions from their minima until overlap or out-of-bounds,
 //!   producing the initial validity box of a candidate placement.
@@ -46,7 +49,7 @@ mod symmetry;
 mod template;
 
 pub use bstar::BStarTree;
-pub use cost::{CostBreakdown, CostCalculator, CostWeights};
+pub use cost::{CostBreakdown, CostCalculator, CostWeights, IncrementalCost};
 pub use expansion::{expand_placement, ExpandPlacementError, ExpansionConfig};
 pub use placement::Placement;
 pub use sa_placer::{SaOutcome, SaPlacer, SaPlacerConfig};

@@ -137,14 +137,7 @@ impl Placement {
     /// Panics if `dims.len() != self.block_count()`.
     #[must_use]
     pub fn total_overlap_area(&self, dims: &[(Coord, Coord)]) -> u64 {
-        let rects = self.rects(dims);
-        let mut total = 0u64;
-        for i in 0..rects.len() {
-            for j in (i + 1)..rects.len() {
-                total += rects[i].overlap_area(&rects[j]);
-            }
-        }
-        total
+        pairwise_overlap_area(&self.rects(dims))
     }
 
     /// Area outside the floorplan, summed over blocks (out-of-bounds
@@ -157,7 +150,7 @@ impl Placement {
     pub fn out_of_bounds_area(&self, dims: &[(Coord, Coord)], floorplan: &Rect) -> u64 {
         self.rects(dims)
             .iter()
-            .map(|r| r.area() - r.overlap_area(floorplan))
+            .map(|r| escape_area(r, floorplan))
             .sum()
     }
 
@@ -184,6 +177,22 @@ impl Placement {
             }
         }
     }
+}
+
+/// Σ over block pairs of their overlap area.
+pub(crate) fn pairwise_overlap_area(rects: &[Rect]) -> u64 {
+    let mut total = 0u64;
+    for i in 0..rects.len() {
+        for j in (i + 1)..rects.len() {
+            total += rects[i].overlap_area(&rects[j]);
+        }
+    }
+    total
+}
+
+/// Area of `rect` outside `floorplan`.
+pub(crate) fn escape_area(rect: &Rect, floorplan: &Rect) -> u64 {
+    rect.area() - rect.overlap_area(floorplan)
 }
 
 impl fmt::Debug for Placement {

@@ -1,9 +1,11 @@
 //! Property-based tests of the placement substrate.
 
-use mps_geom::{Coord, Rect};
+use mps_geom::{Coord, Point, Rect};
 use mps_netlist::benchmarks::random_circuit;
+use mps_netlist::{BlockId, Circuit, Pad, PadSide};
 use mps_placer::{
-    expand_placement, BStarTree, CostCalculator, ExpansionConfig, Placement, SequencePair, Template,
+    expand_placement, BStarTree, CostCalculator, CostWeights, ExpansionConfig, Placement,
+    SequencePair, SymmetryConstraints, SymmetryGroup, Template,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,6 +159,91 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
+    // The incremental evaluator is the full cost, bit for bit, through
+    // any stream of one-block moves — overlapping and escaping states,
+    // pad nets, weighted nets, with and without floorplan and symmetry.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn incremental_cost_matches_full_cost_bit_for_bit(
+        seed in 0u64..5_000,
+        blocks in 2usize..9,
+        bounded in 0u8..2,
+        symmetric in 0u8..2,
+        steps in 1usize..60,
+    ) {
+        let circuit = circuit_with_pads(blocks, blocks + 3, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1C05);
+        let fp = circuit.suggested_floorplan(1.0);
+        // Coordinates reach past the floorplan's lower-left corner and are
+        // dense enough that blocks overlap.
+        let placement: Placement = (0..blocks)
+            .map(|_| {
+                Point::new(
+                    rng.random_range(-20..fp.width()),
+                    rng.random_range(-20..fp.height()),
+                )
+            })
+            .collect();
+        let symmetry = SymmetryConstraints::new(vec![SymmetryGroup {
+            pairs: vec![(BlockId(0), BlockId(1))],
+            self_symmetric: (2..blocks.min(4)).map(BlockId).collect(),
+        }]);
+        let mut calc = CostCalculator::new(&circuit);
+        if bounded == 1 {
+            calc = calc.with_floorplan(fp);
+        }
+        if symmetric == 1 {
+            calc = calc
+                .with_weights(CostWeights { symmetry: 2.5, ..CostWeights::default() })
+                .with_symmetry(&symmetry);
+        }
+        let random_dims = |rng: &mut StdRng| (rng.random_range(1..80), rng.random_range(1..80));
+        let mut dims: Vec<(Coord, Coord)> = (0..blocks).map(|_| random_dims(&mut rng)).collect();
+
+        let mut eval = calc.incremental(&placement, &dims);
+        prop_assert_eq!(eval.energy().to_bits(), calc.cost(&placement, &dims).to_bits());
+        let mut bb_moves = 0;
+        for step in 0..steps {
+            let (i, d) = if step == 0 {
+                // Widen the block reaching the right edge: the bounding
+                // box moves, so every pad net must be recosted.
+                let i = (0..blocks)
+                    .max_by_key(|&i| placement.rect(i, &dims).right())
+                    .unwrap();
+                (i, (dims[i].0 + 7, dims[i].1))
+            } else if rng.random_bool(0.1) {
+                let i = rng.random_range(0..blocks);
+                (i, dims[i])
+            } else {
+                (rng.random_range(0..blocks), random_dims(&mut rng))
+            };
+            let mut proposed = dims.clone();
+            proposed[i] = d;
+            if placement.bounding_box(&proposed) != placement.bounding_box(&dims) {
+                bb_moves += 1;
+            }
+            let energy = eval.propose(i, d);
+            prop_assert_eq!(
+                energy.to_bits(),
+                calc.cost(&placement, &proposed).to_bits(),
+                "step {}: proposal of block {} to {:?}", step, i, d
+            );
+            if rng.random_bool(0.5) {
+                eval.commit();
+                dims = proposed;
+            }
+            prop_assert_eq!(
+                eval.energy().to_bits(),
+                calc.cost(&placement, &dims).to_bits(),
+                "step {}: current state after accept/reject", step
+            );
+        }
+        prop_assert!(circuit.nets().iter().any(|n| n.pad().is_some()));
+        prop_assert!(bb_moves > 0, "no move changed the bounding box");
+    }
+
+    // ------------------------------------------------------------------
     // Templates freeze an arrangement but always stay legal.
     // ------------------------------------------------------------------
 
@@ -195,4 +282,30 @@ fn expansion_inside_tight_floorplan_stays_inside() {
     let dbox = expand_placement(&circuit, &p, &fp, &ExpansionConfig::default()).unwrap();
     assert!(dbox.ranges()[0].w.hi() <= b.max_width());
     assert!(dbox.ranges()[0].h.hi() <= b.max_height());
+}
+
+/// `random_circuit` with pads on every other net (always on net 0) and
+/// non-unit weights on every third, so that the wirelength sum mixes
+/// weights and depends on the bounding box.
+fn circuit_with_pads(blocks: usize, nets: usize, seed: u64) -> Circuit {
+    let base = random_circuit(blocks, nets, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9AD5);
+    let sides = [PadSide::Left, PadSide::Right, PadSide::Bottom, PadSide::Top];
+    let nets = base
+        .nets()
+        .iter()
+        .enumerate()
+        .map(|(k, net)| {
+            let mut net = net.clone();
+            if k % 2 == 0 {
+                let frac = rng.random_range(0..=100) as f32 / 100.0;
+                net = net.with_pad(Pad::new(sides[rng.random_range(0..4)], frac));
+            }
+            if k % 3 == 1 {
+                net = net.with_weight(f64::from(rng.random_range(1..40)) / 7.0);
+            }
+            net
+        })
+        .collect();
+    Circuit::new(base.name(), base.blocks().to_vec(), nets).expect("pads keep the circuit valid")
 }
