@@ -1,10 +1,14 @@
 //! End-to-end serve smoke: start the real `mps-serve` binary over a
 //! directory of `--save`d artifacts, pipe a query stream through its
 //! stdin/stdout, and diff every answer against direct
-//! `MultiPlacementStructure::query` calls on the same artifacts. Exits
-//! non-zero on the first divergence — this is the CI gate proving the
-//! whole serving pipeline (persist → load → compile → protocol) answers
-//! exactly like the in-process structure.
+//! `MultiPlacementStructure::query` calls on the same artifacts. The
+//! stream ends with tagged traffic — `instantiate` lines per structure
+//! and one batch of 300 vectors, the requests the TCP shards would hand
+//! to the worker pool — whose `req` echoes must come back in request
+//! order and whose answers must equal `instantiate_or_fallback` and
+//! `query`. Exits non-zero on the first divergence — this is the CI gate
+//! proving the whole serving pipeline (persist → load → compile →
+//! protocol) answers exactly like the in-process structure.
 //!
 //! ```sh
 //! cargo run --release -p mps-bench --bin serve_smoke -- out/structures \
@@ -23,9 +27,22 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
+/// Tagged `instantiate` lines sent per structure.
+const TAGGED_INSTANTIATES: usize = 5;
+
+/// Vectors in the one tagged batch: past the server's 256-vector
+/// fan-out threshold.
+const TAGGED_BATCH: usize = 300;
+
 fn fail(msg: &str) -> ! {
     eprintln!("serve_smoke: FAIL: {msg}");
     std::process::exit(1);
+}
+
+/// One dimension vector as its wire JSON array of `[w,h]` pairs.
+fn dims_json(dims: &Dims) -> String {
+    let pairs: Vec<String> = dims.iter().map(|&(w, h)| format!("[{w},{h}]")).collect();
+    format!("[{}]", pairs.join(","))
 }
 
 fn main() {
@@ -103,6 +120,28 @@ fn main() {
         streams.push(stream);
     }
 
+    // The tagged tail: in-bounds instantiates per structure (tagged ids
+    // 1, 2, ...), then one batch over the first structure's stream.
+    let instantiates: Vec<(usize, Dims)> = structures
+        .iter()
+        .zip(&streams)
+        .enumerate()
+        .flat_map(|(s, ((_, mps), stream))| {
+            stream
+                .iter()
+                .filter(|dims| dims.within_bounds(mps.bounds()))
+                .take(TAGGED_INSTANTIATES)
+                .map(move |dims| (s, dims.clone()))
+        })
+        .collect();
+    let tagged_batch: Vec<Dims> = streams[0]
+        .iter()
+        .cycle()
+        .take(TAGGED_BATCH)
+        .cloned()
+        .collect();
+    let batch_id = instantiates.len() as u64 + 1;
+
     // Start the server and pipe the whole stream through it.
     let mut child = Command::new(&server_bin)
         .arg(&dir)
@@ -115,27 +154,21 @@ fn main() {
 
     let request_streams = streams.clone();
     let request_names: Vec<String> = structures.iter().map(|(n, _)| n.clone()).collect();
+    let request_instantiates = instantiates.clone();
+    let request_batch = tagged_batch.clone();
     let writer = std::thread::spawn(move || {
         writeln!(stdin, "{{\"kind\":\"list_structures\"}}").expect("server accepts requests");
         for (name, stream) in request_names.iter().zip(&request_streams) {
             for dims in stream {
-                let pairs: Vec<String> = dims.iter().map(|&(w, h)| format!("[{w},{h}]")).collect();
                 writeln!(
                     stdin,
-                    "{{\"kind\":\"query\",\"structure\":\"{name}\",\"dims\":[{}]}}",
-                    pairs.join(",")
+                    "{{\"kind\":\"query\",\"structure\":\"{name}\",\"dims\":{}}}",
+                    dims_json(dims)
                 )
                 .expect("server accepts requests");
             }
             // The same stream again as one batch request.
-            let vectors: Vec<String> = stream
-                .iter()
-                .map(|dims| {
-                    let pairs: Vec<String> =
-                        dims.iter().map(|&(w, h)| format!("[{w},{h}]")).collect();
-                    format!("[{}]", pairs.join(","))
-                })
-                .collect();
+            let vectors: Vec<String> = stream.iter().map(dims_json).collect();
             writeln!(
                 stdin,
                 "{{\"kind\":\"batch_query\",\"structure\":\"{name}\",\"dims_list\":[{}]}}",
@@ -144,6 +177,26 @@ fn main() {
             .expect("server accepts requests");
         }
         writeln!(stdin, "{{\"kind\":\"stats\"}}").expect("server accepts requests");
+        // Tagged traffic last: the first tagged line makes the stream
+        // tagged for good.
+        for (k, (s, dims)) in request_instantiates.iter().enumerate() {
+            writeln!(
+                stdin,
+                "{{\"id\":{},\"kind\":\"instantiate\",\"structure\":\"{}\",\"dims\":{}}}",
+                k + 1,
+                request_names[*s],
+                dims_json(dims)
+            )
+            .expect("server accepts requests");
+        }
+        let vectors: Vec<String> = request_batch.iter().map(dims_json).collect();
+        writeln!(
+            stdin,
+            "{{\"id\":{batch_id},\"kind\":\"batch_query\",\"structure\":\"{}\",\"dims_list\":[{}]}}",
+            request_names[0],
+            vectors.join(",")
+        )
+        .expect("server accepts requests");
         // dropping stdin ends the session
     });
 
@@ -218,14 +271,74 @@ fn main() {
         .and_then(Value::as_u64)
         .unwrap_or(0);
 
+    // The tagged tail comes back in request order, each reply echoing
+    // its id as `req`.
+    let expect_req = |response: &Value, req: u64, context: &str| {
+        let got = response.get("req").and_then(Value::as_u64);
+        if got != Some(req) {
+            fail(&format!("{context}: expected req {req}, got {got:?}"));
+        }
+    };
+    for (k, (s, dims)) in instantiates.iter().enumerate() {
+        let (name, mps) = &structures[*s];
+        let context = format!("tagged instantiate {} on {name}", k + 1);
+        let response = next(&context);
+        expect_req(&response, k as u64 + 1, &context);
+        let id = response.get("id").and_then(Value::as_u64);
+        let expected_id = mps.query(dims).map(|id| u64::from(id.0));
+        let coords: Option<Vec<(i64, i64)>> = response
+            .get("coords")
+            .and_then(Value::as_array)
+            .and_then(|coords| {
+                coords
+                    .iter()
+                    .map(|p| match p.as_array()?.as_slice() {
+                        [x, y] => Some((x.as_i64()?, y.as_i64()?)),
+                        _ => None,
+                    })
+                    .collect()
+            });
+        let expected: Vec<(i64, i64)> = mps
+            .instantiate_or_fallback(dims)
+            .coords()
+            .iter()
+            .map(|p| (p.x, p.y))
+            .collect();
+        if id != expected_id || coords.as_ref() != Some(&expected) {
+            fail(&format!(
+                "{context} ({dims:?}): server answered id {id:?} coords {coords:?}, \
+                 direct instantiate_or_fallback id {expected_id:?} coords {expected:?}"
+            ));
+        }
+        diffed += 1;
+    }
+    let context = format!("tagged batch of {TAGGED_BATCH}");
+    let batch = next(&context);
+    expect_req(&batch, batch_id, &context);
+    let ids = batch
+        .get("ids")
+        .and_then(Value::as_array)
+        .unwrap_or_else(|| fail(&format!("{context}: no ids")));
+    let expected = structures[0].1.query_batch(&tagged_batch);
+    if ids.len() != expected.len()
+        || ids
+            .iter()
+            .zip(&expected)
+            .any(|(got, want)| got.as_u64() != want.map(|id| u64::from(id.0)))
+    {
+        fail(&format!("{context} diverges from query_batch"));
+    }
+    diffed += ids.len();
+
     writer.join().expect("writer thread");
     let status = child.wait().expect("server exit status");
     if !status.success() {
         fail(&format!("server exited with {status}"));
     }
-    if served_queries != diffed as u64 {
+    let untagged = diffed - instantiates.len() - TAGGED_BATCH;
+    if served_queries != untagged as u64 {
         fail(&format!(
-            "stats counted {served_queries} queries, the smoke diffed {diffed}"
+            "stats counted {served_queries} queries, the smoke diffed {untagged} before it"
         ));
     }
     println!(

@@ -208,8 +208,8 @@ impl CompiledQueryIndex {
         self.query_slice(dims, scratch)
     }
 
-    /// The raw-slice walk shared by the typed path and the deprecated
-    /// `*_pairs` shims — one implementation, bit-identical by
+    /// The raw-slice walk shared by the typed paths and the differential
+    /// check's probes — one implementation, bit-identical by
     /// construction.
     fn query_slice(
         &self,
@@ -275,30 +275,6 @@ impl CompiledQueryIndex {
             .iter()
             .map(|dims| self.query_slice(dims, &mut scratch))
             .collect()
-    }
-
-    /// [`Self::query`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `query`"
-    )]
-    #[must_use]
-    pub fn query_pairs(&self, dims: &[(Coord, Coord)]) -> Option<PlacementId> {
-        self.query_slice(dims, &mut QueryScratch::new())
-    }
-
-    /// [`Self::query_with_scratch`] over a raw pair slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a typed `mps_geom::Dims` and call `query_with_scratch`"
-    )]
-    #[must_use]
-    pub fn query_with_scratch_pairs(
-        &self,
-        dims: &[(Coord, Coord)],
-        scratch: &mut QueryScratch,
-    ) -> Option<PlacementId> {
-        self.query_slice(dims, scratch)
     }
 
     /// Differential check against the interpretive path: `probes`

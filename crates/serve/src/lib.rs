@@ -35,13 +35,16 @@
 //!   (`query`, `batch_query`, `instantiate`, `reload`, `stats`,
 //!   `list_structures`) over stdin/stdout and localhost TCP, with
 //!   request ids + pipelining (many requests in flight per connection,
-//!   responses tagged and out of order) and a [`WorkerPool`] behind
-//!   instantiation and tagged dispatch. TCP connections are owned by a
+//!   responses tagged and out of order on TCP) and a [`WorkerPool`]
+//!   behind heavy tagged TCP requests; tagged batches of 256+ vectors
+//!   fan out across it. Every connection runs one I/O-free connection
+//!   engine (bytes in, replies out). TCP connections are owned by a
 //!   fixed pool of shared-nothing shard event loops (one per core by
-//!   default) instead of one thread each, so tens of thousands of idle
-//!   or bursty clients cost no stacks and no context-switch storms;
-//!   where the platform has no readiness primitive the server falls
-//!   back to thread-per-connection at runtime. Malformed input of any
+//!   default) that drive it from sockets, so tens of thousands of idle
+//!   or bursty clients cost no stacks and no context-switch storms; TCP
+//!   needs a unix readiness backend (epoll on Linux, `poll(2)`
+//!   elsewhere). Stdin drives the same engine through a blocking
+//!   adapter and answers in request order. Malformed input of any
 //!   kind is answered with a typed error line; the server never dies on
 //!   input — a panicking handler costs one `internal` error response,
 //!   never a poisoned lock. The full wire contract is specified in

@@ -14,14 +14,15 @@
 //! detected per file — re-validating each envelope and cross-checking
 //! the compiled query index against the structure's own query path,
 //! then answers one JSON request per stdin line with one JSON response
-//! per stdout line (`batch_query` may opt into a binary response frame
-//! with `"encoding":"bin"`). `convert` re-encodes one artifact between
-//! the two formats, direction chosen by the output extension.
-//! With `--tcp PORT` the same protocol is additionally served on
-//! `127.0.0.1:PORT` with pipelining, connections owned by `--shards N`
-//! shard event loops (default: one per core; thread-per-connection
-//! where the platform has no readiness primitive). `PORT` 0 picks a
-//! free ephemeral port. The bound address is announced **on stdout,
+//! per stdout line, in request order (`batch_query` may opt into a
+//! binary response frame with `"encoding":"bin"`). `convert` re-encodes
+//! one artifact between the two formats, direction chosen by the output
+//! extension. With `--tcp PORT` the same protocol is additionally
+//! served on `127.0.0.1:PORT` with pipelining, connections owned by
+//! `--shards N` shard event loops (default: one per core). TCP needs a
+//! unix readiness backend (epoll on Linux, `poll(2)` elsewhere); without
+//! one the process reports the error and exits non-zero. `PORT` 0 picks
+//! a free ephemeral port. The bound address is announced **on stdout,
 //! before any serving**, as a protocol-shaped line —
 //!
 //! ```text
@@ -253,13 +254,17 @@ fn main() -> ExitCode {
             let _ = std::io::stdout().flush();
             eprintln!("mps-serve: tcp listening on {local}");
             let tcp_server = Arc::clone(&server);
-            Some(std::thread::spawn(move || tcp_server.serve_tcp(listener)))
+            Some(std::thread::spawn(move || {
+                if let Err(e) = tcp_server.serve_tcp(listener) {
+                    eprintln!("mps-serve: cannot serve tcp: {e}");
+                    std::process::exit(1);
+                }
+            }))
         }
         None => None,
     };
 
-    let stdin = std::io::stdin();
-    if let Err(e) = server.serve_pipelined(stdin.lock(), std::io::stdout()) {
+    if let Err(e) = server.serve(std::io::stdin().lock(), std::io::stdout().lock()) {
         eprintln!("mps-serve: stdin stream failed: {e}");
         return ExitCode::FAILURE;
     }

@@ -70,9 +70,9 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Submits a fire-and-forget job (the pipelined server uses this
-    /// directly: the job itself writes its response and signals its
-    /// connection's drain counter).
+    /// Submits a fire-and-forget job (the server uses this directly for
+    /// heavy tagged TCP requests: the job itself hands its reply back to
+    /// the owning shard).
     pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.tx
             .as_ref()
@@ -169,7 +169,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
         match job {
             // The last line of panic isolation: `run`/`map_in_order`
             // catch inside their own jobs, but raw `execute` jobs (the
-            // pipelined server's) must not be able to kill a worker.
+            // server's) must not be able to kill a worker.
             Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
             Err(_) => break, // pool dropped
         }

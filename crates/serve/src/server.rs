@@ -1,13 +1,17 @@
 //! Request dispatch: the engine behind the `mps-serve` binary.
 //!
 //! [`Server::handle_line`] turns one protocol line into one response
-//! line; [`Server::serve`] pumps any `BufRead`/`Write` pair through it
-//! sequentially; [`Server::serve_pipelined`] additionally runs tagged
-//! requests on the worker pool so one connection can keep many requests
-//! in flight (responses come back out of order, matched by their `req`
-//! tag); [`Server::serve_tcp`] accepts connections onto a fixed pool of
-//! shared-nothing [shard](crate::shard) event loops, all sharing the
-//! same registry snapshots, worker pool and [`AnswerCache`]. The server
+//! line. Streams run through one per-connection engine, the
+//! [`Connection`](crate::shard::Connection) state machine, which has two
+//! callers: [`Server::serve`] pumps any `BufRead`/`Write` pair through
+//! it, answering in request order (stdin and tests), and
+//! [`Server::serve_tcp`] accepts connections onto a fixed pool of
+//! shared-nothing [shard](crate::shard) event loops, where heavy tagged
+//! requests run on the worker pool and come back out of order, matched
+//! by their `req` tag. All of them share the same registry snapshots,
+//! worker pool and [`AnswerCache`]. TCP needs a unix readiness backend
+//! (epoll on Linux, `poll(2)` elsewhere); without one `serve_tcp` returns
+//! the `Unsupported` error. The server
 //! never dies on input: a malformed line yields a typed error response,
 //! and a panicking handler is caught and answered as an `internal`
 //! error. A panic can also never poison the server: every shared lock
@@ -22,20 +26,21 @@ use crate::protocol::{
     id_value, ok_header, parse_envelope, tagged_error_response, ErrorKind, Request, RequestError,
 };
 use crate::registry::{ServedStructure, StructureRegistry};
-use crate::shard::ShardSet;
+use crate::shard::{Connection, ShardSet};
 use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, StripedCounters, Telemetry};
 use mps_core::PlacementId;
 use mps_geom::Dims;
 use mps_placer::Placement;
 use serde::{Map, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Batches at or above this many vectors fan out over the worker pool.
+/// Tagged TCP batches at or above this many vectors fan out over the
+/// worker pool.
 const PARALLEL_BATCH_THRESHOLD: usize = 256;
 
 /// Floor on the per-chunk size of a fanned-out batch: chunks smaller
@@ -63,8 +68,7 @@ fn ns_between(from: Instant, to: Instant) -> u64 {
 }
 
 /// How one rendered reply leaves a heavy (pooled) request: the shard
-/// event loop hands completions back to the owning shard's inbox; the
-/// pipelined pump writes them straight to the connection writer.
+/// event loop hands completions back to the owning shard's inbox.
 /// [`Server::submit_heavy`] guarantees exactly one invocation per
 /// submitted request, panics included.
 pub(crate) type ResponseSink = Arc<dyn Fn(Reply) + Send + Sync>;
@@ -81,8 +85,9 @@ pub(crate) enum Reply {
 /// Construction knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool threads behind instantiation, large batches and
-    /// pipelined tagged requests (clamped to at least 1).
+    /// Worker pool threads behind heavy tagged TCP requests: uncached
+    /// instantiation, refinement runs and batch fan-out (clamped to at
+    /// least 1).
     pub workers: usize,
     /// Total answer-cache capacity in entries; 0 disables the cache.
     pub cache_entries: usize,
@@ -141,25 +146,14 @@ impl ServerConfig {
     }
 }
 
-/// Per-connection protocol state: the tagged-framing contract.
-///
-/// A connection starts untagged; its first tagged request flips it into
-/// tagged (pipelined) mode for good. Ids must be strictly increasing,
-/// which makes duplicate detection O(1) and matches how a pipelining
-/// client naturally numbers its stream.
-#[derive(Debug, Default)]
-pub(crate) struct ConnState {
-    /// The highest accepted request id, once the connection went tagged.
-    last_id: Mutex<Option<u64>>,
-}
-
 /// What [`Server::admit`] decided about one input line.
 pub(crate) enum Admitted {
     /// Blank line: ignored, no response.
     Blank,
     /// Refused at the framing layer; the rendered error response.
     Reply(String),
-    /// Accepted; dispatch it (pooled when tagged, inline otherwise).
+    /// Accepted; dispatch it (pooled when tagged and heavy on TCP,
+    /// inline otherwise).
     Run {
         id: Option<u64>,
         request: Request,
@@ -175,9 +169,6 @@ pub(crate) enum Admitted {
 /// pool queue already cost it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReqCtx {
-    /// The request executes on a pool worker (nested fan-out must not
-    /// wait on a second pool slot).
-    pub on_pool_worker: bool,
     /// Parse time from `admit`, for the slow-ring total.
     pub parse_ns: u64,
     /// Queue wait between `submit_heavy` and the worker picking the job
@@ -189,7 +180,6 @@ impl ReqCtx {
     /// Context for a request dispatched inline on the admitting thread.
     pub(crate) fn inline(parse_ns: u64) -> Self {
         Self {
-            on_pool_worker: false,
             parse_ns,
             pool_ns: 0,
         }
@@ -228,58 +218,9 @@ enum Outcome {
     Frame(Vec<u8>),
 }
 
-/// In-flight counter for one pipelined connection, so EOF can drain
-/// every pooled response before the pump returns.
-#[derive(Debug, Default)]
-struct Pending {
-    count: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Pending {
-    fn begin(&self) {
-        *lock_recover(&self.count) += 1;
-    }
-
-    fn end(&self) {
-        let mut count = lock_recover(&self.count);
-        *count -= 1;
-        if *count == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn drain(&self) {
-        let mut count = lock_recover(&self.count);
-        while *count > 0 {
-            count = self
-                .done
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-fn write_reply_to<W: Write>(writer: &mut W, reply: &Reply) -> std::io::Result<()> {
-    match reply {
-        Reply::Line(line) => {
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
-        // Frames are self-delimiting (length-prefixed header); no
-        // terminator goes on the wire.
-        Reply::Frame(frame) => writer.write_all(frame)?,
-    }
-    writer.flush()
-}
-
-fn write_reply<W: Write>(writer: &Mutex<W>, reply: &Reply) -> std::io::Result<()> {
-    write_reply_to(&mut *lock_recover(writer), reply)
-}
-
 /// The query-serving engine: a registry snapshot discipline on the read
 /// side, a sharded LRU [`AnswerCache`] in front of the compiled query
-/// plans, a worker pool on the instantiation/pipelining side, and
+/// plans, a worker pool for heavy tagged requests, and
 /// counters for the `stats` request.
 #[derive(Debug)]
 pub struct Server {
@@ -384,7 +325,7 @@ impl Server {
     }
 
     /// Counts and renders a refusal that never reached `admit` — the
-    /// shard loop's oversized-line guard drops the buffered bytes
+    /// connection's oversized-line guard drops the buffered bytes
     /// before they could be parsed as a request. The refusal still
     /// costs one request + one error in the counters and records a
     /// zero-length parse span, so refused traffic stays visible in the
@@ -444,12 +385,11 @@ impl Server {
     /// lines (no response is written for them); every non-blank line
     /// gets exactly one response line, errors included. This
     /// convenience path answers in JSON only: the `"encoding":"bin"`
-    /// frame opt-in is a transport feature of the streaming pumps
-    /// (`serve`, `serve_pipelined`, `serve_tcp`) and is ignored here.
+    /// frame opt-in is a transport feature of the streams (`serve`,
+    /// `serve_tcp`) and is ignored here.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> Option<String> {
-        let state = ConnState::default();
-        match self.admit(&state, line) {
+        match self.admit(&mut None, line) {
             Admitted::Blank => None,
             Admitted::Reply(response) => Some(response),
             Admitted::Run {
@@ -477,17 +417,19 @@ impl Server {
     }
 
     /// Framing-layer admission: parses the line, enforces the
-    /// tagged-request contract (ids strictly increasing; once tagged,
-    /// always tagged), and counts the request.
-    pub(crate) fn admit(&self, state: &ConnState, line: &str) -> Admitted {
+    /// tagged-request contract against the connection's `last_id` (ids
+    /// strictly increasing; once tagged, always tagged), and counts the
+    /// request.
+    pub(crate) fn admit(&self, last_id: &mut Option<u64>, line: &str) -> Admitted {
         let line = line.trim();
         if line.is_empty() {
             return Admitted::Blank;
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
         // Parse is timed (and its histogram fed) right here on the
-        // admitting thread — the shard loop or inline pump that actually
-        // did the work — not on whichever worker later runs the request.
+        // admitting thread — the shard loop or blocking adapter that
+        // actually did the work — not on whichever worker later runs the
+        // request.
         let parse_started = self.telemetry.enabled().then(Instant::now);
         let parsed = parse_envelope(line);
         let parse_ns = parse_started.map_or(0, ns_since);
@@ -499,7 +441,6 @@ impl Server {
                 return Admitted::Reply(tagged_error_response(e.id, &e.error));
             }
         };
-        let mut last_id = lock_recover(&state.last_id);
         match envelope.id {
             Some(id) => {
                 if let Some(prev) = *last_id {
@@ -570,15 +511,13 @@ impl Server {
         trace.add(Stage::Pool, ctx.pool_ns);
         let dispatch_started = enabled.then(Instant::now);
         // A handler bug must cost one error response, not the server.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch(request, ctx.on_pool_worker, &mut trace)
-        }))
-        .unwrap_or_else(|_| {
-            Err(RequestError::new(
-                ErrorKind::Internal,
-                "request handler panicked; the server keeps serving",
-            ))
-        });
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut trace)))
+            .unwrap_or_else(|_| {
+                Err(RequestError::new(
+                    ErrorKind::Internal,
+                    "request handler panicked; the server keeps serving",
+                ))
+            });
         let reply = match result {
             Ok(Outcome::Map(mut map)) => {
                 if let Some(id) = id {
@@ -621,158 +560,65 @@ impl Server {
         reply
     }
 
-    /// Pumps requests from `reader` to `writer` sequentially until EOF:
-    /// responses come back in request order, tagged or not. Each response
-    /// line is flushed immediately so pipelined clients never stall.
+    /// Pumps requests from `reader` to `writer` until EOF through the
+    /// connection engine TCP uses: each chunk the reader holds is fed
+    /// whole, every request in it is answered inline — heavy ones
+    /// included — and the replies are written and flushed before the
+    /// next blocking read, so responses come back in request order,
+    /// tagged or not. The input guards are the TCP ones: invalid UTF-8
+    /// costs one typed error line, and a line over 8 MiB is refused with
+    /// one `protocol` error that ends the stream.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error on either side.
-    pub fn serve<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> std::io::Result<()> {
-        let state = ConnState::default();
-        for line in reader.lines() {
-            let line = line?;
-            let reply = match self.admit(&state, &line) {
-                Admitted::Blank => continue,
-                Admitted::Reply(response) => Reply::Line(response),
-                Admitted::Run {
-                    id,
-                    request,
-                    parse_ns,
-                } => self.complete(id, request, ReqCtx::inline(parse_ns)),
+    pub fn serve<R: BufRead, W: Write>(&self, mut reader: R, mut writer: W) -> io::Result<()> {
+        let mut conn = Connection::new(false);
+        while conn.wants_read() {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             };
-            write_reply_to(&mut writer, &reply)?;
+            let n = chunk.len();
+            if n == 0 {
+                conn.close_read(self);
+            } else {
+                conn.receive(self, chunk);
+                reader.consume(n);
+            }
+            if !conn.flush_to(&mut writer)? {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            writer.flush()?;
         }
         Ok(())
     }
 
-    /// Pumps one connection with pipelining: the client may keep any
-    /// number of requests in flight. Cheap requests (queries, cached
-    /// instantiates, stats, ...) are answered inline on the connection
-    /// thread — cross-client parallelism comes from thread-per-connection
-    /// — while heavy requests (uncached instantiates, large batches) are
-    /// offloaded to the worker pool so they cannot head-of-line-block the
-    /// cheap stream behind them; their responses are written as they
-    /// finish, out of order, matched by `req`. EOF drains every in-flight
-    /// response before returning.
+    /// Accepts TCP connections forever onto a fixed pool of
+    /// shared-nothing shard event loops (see [`ServerConfig::shards`]),
+    /// all sharing the same registry snapshots, pool and cache.
+    /// [`ServerConfig::max_connections`] caps the open set: an accept
+    /// beyond it is answered with one `overloaded` error line and closed.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error seen by the reading side; write
-    /// failures inside pooled responses end silently (the client hung
-    /// up — not a server error).
-    pub fn serve_pipelined<R, W>(self: &Arc<Self>, reader: R, writer: W) -> std::io::Result<()>
-    where
-        R: BufRead,
-        W: Write + Send + 'static,
-    {
-        let writer = Arc::new(Mutex::new(writer));
-        let state = Arc::new(ConnState::default());
-        let pending = Arc::new(Pending::default());
-        let mut result = Ok(());
-        for line in reader.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            let outcome = match self.admit(&state, &line) {
-                Admitted::Blank => Ok(()),
-                Admitted::Reply(response) => write_reply(&writer, &Reply::Line(response)),
-                Admitted::Run {
-                    id: None,
-                    request,
-                    parse_ns,
-                } => {
-                    let reply = self.complete(None, request, ReqCtx::inline(parse_ns));
-                    write_reply(&writer, &reply)
-                }
-                Admitted::Run {
-                    id: Some(id),
-                    request,
-                    parse_ns,
-                } if !self.is_heavy(&request) => {
-                    let reply = self.complete(Some(id), request, ReqCtx::inline(parse_ns));
-                    write_reply(&writer, &reply)
-                }
-                Admitted::Run {
-                    id: Some(id),
-                    request,
-                    parse_ns,
-                } => {
-                    pending.begin();
-                    let writer = Arc::clone(&writer);
-                    let pending = Arc::clone(&pending);
-                    // submit_heavy invokes the sink exactly once on
-                    // every path, panics included — the EOF drain can
-                    // never be left waiting forever.
-                    let sink: ResponseSink = Arc::new(move |reply: Reply| {
-                        let _ = write_reply(&writer, &reply);
-                        pending.end();
-                    });
-                    self.submit_heavy(id, request, parse_ns, sink);
-                    Ok(())
-                }
-            };
-            if let Err(e) = outcome {
-                result = Err(e);
-                break;
-            }
-        }
-        pending.drain();
-        result
-    }
-
-    /// Accepts TCP connections forever onto a fixed pool of
-    /// shared-nothing shard event loops (see [`ServerConfig::shards`]),
-    /// all sharing the same registry snapshots, pool and cache. On
-    /// platforms without a readiness primitive ([`netpoll::Poller::new`]
-    /// reports `Unsupported`) it falls back to one pipelined thread per
-    /// connection. Either way [`ServerConfig::max_connections`] caps the
-    /// open set: an accept beyond it is answered with one `overloaded`
-    /// error line and closed.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) {
-        match ShardSet::spawn(self, self.config.effective_shards()) {
-            Ok(shards) => {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    // Response lines are small; Nagle + delayed ACK
-                    // would add ~40ms stalls per exchange on a chatty
-                    // protocol like this.
-                    let _ = stream.set_nodelay(true);
-                    let Some(guard) = self.admit_connection(&stream) else {
-                        continue;
-                    };
-                    shards.assign(stream, guard);
-                }
-            }
-            Err(_) => self.serve_tcp_threaded(listener),
-        }
-    }
-
-    /// The thread-per-connection fallback for platforms netpoll cannot
-    /// serve; every connection still runs the full pipelined pump.
-    fn serve_tcp_threaded(self: &Arc<Self>, listener: TcpListener) {
+    /// Fails when the shards cannot start: a shard thread cannot spawn,
+    /// or the platform has no readiness backend ([`netpoll::Poller::new`]
+    /// reports `Unsupported` outside unix).
+    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
+        let shards = ShardSet::spawn(self, self.config.effective_shards())?;
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
+            // Response lines are small; Nagle + delayed ACK would add
+            // ~40ms stalls per exchange on a chatty protocol like this.
             let _ = stream.set_nodelay(true);
             let Some(guard) = self.admit_connection(&stream) else {
                 continue;
             };
-            let server = Arc::clone(self);
-            std::thread::spawn(move || {
-                // The guard's Drop keeps the open-connection gauge
-                // honest even when the serve call below panics.
-                let _guard = guard;
-                if let Ok(read_half) = stream.try_clone() {
-                    // Client disconnects surface as I/O errors; the
-                    // connection thread just ends.
-                    let _ = server.serve_pipelined(BufReader::new(read_half), stream);
-                }
-            });
+            shards.assign(stream, guard);
         }
+        Ok(())
     }
 
     /// Admission control at accept time: counts the connection and
@@ -807,8 +653,8 @@ impl Server {
         OpenConnGuard::new(Arc::clone(self))
     }
 
-    /// Whether a request deserves a worker-pool slot instead of the
-    /// connection thread: only work that takes long enough to
+    /// Whether a tagged TCP request deserves a worker-pool slot instead
+    /// of the shard thread: only work that takes long enough to
     /// head-of-line-block the pipelined stream behind it. A cached
     /// instantiate replays stored bytes in well under a microsecond, so
     /// it stays inline (the peek takes no lock promotion and counts no
@@ -887,15 +733,8 @@ impl Server {
                         id,
                         reply: None,
                     };
-                    delivery.reply = Some(server.complete(
-                        Some(id),
-                        request,
-                        ReqCtx {
-                            on_pool_worker: true,
-                            parse_ns,
-                            pool_ns,
-                        },
-                    ));
+                    delivery.reply =
+                        Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
                 });
             }
         }
@@ -988,12 +827,7 @@ impl Server {
         }
     }
 
-    fn dispatch(
-        &self,
-        request: Request,
-        on_pool_worker: bool,
-        trace: &mut StageTrace,
-    ) -> Result<Outcome, RequestError> {
+    fn dispatch(&self, request: Request, trace: &mut StageTrace) -> Result<Outcome, RequestError> {
         let enabled = self.telemetry.enabled();
         match request {
             Request::Query { structure, dims } => {
@@ -1073,8 +907,13 @@ impl Server {
                         heat.record(dims);
                     }
                 }
+                // One sequential pass through one scratch buffer: batches
+                // bypass the answer cache deliberately — the compiled
+                // index answers an element in ~150ns, cheaper than any
+                // per-element cache lookup could be. Only tagged TCP
+                // batches fan out (see `submit_heavy`).
                 let index_started = enabled.then(Instant::now);
-                let ids = self.batch_ids(&served, dims_list, on_pool_worker)?;
+                let ids = served.index().query_batch(&dims_list);
                 if let Some(t) = index_started {
                     trace.add(Stage::Index, ns_since(t));
                 }
@@ -1128,9 +967,9 @@ impl Server {
                     heat.record(&dims);
                 }
                 // Computed right here: a synchronous pool.run handoff
-                // would only add a thread wake per request (the pipelined
-                // pump already decides *before* dispatch whether this
-                // request deserves a pool slot).
+                // would only add a thread wake per request (the
+                // connection already decides *before* dispatch whether
+                // this request deserves a pool slot).
                 let index_started = enabled.then(Instant::now);
                 let (id, placement) = materialize(&served, &dims);
                 // Shared clock read: index span end = render span start.
@@ -1289,35 +1128,6 @@ impl Server {
     /// by snapshot).
     fn count_structure(&self, name: &str, n: u64) {
         self.per_structure.add(name, n);
-    }
-
-    /// Answers a batch: sequentially through one scratch buffer for
-    /// small batches, fanned out in chunks over the worker pool for
-    /// large ones (unless this thread *is* a pool worker, which must
-    /// never wait on a second pool slot). Batches bypass the answer
-    /// cache deliberately: the compiled index answers an element in
-    /// ~150ns, cheaper than any per-element cache lookup could be, and
-    /// batch lines are wire-bound anyway.
-    fn batch_ids(
-        &self,
-        served: &Arc<ServedStructure>,
-        dims_list: Vec<Dims>,
-        on_pool_worker: bool,
-    ) -> Result<Vec<Option<PlacementId>>, RequestError> {
-        if on_pool_worker || dims_list.len() < PARALLEL_BATCH_THRESHOLD || self.pool.workers() == 1
-        {
-            return Ok(served.index().query_batch(&dims_list));
-        }
-        let chunk_len = dims_list.len().div_ceil(self.pool.workers() * 4);
-        let chunks: Vec<Vec<Dims>> = dims_list.chunks(chunk_len).map(<[Dims]>::to_vec).collect();
-        let worker_input = Arc::clone(served);
-        let answered = self
-            .pool
-            .map_in_order(chunks, move |chunk| {
-                worker_input.index().query_batch(&chunk)
-            })
-            .map_err(|_| RequestError::new(ErrorKind::Internal, "batch worker panicked"))?;
-        Ok(answered.into_iter().flatten().collect())
     }
 
     fn stats(&self) -> Map {
@@ -1754,6 +1564,7 @@ mod tests {
     use mps_core::{GeneratorConfig, MpsGenerator};
     use mps_geom::Coord;
     use mps_netlist::benchmarks;
+    use std::io::BufReader;
 
     fn test_registry() -> Arc<StructureRegistry> {
         let circuit = benchmarks::circ01();
@@ -2129,6 +1940,92 @@ mod tests {
         assert!(lines[1].contains("\"kind\":\"stats\""));
     }
 
+    /// Invalid UTF-8 used to end the whole `serve` stream with an I/O
+    /// error; now it costs one typed error line, exactly as on TCP.
+    #[test]
+    fn serve_answers_invalid_utf8_with_one_error_and_keeps_going() {
+        let server = test_server();
+        let input = b"{\"kind\":\"stats\"\xff}\n{\"kind\":\"list_structures\"}\n".to_vec();
+        let mut output = Vec::new();
+        server.serve(&input[..], &mut output).unwrap();
+        let lines: Vec<Value> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines.len(), 2, "one reply per line: {lines:?}");
+        assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(false));
+        assert!(lines[0].get("error").and_then(|e| e.get("kind")).is_some());
+        assert_eq!(
+            lines[1].get("kind").and_then(Value::as_str),
+            Some("list_structures")
+        );
+    }
+
+    /// `serve` caps request lines like the shard loop does: one
+    /// `protocol` error for a line past 8 MiB, then the stream ends.
+    #[test]
+    fn serve_refuses_an_oversized_line_with_one_protocol_error() {
+        let server = test_server();
+        let input = vec![b'x'; 9 << 20];
+        let mut output = Vec::new();
+        server.serve(&input[..], &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let lines: Vec<Value> = text.lines().map(parse).collect();
+        assert_eq!(lines.len(), 1, "exactly one reply: {text}");
+        let error = lines[0].get("error").unwrap();
+        assert_eq!(error.get("kind").and_then(Value::as_str), Some("protocol"));
+        assert!(error
+            .get("message")
+            .and_then(Value::as_str)
+            .is_some_and(|m| m.contains("exceeds")));
+        assert_eq!(server.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(server.errors.load(Ordering::Relaxed), 1);
+    }
+
+    /// Through `serve`, heavy tagged requests (uncached instantiates, a
+    /// batch past the fan-out threshold) run inline, so every reply comes
+    /// back in request order.
+    #[test]
+    fn serve_answers_tagged_heavy_requests_in_request_order() {
+        let server = test_server();
+        let dims = midpoint_dims(&server);
+        let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+        let dims_json = format!("[{}]", pairs.join(","));
+        let batch = vec![dims_json.as_str(); PARALLEL_BATCH_THRESHOLD + 1].join(",");
+        let input = format!(
+            "{{\"id\":1,\"kind\":\"instantiate\",\"structure\":\"circ01\",\"dims\":{dims_json}}}\n\
+             {{\"id\":2,\"kind\":\"list_structures\"}}\n\
+             {{\"id\":3,\"kind\":\"batch_query\",\"structure\":\"circ01\",\"dims_list\":[{batch}]}}\n\
+             {{\"id\":4,\"kind\":\"query\",\"structure\":\"circ01\",\"dims\":{dims_json}}}\n"
+        );
+        let mut output = Vec::new();
+        server.serve(input.as_bytes(), &mut output).unwrap();
+        let lines: Vec<Value> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        let reqs: Vec<Option<u64>> = lines
+            .iter()
+            .map(|v| v.get("req").and_then(Value::as_u64))
+            .collect();
+        assert_eq!(reqs, [Some(1), Some(2), Some(3), Some(4)]);
+        let kinds: Vec<Option<&str>> = lines
+            .iter()
+            .map(|v| v.get("kind").and_then(Value::as_str))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                Some("instantiate"),
+                Some("list_structures"),
+                Some("batch_query"),
+                Some("query")
+            ]
+        );
+    }
+
     #[test]
     fn pipelined_serving_answers_every_tagged_request() {
         let server = Arc::new(test_server());
@@ -2155,24 +2052,9 @@ mod tests {
                 pairs.join(",")
             ));
         }
-        // The pipelined pump needs W: Send + 'static; collect through a
-        // shared buffer.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf::default();
-        server
-            .serve_pipelined(input.as_bytes(), buf.clone())
-            .unwrap();
-        let output = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let mut buf = Vec::new();
+        server.serve(input.as_bytes(), &mut buf).unwrap();
+        let output = String::from_utf8(buf).unwrap();
         let mut seen = vec![false; n];
         for line in output.lines() {
             let value = parse(line);
@@ -2190,9 +2072,43 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "every request must be answered");
     }
 
+    /// A tagged batch fanned out over the pool, as the shard loop
+    /// submits it, decoded from its binary frame.
+    fn fanned_out_ids(server: &Arc<Server>, dims_list: Vec<Dims>) -> Vec<Option<PlacementId>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let request = Request::BatchQuery {
+            structure: "circ01".to_owned(),
+            dims_list,
+            binary: true,
+        };
+        server.submit_heavy(
+            1,
+            request,
+            0,
+            Arc::new(move |reply| tx.send(reply).unwrap()),
+        );
+        let Reply::Frame(frame) = rx.recv().unwrap() else {
+            panic!("a binary batch answers with a frame");
+        };
+        crate::frame::decode_batch_ids(&frame).unwrap().1
+    }
+
+    /// The same batch answered inline on the calling thread.
+    fn inline_ids(server: &Server, dims_list: Vec<Dims>) -> Vec<Option<PlacementId>> {
+        let request = Request::BatchQuery {
+            structure: "circ01".to_owned(),
+            dims_list,
+            binary: true,
+        };
+        let Reply::Frame(frame) = server.complete(None, request, ReqCtx::inline(0)) else {
+            panic!("a binary batch answers with a frame");
+        };
+        crate::frame::decode_batch_ids(&frame).unwrap().1
+    }
+
     #[test]
     fn large_batch_fans_out_and_matches_sequential() {
-        let server = test_server();
+        let server = Arc::new(test_server());
         let served = server.registry().get("circ01").unwrap();
         let bounds = served.structure().bounds().to_vec();
         let vector = |k: usize| -> Dims {
@@ -2208,27 +2124,11 @@ mod tests {
         };
         let dims_list: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 100).map(vector).collect();
         let expected = served.structure().query_batch(&dims_list);
-        let pooled = server.batch_ids(&served, dims_list.clone(), false).unwrap();
+        let pooled = fanned_out_ids(&server, dims_list.clone());
         assert_eq!(pooled, expected);
-        // The inline (pool-worker) path answers identically.
-        let inline = server.batch_ids(&served, dims_list, true).unwrap();
+        // The inline path answers identically.
+        let inline = inline_ids(&server, dims_list);
         assert_eq!(inline, expected);
-    }
-
-    /// Regression: `Pending` used `.expect("pending lock poisoned")`,
-    /// so one panic while holding the count turned every later
-    /// begin/end/drain on the connection into a second panic.
-    #[test]
-    fn pending_counter_recovers_from_a_poisoned_lock() {
-        let pending = Pending::default();
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = pending.count.lock().unwrap();
-            panic!("poison the pending lock");
-        }));
-        assert!(pending.count.is_poisoned());
-        pending.begin();
-        pending.end();
-        pending.drain();
     }
 
     /// Regression, now structural: the per-structure query counters

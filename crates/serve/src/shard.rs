@@ -1,33 +1,41 @@
-//! Shared-nothing connection shards: the event-loop engine behind
-//! [`Server::serve_tcp`](crate::Server::serve_tcp).
+//! One connection's protocol engine, and the shard event loops that
+//! drive it from sockets.
 //!
-//! Accepted connections are handed round-robin to a fixed pool of shard
-//! threads; each shard owns its subset outright (no connection is ever
-//! touched by two shards) and pumps all of them through one
-//! non-blocking readiness loop over a [`netpoll::Poller`].
-//! Per-connection buffered read/write state replaces both the
-//! thread-per-connection stack and the per-response writer lock of the
-//! pipelined pump: partial request lines accumulate in a [`RecvBuffer`]
-//! until their newline arrives, and responses queue in a [`SendBuffer`]
-//! that drains as far as the socket accepts and parks the rest behind
-//! write-readiness. Cheap requests are answered inline on the shard
-//! thread; heavy tagged requests leave through
-//! [`Server::submit_heavy`] and come back as completions through the
-//! shard's inbox plus a [`Poller::wake`] — the shard thread itself
-//! never blocks on anything but the poller.
+//! [`Connection`] is everything one connection does, with no I/O in it:
+//! request bytes in, rendered replies out. It reassembles request lines
+//! across whatever byte splits the transport chose, admits each line
+//! (parse, the tagged-id contract, counting), answers cheap requests
+//! inline, hands heavy tagged requests to its caller for the worker
+//! pool, counts the replies still owed, refuses a line longer than
+//! 8 MiB, and answers a final line that has no newline at EOF. Two
+//! loops feed it:
+//!
+//! * the shard loops behind [`Server::serve_tcp`]. Accepted connections
+//!   are handed round-robin to a fixed pool of shard threads; each shard
+//!   owns its subset outright (no connection is ever touched by two
+//!   shards) and pumps all of them through one non-blocking readiness
+//!   loop over a [`netpoll::Poller`]. Partial request lines wait in a
+//!   [`RecvBuffer`] until their newline arrives, and responses queue in
+//!   a [`SendBuffer`] that drains as far as the socket accepts and parks
+//!   the rest behind write-readiness. Heavy tagged requests leave through
+//!   [`Server::submit_heavy`] and come back as completions through the
+//!   shard's inbox plus a [`Poller::wake`] — the shard thread itself
+//!   never blocks on anything but the poller;
+//! * [`Server::serve`], the blocking adapter behind stdin: read a chunk,
+//!   feed it, run every request inline, write and flush before the next
+//!   read.
 //!
 //! Ordering: untagged requests (and framing errors) are answered in
-//! arrival order because they never leave the shard thread; tagged
-//! heavy responses come back out of order, matched by `req`, exactly as
-//! `serve_pipelined` already promises. A fanned-out batch is still one
-//! request and one response — its chunks are reassembled in request
-//! order before the line is delivered.
+//! arrival order because they never leave the connection's thread;
+//! tagged heavy responses on TCP come back out of order, matched by
+//! `req`. Through [`Server::serve`] every response comes back in request
+//! order. A fanned-out batch is still one request and one response —
+//! its chunks are reassembled in request order before the line is
+//! delivered.
 
 use crate::lock_recover;
-use crate::protocol::{ErrorKind, RequestError};
-use crate::server::{
-    ns_since, Admitted, ConnState, OpenConnGuard, Reply, ReqCtx, ResponseSink, Server,
-};
+use crate::protocol::{ErrorKind, Request, RequestError};
+use crate::server::{ns_since, Admitted, OpenConnGuard, Reply, ReqCtx, ResponseSink, Server};
 use crate::telemetry::Stage;
 use netpoll::{raw_fd, Interest, Poller, WAKE_TOKEN};
 use std::collections::HashMap;
@@ -37,14 +45,167 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A request line longer than this without a newline closes the
-/// connection: nothing in the protocol is remotely this large, so the
-/// peer is broken or hostile, and the alternative is unbounded
-/// buffering.
+/// A request line longer than this without a newline ends the
+/// connection's read side: nothing in the protocol is remotely this
+/// large, so the peer is broken or hostile, and the alternative is
+/// unbounded buffering.
 const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Stack scratch for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// One connection's protocol state machine: bytes in through
+/// [`receive`](Self::receive) and [`close_read`](Self::close_read),
+/// replies out through [`flush_to`](Self::flush_to). It owns no socket
+/// and never blocks; its caller does the I/O.
+pub(crate) struct Connection {
+    /// The highest accepted request id, once the connection went tagged.
+    /// The first tagged request flips a connection into tagged mode for
+    /// good; ids must then be strictly increasing.
+    last_id: Option<u64>,
+    recv: RecvBuffer,
+    out: SendBuffer,
+    /// Whether heavy tagged requests are handed to the caller for the
+    /// worker pool (the shard loop) or answered inline like everything
+    /// else ([`Server::serve`]).
+    offload_heavy: bool,
+    /// Heavy tagged requests admitted for the pool and not yet taken by
+    /// the caller.
+    offloaded: Vec<Offloaded>,
+    /// Offloaded requests whose replies have not come back yet.
+    pending: usize,
+    /// The read side is finished: EOF, a read error, or an oversized
+    /// line.
+    read_closed: bool,
+}
+
+/// One heavy tagged request the caller must run off its own thread and
+/// hand back through [`Connection::deliver`].
+pub(crate) struct Offloaded {
+    pub id: u64,
+    pub request: Request,
+    pub parse_ns: u64,
+}
+
+impl Connection {
+    /// A fresh untagged connection. With `offload_heavy`, heavy tagged
+    /// requests queue for [`take_offloaded`](Self::take_offloaded);
+    /// without it every request is answered inline, in request order.
+    pub(crate) fn new(offload_heavy: bool) -> Self {
+        Self {
+            last_id: None,
+            recv: RecvBuffer::default(),
+            out: SendBuffer::default(),
+            offload_heavy,
+            offloaded: Vec::new(),
+            pending: 0,
+            read_closed: false,
+        }
+    }
+
+    /// Feeds request bytes, answering every line they complete. A
+    /// partial line stays buffered until its newline arrives; one that
+    /// outgrows [`MAX_LINE_BYTES`] is refused with a `protocol` error and
+    /// closes the read side.
+    pub(crate) fn receive(&mut self, server: &Server, bytes: &[u8]) {
+        if self.read_closed {
+            return;
+        }
+        self.recv.extend(bytes);
+        while let Some(line) = self.recv.next_line() {
+            self.answer_line(server, &line);
+        }
+        if self.recv.len() > MAX_LINE_BYTES {
+            // This refusal never reaches admit() — the buffered bytes are
+            // dropped unparsed — so the server counts it and records its
+            // parse span explicitly, keeping refused traffic visible in
+            // `stats`/`metrics` like every other error.
+            self.out
+                .push_line(&server.refuse_preadmission(&RequestError::new(
+                    ErrorKind::Protocol,
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                )));
+            self.recv.clear();
+            self.read_closed = true;
+        }
+    }
+
+    /// Ends the read side (EOF or a read error). A final line without a
+    /// trailing newline still gets its answer.
+    pub(crate) fn close_read(&mut self, server: &Server) {
+        if self.read_closed {
+            return;
+        }
+        if let Some(line) = self.recv.take_trailing() {
+            self.answer_line(server, &line);
+        }
+        self.read_closed = true;
+    }
+
+    /// Admits and answers one request line: inline for everything cheap
+    /// (and for untagged requests, whose responses must stay in arrival
+    /// order), queued for the caller's worker pool for heavy tagged work
+    /// when this connection offloads.
+    fn answer_line(&mut self, server: &Server, line: &str) {
+        match server.admit(&mut self.last_id, line) {
+            Admitted::Blank => {}
+            Admitted::Reply(response) => self.out.push_line(&response),
+            Admitted::Run {
+                id: Some(id),
+                request,
+                parse_ns,
+            } if self.offload_heavy && server.is_heavy(&request) => {
+                self.pending += 1;
+                self.offloaded.push(Offloaded {
+                    id,
+                    request,
+                    parse_ns,
+                });
+            }
+            Admitted::Run {
+                id,
+                request,
+                parse_ns,
+            } => {
+                let reply = server.complete(id, request, ReqCtx::inline(parse_ns));
+                self.out.push_reply(&reply);
+            }
+        }
+    }
+
+    /// The heavy requests queued since the last call; each owes one
+    /// [`deliver`](Self::deliver).
+    pub(crate) fn take_offloaded(&mut self) -> std::vec::Drain<'_, Offloaded> {
+        self.offloaded.drain(..)
+    }
+
+    /// Queues the reply of one offloaded request.
+    pub(crate) fn deliver(&mut self, reply: &Reply) {
+        self.pending -= 1;
+        self.out.push_reply(reply);
+    }
+
+    /// Writes as much queued output as `writer` accepts; see
+    /// [`SendBuffer::flush_to`].
+    pub(crate) fn flush_to<W: Write>(&mut self, writer: &mut W) -> io::Result<bool> {
+        self.out.flush_to(writer)
+    }
+
+    /// Whether more request bytes are welcome.
+    pub(crate) fn wants_read(&self) -> bool {
+        !self.read_closed
+    }
+
+    /// Whether replies are queued and not yet written.
+    pub(crate) fn has_output(&self) -> bool {
+        !self.out.is_empty()
+    }
+
+    /// Nothing left to read, write or wait for: the connection can close.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.read_closed && self.out.is_empty() && self.pending == 0
+    }
+}
 
 /// The fixed pool of shard event loops serving one listener.
 pub(crate) struct ShardSet {
@@ -58,8 +219,8 @@ impl ShardSet {
     ///
     /// # Errors
     ///
-    /// Fails when the platform has no readiness backend (the caller
-    /// falls back to thread-per-connection) or a thread cannot spawn.
+    /// Fails when the platform has no readiness backend (`Unsupported`,
+    /// outside unix) or a thread cannot spawn.
     pub(crate) fn spawn(server: &Arc<Server>, count: usize) -> io::Result<ShardSet> {
         let count = count.max(1);
         let mut shards = Vec::with_capacity(count);
@@ -119,18 +280,11 @@ enum ConnFate {
     Closed,
 }
 
-/// One connection as a shard owns it: the socket, the protocol framing
-/// state, both direction buffers, and the bookkeeping that decides when
-/// it can finally close.
+/// One connection as a shard owns it: the socket, the protocol engine,
+/// and the poller registration.
 struct Conn {
     stream: TcpStream,
-    state: ConnState,
-    recv: RecvBuffer,
-    out: SendBuffer,
-    /// Heavy responses submitted to the pool but not yet delivered.
-    pending: usize,
-    /// The read side is finished (EOF, read error, or oversized line).
-    eof: bool,
+    engine: Connection,
     /// The interest currently registered with the poller, if any.
     registered: Option<Interest>,
     /// Ties the open-connection gauge to this struct's lifetime.
@@ -141,11 +295,7 @@ impl Conn {
     fn new(stream: TcpStream, guard: OpenConnGuard) -> Conn {
         Conn {
             stream,
-            state: ConnState::default(),
-            recv: RecvBuffer::default(),
-            out: SendBuffer::default(),
-            pending: 0,
-            eof: false,
+            engine: Connection::new(true),
             registered: None,
             _guard: guard,
         }
@@ -161,7 +311,7 @@ impl Conn {
         let telemetry_on = server.telemetry().enabled();
         let mut read_ns: u64 = 0;
         let mut did_read = false;
-        while !self.eof {
+        while self.engine.wants_read() {
             let t = telemetry_on.then(Instant::now);
             let outcome = self.stream.read(&mut scratch);
             if let Some(t) = t {
@@ -169,73 +319,29 @@ impl Conn {
                 did_read = true;
             }
             match outcome {
-                Ok(0) => self.eof = true,
-                Ok(n) => {
-                    self.recv.extend(&scratch[..n]);
-                    while let Some(line) = self.recv.next_line() {
-                        self.process_line(server, shard, token, &line);
-                    }
-                    if self.recv.len() > MAX_LINE_BYTES {
-                        // This refusal never reaches admit() — the
-                        // buffered bytes are dropped unparsed — so the
-                        // server counts it and records its parse span
-                        // explicitly, keeping refused traffic visible
-                        // in `stats`/`metrics` like every other error.
-                        self.out
-                            .push_line(&server.refuse_preadmission(&RequestError::new(
-                                ErrorKind::Protocol,
-                                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                            )));
-                        self.recv.clear();
-                        self.eof = true;
-                    }
-                }
+                Ok(0) => self.engine.close_read(server),
+                Ok(n) => self.engine.receive(server, &scratch[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => self.eof = true,
+                Err(_) => self.engine.close_read(server),
             }
+            self.submit_offloaded(server, shard, token);
         }
         if did_read {
             server.telemetry().record(Stage::Recv, read_ns);
         }
-        if self.eof {
-            // A final line without a trailing newline still gets its
-            // answer, matching the BufRead::lines-based pumps.
-            if let Some(line) = self.recv.take_trailing() {
-                self.process_line(server, shard, token, &line);
-            }
-        }
     }
 
-    /// Admits and answers one request line: inline on this shard thread
-    /// for everything cheap (and for untagged requests, whose responses
-    /// must stay in arrival order), through the worker pool for heavy
-    /// tagged work.
-    fn process_line(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize, line: &str) {
-        match server.admit(&self.state, line) {
-            Admitted::Blank => {}
-            Admitted::Reply(response) => self.out.push_line(&response),
-            Admitted::Run {
-                id: Some(id),
-                request,
-                parse_ns,
-            } if server.is_heavy(&request) => {
-                self.pending += 1;
-                let shard = Arc::clone(shard);
-                let sink: ResponseSink = Arc::new(move |reply: Reply| {
-                    lock_recover(&shard.inbox).completions.push((token, reply));
-                    let _ = shard.poller.wake();
-                });
-                server.submit_heavy(id, request, parse_ns, sink);
-            }
-            Admitted::Run {
-                id,
-                request,
-                parse_ns,
-            } => {
-                let reply = server.complete(id, request, ReqCtx::inline(parse_ns));
-                self.out.push_reply(&reply);
-            }
+    /// Sends the engine's heavy tagged requests to the worker pool; each
+    /// reply comes back through the shard inbox as a completion.
+    fn submit_offloaded(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize) {
+        for job in self.engine.take_offloaded() {
+            let shard = Arc::clone(shard);
+            let sink: ResponseSink = Arc::new(move |reply: Reply| {
+                lock_recover(&shard.inbox).completions.push((token, reply));
+                let _ = shard.poller.wake();
+            });
+            server.submit_heavy(job.id, job.request, job.parse_ns, sink);
         }
     }
 
@@ -248,19 +354,15 @@ impl Conn {
     /// event, and a level-triggered EOF socket would otherwise spin the
     /// loop hot.
     fn finalize(&mut self, server: &Arc<Server>, poller: &Poller, token: usize) -> ConnFate {
-        let had_output = !self.out.is_empty();
-        let t = (had_output && server.telemetry().enabled()).then(Instant::now);
-        let flushed = self.out.flush_to(&mut self.stream);
+        let t = (self.engine.has_output() && server.telemetry().enabled()).then(Instant::now);
+        let flushed = self.engine.flush_to(&mut self.stream);
         if let Some(t) = t {
             server.telemetry().record(Stage::Write, ns_since(t));
         }
-        if flushed.is_err() {
+        if flushed.is_err() || self.engine.is_finished() {
             return ConnFate::Closed;
         }
-        if self.eof && self.out.is_empty() && self.pending == 0 {
-            return ConnFate::Closed;
-        }
-        let desired = match (!self.eof, !self.out.is_empty()) {
+        let desired = match (self.engine.wants_read(), self.engine.has_output()) {
             (true, true) => Some(Interest::BOTH),
             (true, false) => Some(Interest::READABLE),
             (false, true) => Some(Interest::WRITABLE),
@@ -335,8 +437,7 @@ fn shard_loop(server: &Arc<Server>, shard: &Arc<Shard>) {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            conn.pending -= 1;
-            conn.out.push_reply(&reply);
+            conn.engine.deliver(&reply);
             if conn.finalize(server, &shard.poller, token) == ConnFate::Closed {
                 remove_conn(&shard.poller, &mut conns, token);
             }
@@ -350,7 +451,8 @@ fn shard_loop(server: &Arc<Server>, shard: &Arc<Shard>) {
             } else if event.hangup {
                 // Pure error report (no data): the next read would only
                 // error; stop reading and let finalize settle the rest.
-                conn.eof = true;
+                conn.engine.close_read(server);
+                conn.submit_offloaded(server, shard, event.token);
             }
             if conn.finalize(server, &shard.poller, event.token) == ConnFate::Closed {
                 remove_conn(&shard.poller, &mut conns, event.token);
@@ -410,9 +512,7 @@ impl RecvBuffer {
                 }
                 self.scanned = 0;
                 // Invalid UTF-8 flows through to the parser, which
-                // answers it with a typed error — same outcome as the
-                // BufRead pumps killing the connection, but cheaper for
-                // the client to diagnose.
+                // answers it with a typed error; the connection lives on.
                 Some(String::from_utf8_lossy(&line).into_owned())
             }
             None => {
@@ -496,6 +596,188 @@ impl SendBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{ServedStructure, StructureRegistry};
+    use crate::ServerConfig;
+    use mps_core::{GeneratorConfig, MpsGenerator};
+    use mps_geom::{Coord, Dims};
+    use mps_netlist::benchmarks;
+    use proptest::prelude::*;
+    use serde::Value;
+    use std::sync::OnceLock;
+
+    /// One server for every property case. The answer cache is off, so
+    /// whether an instantiate counts as heavy never depends on what an
+    /// earlier feed stored.
+    fn engine_server() -> &'static Server {
+        static SERVER: OnceLock<Server> = OnceLock::new();
+        SERVER.get_or_init(|| {
+            let config = GeneratorConfig::builder()
+                .outer_iterations(30)
+                .inner_iterations(30)
+                .seed(11)
+                .build();
+            let mps = MpsGenerator::new(&benchmarks::circ01(), config)
+                .generate()
+                .unwrap();
+            let registry = StructureRegistry::in_memory();
+            registry.publish(ServedStructure::from_structure("circ01", mps));
+            Server::with_config(
+                Arc::new(registry),
+                ServerConfig {
+                    workers: 1,
+                    shards: 1,
+                    cache_entries: 0,
+                    ..ServerConfig::default()
+                },
+            )
+        })
+    }
+
+    /// What one untagged reply must say: an answered query's id, or an
+    /// error's kind.
+    #[derive(Debug, PartialEq)]
+    enum Untagged {
+        Query(Option<u64>),
+        Error(String),
+    }
+
+    /// Renders a random line mix (valid, malformed, blank, invalid
+    /// UTF-8, tagged and untagged, heavy and cheap) and the untagged
+    /// replies it must produce, in request order.
+    fn script(
+        server: &Server,
+        picks: &[(u8, usize)],
+        newline_at_end: bool,
+    ) -> (Vec<u8>, Vec<Untagged>, usize) {
+        let served = server.registry().get("circ01").unwrap();
+        let bounds = served.structure().bounds().to_vec();
+        let dims_json = |k: usize| -> (Dims, String) {
+            let dims: Dims = bounds
+                .iter()
+                .map(|b| {
+                    (
+                        b.w.lo() + (k as Coord * 7) % (b.w.len() as Coord),
+                        b.h.lo() + (k as Coord * 13) % (b.h.len() as Coord),
+                    )
+                })
+                .collect();
+            let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+            (dims, format!("[{}]", pairs.join(",")))
+        };
+        let mut bytes = Vec::new();
+        let mut untagged = Vec::new();
+        let mut next_id: u64 = 0;
+        let mut tagged_replies = 0;
+        for (i, &(pick, k)) in picks.iter().enumerate() {
+            let (dims, json) = dims_json(k);
+            let line: Vec<u8> = match pick {
+                0 => {
+                    untagged.push(if next_id == 0 {
+                        Untagged::Query(served.structure().query(&dims).map(|id| u64::from(id.0)))
+                    } else {
+                        Untagged::Error("bad_id".to_owned())
+                    });
+                    format!(r#"{{"kind":"query","structure":"circ01","dims":{json}}}"#).into()
+                }
+                1 | 2 => {
+                    let kind = if pick == 1 { "query" } else { "instantiate" };
+                    next_id += 1 + (k % 3) as u64;
+                    tagged_replies += 1;
+                    format!(
+                        r#"{{"id":{next_id},"kind":"{kind}","structure":"circ01","dims":{json}}}"#
+                    )
+                    .into()
+                }
+                3 => {
+                    untagged.push(Untagged::Error("parse".to_owned()));
+                    b"{oops".to_vec()
+                }
+                4 => b"   ".to_vec(),
+                5 if next_id > 0 => {
+                    untagged.push(Untagged::Error("bad_id".to_owned()));
+                    format!(r#"{{"id":{next_id},"kind":"list_structures"}}"#).into()
+                }
+                _ => {
+                    untagged.push(Untagged::Error("parse".to_owned()));
+                    b"{\"kind\":\xff\xfe}".to_vec()
+                }
+            };
+            bytes.extend_from_slice(&line);
+            let last = i + 1 == picks.len();
+            if !last || newline_at_end {
+                bytes.extend_from_slice(if k % 2 == 0 { b"\n" } else { b"\r\n" });
+            }
+        }
+        (bytes, untagged, tagged_replies)
+    }
+
+    /// Drives one offloading connection through `pieces`, then answers
+    /// its parked heavy requests last, as a pool would after the fact.
+    fn feed<'a>(server: &Server, pieces: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+        let mut conn = Connection::new(true);
+        let mut parked = Vec::new();
+        let mut out = Vec::new();
+        for piece in pieces {
+            conn.receive(server, piece);
+            parked.extend(conn.take_offloaded());
+            assert!(conn.flush_to(&mut out).unwrap());
+        }
+        conn.close_read(server);
+        parked.extend(conn.take_offloaded());
+        for job in parked {
+            let reply = server.complete(Some(job.id), job.request, ReqCtx::inline(job.parse_ns));
+            conn.deliver(&reply);
+        }
+        assert!(conn.flush_to(&mut out).unwrap());
+        assert!(conn.is_finished());
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn connection_output_ignores_byte_splits(
+            picks in prop::collection::vec((0u8..7, 0usize..1000), 0..24),
+            cuts in prop::collection::vec(1usize..48, 1..16),
+            newline_at_end in prop::bool::ANY,
+        ) {
+            let server = engine_server();
+            let (bytes, untagged, tagged_replies) = script(server, &picks, newline_at_end);
+            let whole = feed(server, std::iter::once(&bytes[..]));
+            let mut rest = &bytes[..];
+            let mut split = Vec::new();
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                split.push(head);
+                rest = tail;
+            }
+            let split = feed(server, split.into_iter());
+            let bytewise = feed(server, bytes.chunks(1));
+            prop_assert_eq!(&whole, &split);
+            prop_assert_eq!(&whole, &bytewise);
+
+            let replies: Vec<Value> = String::from_utf8(whole)
+                .unwrap()
+                .lines()
+                .map(|line| serde_json::parse(line).unwrap())
+                .collect();
+            let (tagged, plain): (Vec<&Value>, Vec<&Value>) =
+                replies.iter().partition(|v| v.get("req").is_some());
+            prop_assert_eq!(tagged.len(), tagged_replies);
+            let plain: Vec<Untagged> = plain
+                .into_iter()
+                .map(|v| match v.get("error") {
+                    Some(e) => Untagged::Error(
+                        e.get("kind").and_then(Value::as_str).unwrap().to_owned(),
+                    ),
+                    None => Untagged::Query(v.get("id").and_then(Value::as_u64)),
+                })
+                .collect();
+            prop_assert_eq!(plain, untagged);
+        }
+    }
 
     #[test]
     fn recv_buffer_reassembles_a_line_split_across_segments() {

@@ -190,6 +190,39 @@ fn stdin_stream_answers_match_direct_queries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A stdin line with invalid UTF-8 costs one typed error line; the
+/// process keeps answering and exits cleanly at EOF.
+#[test]
+fn stdin_invalid_utf8_costs_one_error_not_the_process() {
+    let dir = artifact_dir("utf8");
+    generate_artifact(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mps-serve"))
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn mps-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(b"{\"kind\":\xff\xfe}\n").unwrap();
+    stdin
+        .write_all(b"{\"kind\":\"list_structures\"}\n")
+        .unwrap();
+    drop(stdin);
+    let output = child.wait_with_output().expect("server runs to EOF");
+    assert!(output.status.success(), "exit status {}", output.status);
+    let text = String::from_utf8(output.stdout).expect("replies are UTF-8");
+    let lines: Vec<Value> = text
+        .lines()
+        .map(|line| serde_json::parse(line).expect("server emits valid JSON"))
+        .collect();
+    assert_eq!(lines.len(), 2, "one reply per line: {text}");
+    assert_eq!(lines[0].get("ok").and_then(Value::as_bool), Some(false));
+    assert!(lines[0].get("error").and_then(|e| e.get("kind")).is_some());
+    assert!(lines[1].get("names").is_some(), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Spawns `mps-serve --tcp 0` over `dir` and returns the child plus the
 /// address it announced **on stdout** (the machine-readable contract
 /// that lets parallel CI jobs always pass port 0 and never collide).

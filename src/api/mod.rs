@@ -15,8 +15,9 @@
 //! | Old (PR ≤ 3)                                        | New                                            |
 //! |-----------------------------------------------------|------------------------------------------------|
 //! | `mps.query(&[(w, h), ...])`                         | `mps.query(&dims![(w, h), ...])`               |
-//! | `mps.query(&raw_slice)` (kept one release)          | `mps.query_pairs(&raw_slice)` *(deprecated)*   |
-//! | `mps.query_with_scratch(&raw, &mut s)`              | `mps.query_with_scratch_pairs(...)` *(deprecated)* |
+//! | `mps.query_pairs(&raw_slice)` *(removed)*           | `mps.query(&Dims::from_pairs(&raw_slice)?)`    |
+//! | `mps.query_with_scratch_pairs(&raw, &mut s)` *(removed)* | `mps.query_with_scratch(&Dims::from_pairs(&raw)?, &mut s)` |
+//! | every other `*_pairs` shim *(removed)*              | its typed namesake over [`Dims::from_pairs`](mps_geom::Dims::from_pairs) |
 //! | `check_invariants() -> Result<(), String>`          | `-> Result<(), InvariantError>`                |
 //! | `MpsGenerator` + `save_json` + `load_json` by hand  | [`Workspace::generate_or_load`]                |
 //! | `CompiledQueryIndex::build` + `verify_against`      | automatic behind every [`Workspace`] handle    |

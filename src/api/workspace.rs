@@ -391,7 +391,7 @@ impl Workspace {
     /// any `BufRead`/`Write` pair or a TCP listener.
     ///
     /// ```no_run
-    /// # fn main() -> Result<(), analog_mps::api::MpsError> {
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// use analog_mps::api::{ServerConfig, Workspace};
     /// let ws = Workspace::open("out/structures")?;
     /// let server = std::sync::Arc::new(ws.serve_server(ServerConfig {
@@ -400,8 +400,10 @@ impl Workspace {
     ///     cache_shards: 16,
     ///     ..ServerConfig::default()
     /// })?);
-    /// let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    /// server.serve_tcp(listener); // accepts connections forever
+    /// let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+    /// // Accepts connections forever; fails only when the shards cannot
+    /// // start (no unix readiness backend, or a thread cannot spawn).
+    /// server.serve_tcp(listener)?;
     /// # Ok(())
     /// # }
     /// ```

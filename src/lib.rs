@@ -71,8 +71,8 @@
 //! # Migrating from the raw (PR ≤ 3) APIs
 //!
 //! See the [`api`] module docs for the old → new migration table. The
-//! raw-slice entry points survive one release as `#[deprecated]`
-//! `*_pairs` shims with bit-identical answers.
+//! raw-slice `*_pairs` shims had their one release and are gone: wrap a
+//! raw slice with [`Dims::from_pairs`] and call the typed method.
 
 #![forbid(unsafe_code)]
 

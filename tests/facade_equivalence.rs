@@ -1,19 +1,16 @@
 //! The redesign's acceptance battery: the facade path — `Workspace`
 //! handles answering typed `Dims` queries through the compiled plan —
-//! must be **bit-identical** to the pre-redesign raw path (the
-//! deprecated `*_pairs` shims over bare `&[(Coord, Coord)]` slices), on
-//! the committed golden fixture and on ≥ 1,000 random probes per
-//! circuit.
+//! must be **bit-identical** to the structure's own interpretive query
+//! path, on the committed golden fixture and on ≥ 1,000 random probes
+//! per circuit.
 //!
-//! Three paths are diffed on every probe:
+//! Two paths are diffed on every probe, both fed the same raw tuple
+//! vector wrapped as a `Dims`:
 //!
-//! 1. `mps.query_pairs(&raw)` — the old raw-tuple entry point (kept as a
-//!    deprecated shim for one release);
-//! 2. `mps.query(&Dims)` — the typed interpretive path;
-//! 3. `ws.query(name, &Dims)` — the full facade (compiled index behind a
+//! 1. `mps.query(&Dims)` — the typed interpretive path;
+//! 2. `ws.query(name, &Dims)` — the full facade (compiled index behind a
 //!    `Workspace` handle).
 #![cfg(feature = "serde")]
-#![allow(deprecated)] // the point of this battery is diffing against the old path
 
 use analog_mps::api::Workspace;
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
@@ -66,31 +63,20 @@ fn assert_facade_matches_raw(name: &str, mps: &MultiPlacementStructure, n: usize
 
     let mut covered = 0usize;
     for (k, raw) in probe_stream(mps, n, seed).into_iter().enumerate() {
-        let old = mps.query_pairs(&raw);
         let typed = Dims::from_vec_unchecked(raw.clone());
-        assert_eq!(
-            old,
-            mps.query(&typed),
-            "probe {k} ({raw:?}): typed path diverges from the raw path"
-        );
+        let old = mps.query(&typed);
         assert_eq!(
             old,
             ws.query(name, &typed).unwrap(),
-            "probe {k} ({raw:?}): facade path diverges from the raw path"
+            "probe {k} ({raw:?}): facade path diverges from the typed path"
         );
         covered += usize::from(old.is_some());
 
         // In-bounds probes also instantiate identically (facade
         // instantiation rejects out-of-bounds with a typed error).
         if typed.within_bounds(mps.bounds()) {
-            let old_p = mps.instantiate_or_fallback_pairs(&raw);
             assert_eq!(
-                old_p,
                 mps.instantiate_or_fallback(&typed),
-                "probe {k}: typed instantiation diverges"
-            );
-            assert_eq!(
-                old_p,
                 ws.instantiate(name, &typed).unwrap(),
                 "probe {k}: facade instantiation diverges"
             );
@@ -127,9 +113,10 @@ fn facade_matches_raw_on_generated_structures() {
     }
 }
 
-/// The scratch/batch shims agree with their typed replacements too.
+/// The scratch, batch and instantiate entry points agree with the
+/// single typed query.
 #[test]
-fn deprecated_scratch_and_batch_shims_agree() {
+fn scratch_and_batch_paths_agree_with_query() {
     let bm = benchmarks::by_name("circ02").unwrap();
     let config = GeneratorConfig::builder()
         .outer_iterations(60)
@@ -137,27 +124,20 @@ fn deprecated_scratch_and_batch_shims_agree() {
         .seed(5)
         .build();
     let mps = MpsGenerator::new(&bm.circuit, config).generate().unwrap();
-    let raw_stream = probe_stream(&mps, 500, 0xBA7C4);
-    let typed_stream: Vec<Dims> = raw_stream
-        .iter()
-        .map(|raw| Dims::from_vec_unchecked(raw.clone()))
+    let typed_stream: Vec<Dims> = probe_stream(&mps, 500, 0xBA7C4)
+        .into_iter()
+        .map(Dims::from_vec_unchecked)
         .collect();
+    let singles: Vec<_> = typed_stream.iter().map(|typed| mps.query(typed)).collect();
 
-    assert_eq!(
-        mps.query_batch_pairs(&raw_stream),
-        mps.query_batch(&typed_stream)
-    );
-    let mut s1 = Vec::new();
-    let mut s2 = Vec::new();
-    for (raw, typed) in raw_stream.iter().zip(&typed_stream) {
+    assert_eq!(mps.query_batch(&typed_stream), singles);
+    let mut scratch = Vec::new();
+    for (typed, &id) in typed_stream.iter().zip(&singles) {
+        assert_eq!(mps.query_with_scratch(typed, &mut scratch), id);
         assert_eq!(
-            mps.query_with_scratch_pairs(raw, &mut s1),
-            mps.query_with_scratch(typed, &mut s2)
+            mps.instantiate(typed),
+            id.and_then(|id| mps.entry(id)).map(|e| e.placement.clone())
         );
-        assert_eq!(mps.instantiate_pairs(raw), mps.instantiate(typed));
-        assert_eq!(
-            mps.instantiate_compacted_pairs(raw),
-            mps.instantiate_compacted(typed)
-        );
+        assert_eq!(mps.instantiate_compacted(typed).is_some(), id.is_some());
     }
 }
