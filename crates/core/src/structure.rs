@@ -296,17 +296,22 @@ impl MultiPlacementStructure {
     /// Panics if the vector's arity differs from the block count.
     #[must_use]
     pub fn instantiate_or_fallback(&self, dims: &Dims) -> Placement {
-        assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
-        if let Some(p) = self.instantiate(dims) {
-            return p;
-        }
-        self.fallback_slice(dims)
+        self.instantiate(dims)
+            .unwrap_or_else(|| self.fallback_placement(dims))
     }
 
-    /// The uncovered-space dispatch shared by both `*_or_fallback`
-    /// entry points: the installed template, or the canonical single-row
-    /// packing when none is installed.
-    fn fallback_slice(&self, dims: &[(Coord, Coord)]) -> Placement {
+    /// The placement served for `dims` in uncovered space: the installed
+    /// template, or the canonical single-row packing when none is
+    /// installed. Both `*_or_fallback` entry points dispatch here, and so
+    /// does a caller that has already answered the query elsewhere (a
+    /// compiled index) and found no covering region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector's arity differs from the block count.
+    #[must_use]
+    pub fn fallback_placement(&self, dims: &Dims) -> Placement {
+        assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
         match &self.fallback {
             Some(t) => t.instantiate(dims),
             None => SequencePair::row(self.bounds.len()).pack(dims),
@@ -338,11 +343,8 @@ impl MultiPlacementStructure {
     /// Panics if the vector's arity differs from the block count.
     #[must_use]
     pub fn instantiate_compacted_or_fallback(&self, dims: &Dims) -> Placement {
-        assert_eq!(dims.len(), self.bounds.len(), "dimension arity mismatch");
-        if let Some(p) = self.instantiate_compacted(dims) {
-            return p;
-        }
-        self.fallback_slice(dims)
+        self.instantiate_compacted(dims)
+            .unwrap_or_else(|| self.fallback_placement(dims))
     }
 
     /// Fraction of the dimension-space volume covered by stored validity

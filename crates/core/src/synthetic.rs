@@ -3,8 +3,8 @@
 //! The annealing generator produces realistic structures, but its region
 //! count is an *outcome* — wall-clock grows superlinearly with scale and
 //! two runs at different sizes differ in every distributional respect.
-//! Scaling experiments (the serve crate's `index_scaling` bench, which
-//! compares compiled-plan cost at 1x vs 10x the region count) need the
+//! Scaling experiments (the benchmark's 10x-region structure, which
+//! measures compiled-index cost far beyond the Table-1 sizes) need the
 //! opposite: structures that differ **only** in region count, cheap
 //! enough to manufacture at 10x scale inside a CI budget.
 //!

@@ -46,7 +46,6 @@ mod dims;
 mod dims_box;
 mod interval;
 mod interval_map;
-mod partition;
 mod point;
 mod rect;
 pub mod svg;
@@ -55,7 +54,6 @@ pub use dims::{Dims, DimsError};
 pub use dims_box::{Axis, BlockRanges, DimIndex, DimsBox};
 pub use interval::{Interval, SubtractResult, TryNewIntervalError};
 pub use interval_map::IntervalMap;
-pub use partition::{eytzinger_order, quantile_pivots};
 pub use point::Point;
 pub use rect::Rect;
 

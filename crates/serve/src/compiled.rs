@@ -1,4 +1,4 @@
-//! The compiled query plan: a frozen [`MultiPlacementStructure`] flattened
+//! The compiled query index: a frozen [`MultiPlacementStructure`] flattened
 //! into contiguous sorted arrays plus fixed-width candidate bitsets.
 //!
 //! The structure's own `query` walks one [`mps_geom::IntervalMap`] per
@@ -19,33 +19,28 @@
 //!   buffer, so a query stream performs **zero heap allocation per
 //!   query**.
 //!
-//! [`CompiledQueryIndex::verify_against`] proves the compiled plan
+//! This is the only layout the server uses. A pivot/bucket/center layout
+//! with sparse live-word intersection was measured 2.1-3.8x slower on
+//! every Table-1 structure (it won only on a synthetic 4770-region grid)
+//! and was removed.
+//!
+//! [`CompiledQueryIndex::verify_against`] proves the compiled index
 //! answers bit-identically to the interpretive path; the registry runs it
 //! on every load and the test suite runs it with ≥ 10,000 probes.
 
 use mps_core::{MultiPlacementStructure, PlacementId};
 use mps_geom::{Coord, Dims};
 
-/// Reusable per-query candidate state for [`CompiledQueryIndex`] and the
-/// v2 plan ([`crate::CompiledQueryIndexV2`]).
+/// Reusable per-query candidate state for [`CompiledQueryIndex`]: one
+/// dense accumulator, filled with all-ones and `AND`ed per row.
 ///
 /// Holding one `QueryScratch` across a stream of queries keeps the hot
-/// path allocation-free: the buffers are sized on first use and only ever
-/// cleared afterwards. One scratch serves both index plans — the v1 plan
-/// uses the dense accumulator, the v2 plan its own sparse accumulator
-/// plus the live-word list — so a connection can interleave queries
-/// against structures compiled to different plans.
+/// path allocation-free: the buffer is sized on first use and only ever
+/// cleared afterwards, so one scratch serves every structure a
+/// connection queries.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
-    /// v1 dense accumulator (filled with all-ones, ANDed per row).
     words: Vec<u64>,
-    /// v2 sparse accumulator. Invariant: all-zero between queries (the
-    /// v2 query path zeroes exactly the words it touched on every exit),
-    /// so a query only ever writes the handful of words that can still
-    /// hold candidates.
-    pub(crate) v2_acc: Vec<u64>,
-    /// v2 list of accumulator word indices that are currently nonzero.
-    pub(crate) v2_live: Vec<u32>,
 }
 
 impl QueryScratch {
@@ -54,6 +49,18 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The benchmark's compatibility tag for the retired two-layout index:
+/// [`CompiledQueryIndex::plan`] always answers [`IndexPlan::V1`]. The
+/// next change to the benchmark removes it together with its
+/// `index.v2_share` metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexPlan {
+    /// The flat layout every structure is served on.
+    V1,
+    /// The retired pivot layout; never produced.
+    V2,
 }
 
 /// A [`MultiPlacementStructure`]'s interval rows compiled into flat
@@ -168,6 +175,12 @@ impl CompiledQueryIndex {
     #[must_use]
     pub fn bitset_words(&self) -> usize {
         self.words
+    }
+
+    /// The benchmark's compatibility tag: always [`IndexPlan::V1`].
+    #[must_use]
+    pub fn plan(&self) -> IndexPlan {
+        IndexPlan::V1
     }
 
     /// Approximate heap footprint of the compiled arrays, in bytes.
@@ -295,76 +308,58 @@ impl CompiledQueryIndex {
         probes: usize,
         seed: u64,
     ) -> Result<(), String> {
-        let mut scratch = QueryScratch::new();
-        differential_probes(mps, self.blocks, probes, seed, |probe| {
-            self.query_slice(probe, &mut scratch)
-        })
-    }
-}
-
-/// The differential probe battery shared by every compiled plan's
-/// `verify_against`: `probes` deterministic pseudo-random dimension
-/// vectors (seeded by `seed`, mostly in-bounds with a salting of
-/// out-of-bounds and wrong-arity mutants) must produce bit-identical
-/// answers from [`MultiPlacementStructure::query`] and the compiled
-/// closure.
-pub(crate) fn differential_probes(
-    mps: &MultiPlacementStructure,
-    blocks: usize,
-    probes: usize,
-    seed: u64,
-    mut compiled: impl FnMut(&Dims) -> Option<PlacementId>,
-) -> Result<(), String> {
-    if blocks != mps.block_count() {
-        return Err(format!(
-            "index compiled for {} blocks, structure has {}",
-            blocks,
-            mps.block_count()
-        ));
-    }
-    let bounds = mps.bounds();
-    // xorshift64*: deterministic, no rand dependency in the library.
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let mut dims: Vec<(Coord, Coord)> = vec![(0, 0); bounds.len()];
-    for k in 0..probes {
-        for (d, b) in dims.iter_mut().zip(bounds) {
-            *d = (
-                b.w.lo() + (next() % b.w.len()) as Coord,
-                b.h.lo() + (next() % b.h.len()) as Coord,
-            );
-        }
-        // Every eighth probe escapes the coverage bounds on one axis;
-        // both paths must answer None for it.
-        if k % 8 == 5 {
-            let i = k % bounds.len();
-            dims[i].0 = bounds[i].w.hi() + 1 + (next() % 64) as Coord;
-        }
-        let arity_mutant = k % 64 == 21;
-        if arity_mutant {
-            dims.pop();
-        }
-        // Unchecked wrap: the probe stream deliberately carries
-        // out-of-bounds and wrong-arity mutants.
-        let probe = Dims::from_vec_unchecked(dims.clone());
-        let reference = mps.query(&probe);
-        let answer = compiled(&probe);
-        if reference != answer {
+        if self.blocks != mps.block_count() {
             return Err(format!(
-                "probe {k} ({probe:?}): structure answers {reference:?}, \
-                 compiled index answers {answer:?}"
+                "index compiled for {} blocks, structure has {}",
+                self.blocks,
+                mps.block_count()
             ));
         }
-        if arity_mutant {
-            dims.push((0, 0));
+        let mut scratch = QueryScratch::new();
+        let bounds = mps.bounds();
+        // xorshift64*: deterministic, no rand dependency in the library.
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let mut dims: Vec<(Coord, Coord)> = vec![(0, 0); bounds.len()];
+        for k in 0..probes {
+            for (d, b) in dims.iter_mut().zip(bounds) {
+                *d = (
+                    b.w.lo() + (next() % b.w.len()) as Coord,
+                    b.h.lo() + (next() % b.h.len()) as Coord,
+                );
+            }
+            // Every eighth probe escapes the coverage bounds on one axis;
+            // both paths must answer None for it.
+            if k % 8 == 5 {
+                let i = k % bounds.len();
+                dims[i].0 = bounds[i].w.hi() + 1 + (next() % 64) as Coord;
+            }
+            let arity_mutant = k % 64 == 21;
+            if arity_mutant {
+                dims.pop();
+            }
+            // Unchecked wrap: the probe stream deliberately carries
+            // out-of-bounds and wrong-arity mutants.
+            let probe = Dims::from_vec_unchecked(dims.clone());
+            let reference = mps.query(&probe);
+            let answer = self.query_slice(&probe, &mut scratch);
+            if reference != answer {
+                return Err(format!(
+                    "probe {k} ({probe:?}): structure answers {reference:?}, \
+                     compiled index answers {answer:?}"
+                ));
+            }
+            if arity_mutant {
+                dims.push((0, 0));
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -433,6 +428,60 @@ mod tests {
             );
         }
         index.verify_against(&mps, 2_000, 7).unwrap();
+    }
+
+    /// `n` regions, each a zero-width slab of block A's width, so the
+    /// candidate bitsets span `ceil(n / 64)` words.
+    fn slab_structure(n: Coord) -> MultiPlacementStructure {
+        let c = Circuit::builder("slabs")
+            .block(Block::new("A", 1, 200, 1, 64))
+            .block(Block::new("B", 1, 64, 1, 64))
+            .net_connecting("n", &[0, 1])
+            .build()
+            .unwrap();
+        let mut mps = MultiPlacementStructure::new(&c, Rect::from_xywh(0, 0, 512, 512));
+        for w in 1..=n {
+            mps.insert_unchecked(StoredPlacement {
+                placement: Placement::new(vec![Point::new(0, 0), Point::new(w, 0)]),
+                dims_box: DimsBox::new(vec![
+                    BlockRanges::new(Interval::new(w, w), Interval::new(1, 64)),
+                    BlockRanges::new(Interval::new(1, 64), Interval::new(1, 64)),
+                ]),
+                avg_cost: 1.0,
+                best_cost: 1.0,
+                best_dims: [(w, 1), (1, 1)].into_iter().collect(),
+            });
+        }
+        mps
+    }
+
+    #[test]
+    fn one_scratch_serves_structures_of_different_widths() {
+        // A connection alternates between structures whose bitsets differ
+        // in width; the accumulator is re-sized per query, so no stale
+        // word from one structure may leak into the other's answer.
+        let narrow = two_entry_structure();
+        let wide = slab_structure(130);
+        let (narrow_index, wide_index) = (
+            CompiledQueryIndex::build(&narrow),
+            CompiledQueryIndex::build(&wide),
+        );
+        assert_eq!(narrow_index.bitset_words(), 1);
+        assert_eq!(wide_index.bitset_words(), 3);
+        let mut scratch = QueryScratch::new();
+        for k in 0..200 {
+            let w = Dims::from_vec_unchecked(vec![(k % 140 + 1, 10), (10, 10)]);
+            let n = Dims::from_vec_unchecked(vec![(k % 90 + 10, 20), (20, 20)]);
+            assert_eq!(
+                wide_index.query_with_scratch(&w, &mut scratch),
+                wide.query(&w)
+            );
+            assert_eq!(
+                narrow_index.query_with_scratch(&n, &mut scratch),
+                narrow.query(&n)
+            );
+        }
+        wide_index.verify_against(&wide, 2_000, 11).unwrap();
     }
 
     #[test]

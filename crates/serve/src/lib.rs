@@ -8,26 +8,17 @@
 //! from millions of users") needs:
 //!
 //! * [`CompiledQueryIndex`] — a structure's interval rows compiled once
-//!   into flat sorted arrays plus fixed-width candidate bitsets: binary
-//!   search + bitset `AND` per query, **zero heap allocation per query**,
-//!   bit-identical to [`mps_core::MultiPlacementStructure::query`]
-//!   (cross-checked on every load).
-//! * [`CompiledQueryIndexV2`] — the v2 plan for large structures: per
-//!   row, an eyros-style pivot/bucket/center partition (quantile pivots
-//!   in Eytzinger order, center entries for pivot-straddling segments,
-//!   leaf buckets for the rest) over an interned bitset pool with
-//!   per-set nonzero-word lists, so intersection touches only live
-//!   words and lookup cost stays near-flat as region count grows.
-//!   [`IndexPlan::choose`] picks the plan per structure at load time;
-//!   [`CompiledIndex`] dispatches either behind one surface, and both
-//!   plans share one [`QueryScratch`]. Same bit-identity contract,
-//!   enforced by the same load-time differential check.
+//!   into flat sorted arrays plus fixed-width candidate bitsets: one
+//!   binary search and one bitset `AND` per block dimension (the paper's
+//!   Eq. 4), **zero heap allocation per query**, bit-identical to
+//!   [`mps_core::MultiPlacementStructure::query`] (cross-checked on every
+//!   load). Every served structure uses this one layout.
 //! * [`StructureRegistry`] — the set of persisted `mps-v1` artifacts a
 //!   server answers for, loaded from a directory and hot-swapped behind
 //!   an `Arc`: readers take lock-free snapshots; a reload swaps the whole
 //!   set atomically while in-flight queries finish on the old one.
 //! * [`AnswerCache`] — a sharded LRU answer cache keyed by
-//!   `(structure, Dims)` in front of the compiled plans: hits replay the
+//!   `(structure, Dims)` in front of the compiled index: hits replay the
 //!   exact stored answer (bit-identical by construction), a registry
 //!   hot-reload invalidates all-or-nothing, and hit/miss/eviction
 //!   counters surface through `stats`.
@@ -64,7 +55,6 @@
 
 mod cache;
 mod compiled;
-mod compiled_v2;
 #[cfg(feature = "serde")]
 pub mod frame;
 mod pool;
@@ -93,8 +83,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
-pub use compiled::{CompiledQueryIndex, QueryScratch};
-pub use compiled_v2::{CompiledIndex, CompiledQueryIndexV2, IndexPlan};
+pub use compiled::{CompiledQueryIndex, IndexPlan, QueryScratch};
 pub use pool::{PoolError, WorkerPool};
 #[cfg(feature = "serde")]
 pub use protocol::{

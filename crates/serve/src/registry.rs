@@ -16,7 +16,7 @@
 //!   the published `Arc` — in-flight queries keep their old snapshot
 //!   alive until they finish (no torn state, no serving pause).
 
-use crate::compiled_v2::CompiledIndex;
+use crate::compiled::CompiledQueryIndex;
 use mps_core::{MultiPlacementStructure, PersistError};
 use std::collections::HashMap;
 use std::fmt;
@@ -117,7 +117,7 @@ pub struct ServedStructure {
     name: String,
     path: Option<PathBuf>,
     structure: MultiPlacementStructure,
-    index: CompiledIndex,
+    index: CompiledQueryIndex,
 }
 
 impl ServedStructure {
@@ -172,11 +172,9 @@ impl ServedStructure {
         structure: MultiPlacementStructure,
     ) -> Result<Self, ServeError> {
         let name = name.into();
-        // The plan (v1 for tiny structures, v2 past the segment
-        // threshold) is picked here, at build time; whichever plan is
-        // chosen must pass the same bit-identity battery before the
-        // structure is ever served.
-        let index = CompiledIndex::build_auto(&structure);
+        // The compiled index must pass the bit-identity battery before
+        // the structure is ever served.
+        let index = CompiledQueryIndex::build(&structure);
         index
             .verify_against(
                 &structure,
@@ -227,11 +225,10 @@ impl ServedStructure {
         &self.structure
     }
 
-    /// The compiled query plan (the serving hot path). Which layout it
-    /// uses is reported by [`CompiledIndex::plan`] and surfaced through
-    /// `stats`/`metrics`.
+    /// The compiled query index (the serving hot path), already
+    /// verified bit-identical to [`Self::structure`]'s own query path.
     #[must_use]
-    pub fn index(&self) -> &CompiledIndex {
+    pub fn index(&self) -> &CompiledQueryIndex {
         &self.index
     }
 }

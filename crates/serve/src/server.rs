@@ -220,7 +220,7 @@ enum Outcome {
 
 /// The query-serving engine: a registry snapshot discipline on the read
 /// side, a sharded LRU [`AnswerCache`] in front of the compiled query
-/// plans, a worker pool for heavy tagged requests, and
+/// indexes, a worker pool for heavy tagged requests, and
 /// counters for the `stats` request.
 #[derive(Debug)]
 pub struct Server {
@@ -355,7 +355,7 @@ impl Server {
         &self.registry
     }
 
-    /// The answer cache in front of the compiled query plans.
+    /// The answer cache in front of the compiled query indexes.
     #[must_use]
     pub fn cache(&self) -> &AnswerCache {
         &self.cache
@@ -1151,10 +1151,6 @@ impl Server {
                     per_structure.get(name).copied().unwrap_or(0).to_value(),
                 );
                 s.insert(
-                    "index_plan",
-                    Value::String(served.index().plan().as_str().to_owned()),
-                );
-                s.insert(
                     "compiled_segments",
                     served.index().segment_count().to_value(),
                 );
@@ -1277,24 +1273,9 @@ impl Server {
         let mut map = ok_header("metrics");
         map.insert("enabled", Value::Bool(self.telemetry.enabled()));
         map.insert("uptime_ms", self.uptime_ms().to_value());
-        let snapshot = self.registry.snapshot();
         let mut registry = Map::new();
         registry.insert("structures", self.registry.len().to_value());
         registry.insert("generation", self.registry.generation().to_value());
-        // Which compiled layout each structure runs on: the per-plan
-        // tally here, the per-structure `index_plan` below — so a scrape
-        // can tell at a glance whether the fleet compiled to v2.
-        let mut plans = Map::new();
-        for plan in [crate::IndexPlan::V1, crate::IndexPlan::V2] {
-            let count = snapshot
-                .values()
-                .filter(|served| served.index().plan() == plan)
-                .count();
-            if count > 0 {
-                plans.insert(plan.as_str(), count.to_value());
-            }
-        }
-        registry.insert("plans", Value::Object(plans));
         map.insert("registry", Value::Object(registry));
         map.insert("workers", self.pool.workers().to_value());
         map.insert("shards", self.config.effective_shards().to_value());
@@ -1340,12 +1321,6 @@ impl Server {
                 "queries",
                 tallies.get(&name).copied().unwrap_or(0).to_value(),
             );
-            if let Some(served) = snapshot.get(&name) {
-                entry.insert(
-                    "index_plan",
-                    Value::String(served.index().plan().as_str().to_owned()),
-                );
-            }
             let mut heat_map = Map::new();
             heat_map.insert("total", heat.total.to_value());
             heat_map.insert("bins", crate::telemetry::HEAT_BINS.to_value());
@@ -1553,7 +1528,7 @@ fn materialize(served: &ServedStructure, dims: &Dims) -> (Option<PlacementId>, P
     let id = served.index().query(dims);
     let placement = match id.and_then(|id| served.structure().entry(id)) {
         Some(entry) => entry.placement.clone(),
-        None => served.structure().instantiate_or_fallback(dims),
+        None => served.structure().fallback_placement(dims),
     };
     (id, placement)
 }

@@ -1,13 +1,19 @@
-//! The differential contract of the compiled query plan: on any
+//! The differential contract of the compiled query index: on any
 //! structure, [`CompiledQueryIndex`] must answer **bit-identically** to
 //! [`MultiPlacementStructure::query`] — here proven on ≥ 10,000 random
-//! probes against a circ02-sized generated structure, on a
-//! save/load-cycled structure, and property-based over random circuits.
+//! probes against generated, synthetic-grid and hand-built degenerate
+//! structures (zero-width intervals, fully overlapping rows,
+//! single-region structures, probes landing exactly on segment
+//! boundaries), on a save/load-cycled structure, and property-based over
+//! random circuits.
 
-use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
-use mps_geom::{Coord, Dims};
+use mps_core::{
+    grid_structure, GeneratorConfig, MpsGenerator, MultiPlacementStructure, StoredPlacement,
+};
+use mps_geom::{BlockRanges, Coord, Dims, DimsBox, Interval, Rect};
 use mps_netlist::benchmarks::{self, random_circuit};
-use mps_netlist::Circuit;
+use mps_netlist::{modgen, Block, Circuit};
+use mps_placer::SequencePair;
 use mps_serve::{CompiledQueryIndex, QueryScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,6 +57,27 @@ fn probes(circuit: &Circuit, n: usize, seed: u64) -> Vec<Dims> {
         .collect()
 }
 
+/// Every segment boundary of every stored region, probed exactly: the
+/// lower and upper corners plus one mixed corner per region, so each
+/// row's binary search lands on segment endpoints.
+fn boundary_probes(mps: &MultiPlacementStructure) -> Vec<Dims> {
+    let mut out = Vec::new();
+    for (_, entry) in mps.iter() {
+        let ranges = entry.dims_box.ranges();
+        for (corner_w, corner_h) in [
+            |r: &BlockRanges| (r.w.lo(), r.h.lo()),
+            |r: &BlockRanges| (r.w.hi(), r.h.hi()),
+            |r: &BlockRanges| (r.w.hi(), r.h.lo()),
+        ]
+        .map(|f| ranges.iter().map(f).unzip::<_, _, Vec<_>, Vec<_>>())
+        {
+            let dims: Vec<(Coord, Coord)> = corner_w.into_iter().zip(corner_h).collect();
+            out.push(Dims::from_vec_unchecked(dims));
+        }
+    }
+    out
+}
+
 fn assert_bit_identical(mps: &MultiPlacementStructure, stream: &[Dims]) {
     let index = CompiledQueryIndex::build(mps);
     let mut scratch = QueryScratch::new();
@@ -89,7 +116,67 @@ fn ten_thousand_probes_on_circ01() {
     assert_bit_identical(&mps, &probes(&bm.circuit, 10_000, 0xFEED));
 }
 
-/// The compiled plan must agree with the interpretive path on a
+/// The synthetic grid corpus: hundreds of segments in the leading rows
+/// plus fully overlapping single-segment trailing rows.
+#[test]
+fn ten_thousand_probes_on_grid_structures() {
+    let (circuit, _model) = modgen::ladder_circuit(3, 1.0);
+    for target in [1, 17, 500] {
+        let mps = grid_structure(&circuit, target, 0xA5);
+        assert_bit_identical(&mps, &probes(&circuit, 10_000, 0x6E1D ^ target as u64));
+        assert_bit_identical(&mps, &boundary_probes(&mps));
+    }
+}
+
+/// A single region: every row holds one segment, and the index must
+/// still agree everywhere including the region's exact corners.
+#[test]
+fn single_region_structure() {
+    let (circuit, _model) = modgen::ladder_circuit(2, 1.0);
+    let mps = grid_structure(&circuit, 1, 3);
+    assert_eq!(mps.placement_count(), 1);
+    assert_bit_identical(&mps, &probes(&circuit, 10_000, 0x51));
+    assert_bit_identical(&mps, &boundary_probes(&mps));
+}
+
+/// Hand-built degenerate layouts: zero-width (point) intervals and rows
+/// where every region shares one identical full-range segment.
+#[test]
+fn degenerate_layouts_agree() {
+    let c = Circuit::builder("degenerate")
+        .block(Block::new("A", 1, 64, 1, 64))
+        .block(Block::new("B", 1, 64, 1, 64))
+        .net_connecting("n", &[0, 1])
+        .build()
+        .unwrap();
+    let mut mps = MultiPlacementStructure::new(&c, Rect::from_xywh(0, 0, 256, 256));
+    let pair = SequencePair::row(2);
+    let entry = |ranges: [(Coord, Coord, Coord, Coord); 2]| {
+        let ranges: Vec<BlockRanges> = ranges
+            .iter()
+            .map(|&(wl, wh, hl, hh)| BlockRanges::new(Interval::new(wl, wh), Interval::new(hl, hh)))
+            .collect();
+        let top: Vec<(Coord, Coord)> = ranges.iter().map(|r| (r.w.hi(), r.h.hi())).collect();
+        StoredPlacement {
+            placement: pair.pack(&top),
+            dims_box: DimsBox::new(ranges),
+            avg_cost: 1.0,
+            best_cost: 1.0,
+            best_dims: top.iter().copied().collect(),
+        }
+    };
+    // 40 zero-width slabs of block A's width — every segment of the
+    // first row is a single point (lo == hi), and every other row is one
+    // full-range segment shared by all regions (fully overlapping).
+    for w in 0..40 {
+        mps.insert_unchecked(entry([(w + 1, w + 1, 1, 64), (1, 64, 1, 64)]));
+    }
+    mps.check_invariants().unwrap();
+    assert_bit_identical(&mps, &probes(&c, 10_000, 0xDE6));
+    assert_bit_identical(&mps, &boundary_probes(&mps));
+}
+
+/// The compiled index must agree with the interpretive path on a
 /// structure that went through a save/load cycle (the serving scenario:
 /// artifacts come from disk, not from the generating process).
 #[cfg(feature = "serde")]

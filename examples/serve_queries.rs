@@ -1,6 +1,6 @@
 //! Serving a persisted structure: generate once, `--save`-style persist,
 //! load it through the hot-swappable registry, and answer a query stream
-//! through the compiled query plan and the line protocol — the full
+//! through the compiled query index and the line protocol — the full
 //! `mps-serve` pipeline, in-process.
 //!
 //! Run with:
@@ -10,7 +10,7 @@
 
 use analog_mps::mps::{GeneratorConfig, MpsGenerator};
 use analog_mps::netlist::benchmarks;
-use analog_mps::serve::{CompiledIndex, QueryScratch, Server, StructureRegistry};
+use analog_mps::serve::{CompiledQueryIndex, QueryScratch, Server, StructureRegistry};
 use std::sync::Arc;
 use std::time::Instant;
 #[path = "shared/effort.rs"]
@@ -41,12 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = Arc::new(StructureRegistry::open(&dir)?);
     println!("registry serves: {:?}", registry.names());
 
-    // --- 3. The compiled query plan: identical answers, faster --------
+    // --- 3. The compiled query index: identical answers, faster -------
     let served = registry.get("circ02").expect("just loaded");
-    let index: &CompiledIndex = served.index();
+    let index: &CompiledQueryIndex = served.index();
     println!(
-        "compiled plan: {} ({} segments, {} bitset words)",
-        index.plan(),
+        "compiled index: {} segments, {} bitset words",
         index.segment_count(),
         index.bitset_words()
     );

@@ -21,7 +21,7 @@
 //! * [`mps`] — the paper's contribution: the multi-placement structure, its
 //!   nested-SA generator, and the layout-inclusive synthesis loop.
 //! * [`serve`] — the query-serving subsystem: compiled allocation-free
-//!   query plans, a hot-swappable registry of persisted structures, and
+//!   query indexes, a hot-swappable registry of persisted structures, and
 //!   the line-protocol engine behind the `mps-serve` binary.
 //!
 //! # Quickstart
