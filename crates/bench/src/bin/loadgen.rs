@@ -24,7 +24,7 @@
 //! * `hotspot` at the highest level — 90% of probes cycle a 16-vector
 //!   hot set, half `query` / half `instantiate` (the synthesis-loop
 //!   pattern the answer cache targets; instantiate is where a hit saves
-//!   microseconds of pool dispatch + coordinate rendering) — and
+//!   the placement copy or fallback packing + coordinate rendering) — and
 //!   `hotspot_uncached`, the same stream against a server started with
 //!   `--cache-entries 0`: the cached/uncached comparison the
 //!   `--require-cache-speedup` gate judges;
@@ -652,7 +652,7 @@ fn main() {
     );
     // The hot-spot mix is half `query`, half `instantiate`: instantiate
     // responses carry the full coordinate vector, which is where the
-    // answer cache saves real work (pool dispatch + clone + render).
+    // answer cache saves real work (packing + clone + render).
     let hotspot_pool: Arc<Vec<PoolEntry>> = Arc::new(
         (0..pool_len)
             .map(|k| {

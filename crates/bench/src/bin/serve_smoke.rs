@@ -3,10 +3,10 @@
 //! stdin/stdout, and diff every answer against direct
 //! `MultiPlacementStructure::query` calls on the same artifacts. The
 //! stream ends with tagged traffic — `instantiate` lines per structure
-//! and one batch of 300 vectors, the requests the TCP shards would hand
-//! to the worker pool — whose `req` echoes must come back in request
-//! order and whose answers must equal `instantiate_or_fallback` and
-//! `query`. Exits non-zero on the first divergence — this is the CI gate
+//! and one batch of 300 vectors, which the TCP shards would fan out over
+//! the worker pool — whose `req` echoes must come back in request order
+//! (stdin answers everything inline) and whose answers must equal
+//! `instantiate_or_fallback` and `query`. Exits non-zero on the first divergence — this is the CI gate
 //! proving the whole serving pipeline (persist → load → compile →
 //! protocol) answers exactly like the in-process structure.
 //!

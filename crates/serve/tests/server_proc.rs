@@ -366,3 +366,77 @@ fn tcp_pipelined_burst_answers_every_tagged_request() {
     drop(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// More than two read chunks of tagged `instantiate` lines arrive in one
+/// write, then the client shuts its write side. The shard reads the
+/// socket once per readiness event until a read comes back short, so
+/// this crosses a full-chunk read, a short read and an EOF that shows up
+/// only on a later wait. Every request must be answered exactly once,
+/// with the placement the structure itself materializes, and the server
+/// must then close the connection.
+#[test]
+fn tcp_write_burst_then_eof_answers_every_instantiate_once() {
+    let dir = artifact_dir("burst_eof");
+    let mps = generate_artifact(&dir);
+    let (child, addr) = spawn_tcp_server(&dir, &["--cache-entries", "0"]);
+
+    let stream = TcpStream::connect(&*addr).expect("connect to mps-serve");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let vectors = random_stream(600, 0xB0F);
+    let mut burst = String::new();
+    for (k, dims) in vectors.iter().enumerate() {
+        let pairs: Vec<String> = dims.iter().map(|&(w, h)| format!("[{w},{h}]")).collect();
+        burst.push_str(&format!(
+            "{{\"id\":{k},\"kind\":\"instantiate\",\"structure\":\"circ01\",\"dims\":[{}]}}\n",
+            pairs.join(",")
+        ));
+    }
+    assert!(
+        burst.len() > 32 * 1024,
+        "the burst spans several read chunks"
+    );
+    let mut writer = stream.try_clone().unwrap();
+    // The replies are read on this thread only after the whole burst is
+    // written; a writer thread keeps a full socket from deadlocking.
+    let sender = std::thread::spawn(move || {
+        writer.write_all(burst.as_bytes()).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+
+    let mut answered = vec![false; vectors.len()];
+    for line in BufReader::new(stream).lines() {
+        let line = line.expect("the server closes the connection after the last reply");
+        let value: Value = serde_json::parse(&line).expect("valid response JSON");
+        assert_eq!(
+            value.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "unexpected refusal: {line}"
+        );
+        let req = value.get("req").and_then(Value::as_u64).expect("tagged") as usize;
+        assert!(!answered[req], "request {req} answered twice");
+        answered[req] = true;
+        let coords: Vec<(Coord, Coord)> = value
+            .get("coords")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let p = p.as_array().unwrap();
+                (p[0].as_i64().unwrap(), p[1].as_i64().unwrap())
+            })
+            .collect();
+        let expected: Vec<(Coord, Coord)> = mps
+            .instantiate_or_fallback(&vectors[req])
+            .coords()
+            .iter()
+            .map(|p| (p.x, p.y))
+            .collect();
+        assert_eq!(coords, expected, "instantiate {req} diverges");
+    }
+    sender.join().unwrap();
+    assert!(answered.iter().all(|&a| a), "every request answered");
+    drop(child);
+    let _ = std::fs::remove_dir_all(&dir);
+}
