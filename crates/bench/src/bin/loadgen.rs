@@ -10,7 +10,6 @@
 //!     [--requests N] [--pipeline D] [--hot FRAC] [--batch N] \
 //!     [--reload-interval-ms M] [--min-qps Q] [--require-cache-speedup S] \
 //!     [--scale-clients 64,256,1024] [--min-scaling X] \
-//!     [--fanout-batch N] [--require-fanout-speedup X] \
 //!     [--max-telemetry-overhead R] [--require-refine-gain] \
 //!     [--refine-attempts N]
 //! ```
@@ -39,10 +38,10 @@
 //!   connections than cores, few requests each, the regime where a
 //!   thread-per-connection server drowns in context switches and the
 //!   shard event loops must not;
-//! * `batch_fanout` — `--fanout-batch`-vector batches (default 512,
-//!   above the server's parallel-fanout threshold) against the default
-//!   server and against `--workers 1`: the speedup is what splitting one
-//!   big batch across the whole worker pool buys;
+//! * `batch_large` — 512-vector batches, above the server's 256-vector
+//!   heavy threshold, so each one runs as one worker-pool job and its
+//!   answer comes back through the shard's completion path (recorded,
+//!   not gated);
 //! * `telemetry_on` / `telemetry_off` — a diverse uniform stream
 //!   against two cache-disabled servers (`--cache-entries 0`, so every
 //!   request takes the full parse → dispatch → index → render pipeline
@@ -78,10 +77,9 @@
 //! reference answer; any divergence or refusal fails the run. `--min-qps`
 //! fails the run when the highest-concurrency uniform scenario is slower.
 //! `--min-scaling X` fails the run unless uniform QPS at `<cores>`
-//! clients is at least `X` times the 1-client figure, and
-//! `--require-fanout-speedup X` does the same for the multi-worker vs
-//! single-worker fanout comparison; both gates skip with a warning on
-//! single-core machines, where there is nothing to scale onto. The
+//! clients is at least `X` times the 1-client figure; the gate skips
+//! with a warning on single-core machines, where there is nothing to
+//! scale onto. The
 //! scaling curve is additionally written to `out/BENCH_scaling.json`
 //! for CI artifact upload.
 
@@ -101,6 +99,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Vectors per `batch_large` request: past the server's 256-vector heavy
+/// threshold.
+const LARGE_BATCH: usize = 512;
 
 fn fail(msg: &str) -> ! {
     eprintln!("loadgen: FAIL: {msg}");
@@ -513,7 +515,6 @@ fn main() {
                  [--requests N] [--pipeline D] [--hot FRAC] [--batch N] \
                  [--reload-interval-ms M] [--min-qps Q] [--require-cache-speedup S] \
                  [--scale-clients 64,256,1024] [--min-scaling X] \
-                 [--fanout-batch N] [--require-fanout-speedup X] \
                  [--max-telemetry-overhead R] [--require-refine-gain] [--refine-attempts N]"
             );
             std::process::exit(2);
@@ -552,8 +553,6 @@ fn main() {
             .collect()
     };
     let min_scaling: f64 = arg_value("min-scaling").unwrap_or(0.0);
-    let fanout_batch: usize = arg_value("fanout-batch").unwrap_or(512);
-    let require_fanout_speedup: f64 = arg_value("require-fanout-speedup").unwrap_or(0.0);
     let max_telemetry_overhead: f64 = arg_value("max-telemetry-overhead").unwrap_or(0.0);
     let require_refine_gain = std::env::args().any(|a| a == "--require-refine-gain");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -689,15 +688,14 @@ fn main() {
             })
             .collect(),
     );
-    // Fanout-sized batches: big enough to cross the server's parallel
-    // split threshold, so one request occupies the whole worker pool
-    // instead of a single slot.
-    let fanout_pool: Arc<Vec<PoolEntry>> = Arc::new(
+    // Batches big enough to cross the server's heavy threshold, so each
+    // request takes a worker-pool slot instead of the shard thread.
+    let large_pool: Arc<Vec<PoolEntry>> = Arc::new(
         (0..64)
             .map(|k| {
                 let s = k % structures.len();
                 let (name, mps) = &structures[s];
-                let batch: Vec<Dims> = (0..fanout_batch)
+                let batch: Vec<Dims> = (0..LARGE_BATCH)
                     .map(|_| {
                         if rng.random_range(0.0..1.0) < hot_fraction {
                             hot_sets[s][rng.random_range(0..hot_sets[s].len())].clone()
@@ -873,46 +871,23 @@ fn main() {
     record("batch_hotspot", max_clients, &o);
     drop(server);
 
-    // Fanout comparison: the same stream of over-threshold batches
-    // against the default server (batch split across the pool) and
-    // against `--workers 1` (the old one-batch-one-slot ceiling). Few
-    // clients on purpose — the question is what ONE big batch gains,
-    // not how many fit.
-    let fanout_clients = 2.min(max_clients.max(1));
-    let fanout_requests = requests.div_ceil(16).max(10);
+    // Over-threshold batches: every answer verified after its trip
+    // through the worker pool and the shard's completion path.
+    let large_clients = 2.min(max_clients.max(1));
     let server = spawn_server(&server_bin, &dir, &[]);
-    eprintln!(
-        "loadgen: batch_fanout x{fanout_clients} ({fanout_batch}-vector batches) against {}",
-        server.addr
-    );
-    let fanout_multi = run_scenario(
+    eprintln!("loadgen: batch_large x{large_clients} ({LARGE_BATCH}-vector batches)");
+    let o = run_scenario(
         &server.addr,
-        fanout_clients,
-        fanout_requests,
+        large_clients,
+        requests.div_ceil(16).max(10),
         2,
-        &fanout_pool,
+        &large_pool,
         None,
     );
-    total_divergences += fanout_multi.divergences;
-    total_refusals += fanout_multi.refusals;
-    record("batch_fanout", fanout_clients, &fanout_multi);
+    total_divergences += o.divergences;
+    total_refusals += o.refusals;
+    record("batch_large", large_clients, &o);
     drop(server);
-
-    let server = spawn_server(&server_bin, &dir, &["--workers", "1"]);
-    eprintln!("loadgen: batch_fanout (1 worker) x{fanout_clients}");
-    let fanout_single = run_scenario(
-        &server.addr,
-        fanout_clients,
-        fanout_requests,
-        2,
-        &fanout_pool,
-        None,
-    );
-    total_divergences += fanout_single.divergences;
-    total_refusals += fanout_single.refusals;
-    record("batch_fanout_1worker", fanout_clients, &fanout_single);
-    drop(server);
-    let fanout_speedup = fanout_multi.qps / fanout_single.qps.max(1e-9);
 
     // Telemetry overhead: the same uniform stream against a default
     // server (telemetry on) and one started with `--telemetry off`,
@@ -1202,11 +1177,6 @@ fn main() {
         cached.qps, uncached.qps
     );
     println!(
-        "{fanout_batch}-vector batch fanout, {cores} core(s): {:.0} vs {:.0} req/s \
-         with 1 worker ({fanout_speedup:.2}x)",
-        fanout_multi.qps, fanout_single.qps
-    );
-    println!(
         "telemetry on vs off (best of 3): {:.0} vs {:.0} req/s \
          (off/on {telemetry_overhead:.3}x)",
         telemetry_on.qps, telemetry_off.qps
@@ -1248,15 +1218,6 @@ fn main() {
         "conn_scaling_qps_by_clients",
         Value::Object(conn_scaling.clone()),
     );
-    let mut fanout = Map::new();
-    fanout.insert("batch_len", fanout_batch.to_value());
-    fanout.insert("multi_worker_qps", fanout_multi.qps.round().to_value());
-    fanout.insert("single_worker_qps", fanout_single.qps.round().to_value());
-    fanout.insert(
-        "speedup",
-        ((fanout_speedup * 100.0).round() / 100.0).to_value(),
-    );
-    top.insert("batch_fanout", Value::Object(fanout.clone()));
     let mut comparison = Map::new();
     comparison.insert("cached_qps", cached.qps.round().to_value());
     comparison.insert("uncached_qps", uncached.qps.round().to_value());
@@ -1293,11 +1254,6 @@ fn main() {
         "measured_scaling",
         ((scaling_ratio * 100.0).round() / 100.0).to_value(),
     );
-    gates.insert("require_fanout_speedup", require_fanout_speedup.to_value());
-    gates.insert(
-        "measured_fanout_speedup",
-        ((fanout_speedup * 100.0).round() / 100.0).to_value(),
-    );
     gates.insert("max_telemetry_overhead", max_telemetry_overhead.to_value());
     gates.insert(
         "measured_telemetry_overhead",
@@ -1322,7 +1278,6 @@ fn main() {
     curve.insert("requests_per_client", requests.to_value());
     curve.insert("uniform_qps_by_clients", Value::Object(scaling));
     curve.insert("conn_scaling_qps_by_clients", Value::Object(conn_scaling));
-    curve.insert("batch_fanout", Value::Object(fanout));
     curve.insert("gates", Value::Object(gates));
     let path = write_artifact(
         "BENCH_scaling.json",
@@ -1377,19 +1332,6 @@ fn main() {
                 "telemetry recording costs too much: the telemetry-off server is \
                  {telemetry_overhead:.3}x the telemetry-on throughput, above the allowed \
                  {max_telemetry_overhead:.3}x"
-            ));
-        }
-    }
-    if require_fanout_speedup > 0.0 {
-        if cores < 2 {
-            eprintln!(
-                "loadgen: WARN: --require-fanout-speedup {require_fanout_speedup} skipped — \
-                 only {cores} core(s), the pool cannot fan out"
-            );
-        } else if fanout_speedup < require_fanout_speedup {
-            fail(&format!(
-                "{fanout_batch}-vector batches are only {fanout_speedup:.2}x faster with the \
-                 full pool than with 1 worker, below the required {require_fanout_speedup:.2}x"
             ));
         }
     }

@@ -3,8 +3,8 @@
 //! stdin/stdout, and diff every answer against direct
 //! `MultiPlacementStructure::query` calls on the same artifacts. The
 //! stream ends with tagged traffic — `instantiate` lines per structure
-//! and one batch of 300 vectors, which the TCP shards would fan out over
-//! the worker pool — whose `req` echoes must come back in request order
+//! and one batch of 300 vectors, which the TCP shards would hand to the
+//! worker pool as one job — whose `req` echoes must come back in request order
 //! (stdin answers everything inline) and whose answers must equal
 //! `instantiate_or_fallback` and `query`. Exits non-zero on the first divergence — this is the CI gate
 //! proving the whole serving pipeline (persist → load → compile →
@@ -31,7 +31,7 @@ use std::process::{Command, Stdio};
 const TAGGED_INSTANTIATES: usize = 5;
 
 /// Vectors in the one tagged batch: past the server's 256-vector
-/// fan-out threshold.
+/// heavy threshold.
 const TAGGED_BATCH: usize = 300;
 
 fn fail(msg: &str) -> ! {

@@ -98,8 +98,11 @@ pub fn encode_batch_ids(req: Option<u64>, ids: &[Option<PlacementId>]) -> Vec<u8
 /// # Errors
 ///
 /// Returns a description of the first malformation: short header, wrong
-/// magic/version/kind, payload length disagreeing with the byte count,
-/// or a payload that is not a well-formed varint id sequence.
+/// magic/version/kind, unknown flag bits, a nonzero reserved byte, a
+/// nonzero `req` on an untagged frame, payload length disagreeing with
+/// the byte count, or a payload that is not a well-formed varint id
+/// sequence in its shortest encoding. Every accepted frame is therefore
+/// the exact [`encode_batch_ids`] output for what it decodes to.
 pub fn decode_batch_ids(bytes: &[u8]) -> Result<(Option<u64>, Vec<Option<PlacementId>>), String> {
     if bytes.len() < HEADER_LEN {
         return Err(format!(
@@ -119,10 +122,18 @@ pub fn decode_batch_ids(bytes: &[u8]) -> Result<(Option<u64>, Vec<Option<Placeme
     if bytes[5] != KIND_BATCH_IDS {
         return Err(format!("unexpected frame kind {}", bytes[5]));
     }
-    let req = if bytes[FLAGS_OFFSET] & FLAG_TAGGED != 0 {
-        Some(u64::from_le_bytes(
-            bytes[REQ_RANGE].try_into().expect("8-byte range"),
-        ))
+    let flags = bytes[FLAGS_OFFSET];
+    if flags & !FLAG_TAGGED != 0 {
+        return Err(format!("unknown frame flags {flags:#010b}"));
+    }
+    if bytes[7] != 0 {
+        return Err(format!("nonzero reserved frame byte {}", bytes[7]));
+    }
+    let raw_req = u64::from_le_bytes(bytes[REQ_RANGE].try_into().expect("8-byte range"));
+    let req = if flags & FLAG_TAGGED != 0 {
+        Some(raw_req)
+    } else if raw_req != 0 {
+        return Err(format!("untagged frame carries req {raw_req}"));
     } else {
         None
     };
@@ -141,9 +152,13 @@ pub fn decode_batch_ids(bytes: &[u8]) -> Result<(Option<u64>, Vec<Option<Placeme
         // Every encoded id takes at least one payload byte, so the
         // payload length itself bounds the count.
         let count = dec.len(max, "batch answer ids")?;
+        // The byte length of the shortest encoding of everything read;
+        // more payload than that means an overlong varint somewhere.
+        let mut shortest = varint_len(count as u64);
         let mut ids = Vec::with_capacity(count);
         for _ in 0..count {
             let raw = dec.varint()?;
+            shortest += varint_len(raw);
             ids.push(match raw {
                 0 => None,
                 tag => Some(PlacementId(u32::try_from(tag - 1).map_err(|_| {
@@ -152,11 +167,20 @@ pub fn decode_batch_ids(bytes: &[u8]) -> Result<(Option<u64>, Vec<Option<Placeme
             });
         }
         dec.finish()?;
+        if shortest != max {
+            return Err(binfmt::malformed("overlong varint"));
+        }
         Ok(ids)
     }
     let ids = decode_ids(Decoder::new(payload), payload_len)
         .map_err(|e| format!("malformed frame payload: {e}"))?;
     Ok((req, ids))
+}
+
+/// Bytes in the shortest LEB128 encoding of `v`, the one
+/// [`encode_batch_ids`] writes.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
 }
 
 /// Patches the request tag into an already-encoded frame (sets the
@@ -215,9 +239,94 @@ mod tests {
         assert!(decode_batch_ids(&version)
             .unwrap_err()
             .contains("version 99"));
-        let mut kind = good;
+        let mut kind = good.clone();
         kind[5] = 42;
         assert!(decode_batch_ids(&kind).is_err(), "unknown kind");
+        let mut reserved = good.clone();
+        reserved[7] = 1;
+        assert!(
+            decode_batch_ids(&reserved).is_err(),
+            "nonzero reserved byte"
+        );
+        let mut flags = good;
+        flags[FLAGS_OFFSET] |= 0b1000_0000;
+        assert!(decode_batch_ids(&flags).is_err(), "unknown flag bits");
+        let mut untagged_req = encode_batch_ids(None, &[None]);
+        untagged_req[REQ_RANGE.start] = 5;
+        assert!(
+            decode_batch_ids(&untagged_req).is_err(),
+            "nonzero req on an untagged frame"
+        );
+        // Count 2 written as the two-byte varint 0x82 0x00 instead of 0x02.
+        let mut overlong = encode_batch_ids(None, &[None, None]);
+        overlong.splice(HEADER_LEN..HEADER_LEN + 1, [0x82, 0x00]);
+        overlong[16..20].copy_from_slice(&4u32.to_le_bytes());
+        assert!(decode_batch_ids(&overlong).is_err(), "overlong varint");
+    }
+
+    /// Deterministic mutation fuzzing: encoded frames hit by byte flips,
+    /// truncation, extension and header edits must never panic the
+    /// decoder, and every frame it accepts must be the exact encoding
+    /// of what it decoded to.
+    #[test]
+    fn mutated_frames_decode_only_to_their_own_encoding() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x4d50_5346);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..20_000 {
+            let ids: Vec<Option<PlacementId>> = (0..rng.random_range(0..24usize))
+                .map(|_| match rng.random_range(0..4u8) {
+                    0 => None,
+                    1 => Some(PlacementId(rng.random_range(0..128u32))),
+                    2 => Some(PlacementId(rng.random_range(0..1u32 << 16))),
+                    _ => Some(PlacementId(rng.random())),
+                })
+                .collect();
+            let req = rng.random_bool(0.5).then(|| rng.random::<u64>());
+            let mut frame = encode_batch_ids(req, &ids);
+            for _ in 0..rng.random_range(1..4u8) {
+                match rng.random_range(0..4u8) {
+                    0 if !frame.is_empty() => {
+                        let i = rng.random_range(0..frame.len());
+                        frame[i] ^= 1 << rng.random_range(0..8u8);
+                    }
+                    1 => frame.truncate(rng.random_range(0..=frame.len())),
+                    2 => {
+                        for _ in 0..rng.random_range(1..4u8) {
+                            frame.push(rng.random_range(0..=u8::MAX));
+                        }
+                    }
+                    _ if frame.len() >= HEADER_LEN => {
+                        frame[rng.random_range(FLAGS_OFFSET..HEADER_LEN)] =
+                            rng.random_range(0..=u8::MAX);
+                    }
+                    _ => {}
+                }
+            }
+            // Half the time, restore a consistent payload length so the
+            // payload mutations reach the varint decoder.
+            if frame.len() >= HEADER_LEN && rng.random_bool(0.5) {
+                let len = u32::try_from(frame.len() - HEADER_LEN).unwrap();
+                frame[16..20].copy_from_slice(&len.to_le_bytes());
+            }
+            match decode_batch_ids(&frame) {
+                Ok((req, ids)) => {
+                    accepted += 1;
+                    assert_eq!(
+                        encode_batch_ids(req, &ids),
+                        frame,
+                        "an accepted frame must re-encode to its own bytes"
+                    );
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 1_000 && rejected > 1_000,
+            "the mutations must land on both sides: {accepted} accepted, {rejected} rejected"
+        );
     }
 
     #[test]

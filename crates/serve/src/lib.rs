@@ -27,8 +27,8 @@
 //!   `list_structures`) over stdin/stdout and localhost TCP, with
 //!   request ids + pipelining (many requests in flight per connection,
 //!   responses tagged and out of order on TCP) and a [`WorkerPool`]
-//!   behind heavy tagged TCP requests; tagged batches of 256+ vectors
-//!   fan out across it. Every connection runs one I/O-free connection
+//!   behind heavy tagged TCP requests: a tagged batch of 256+ vectors
+//!   or a `refine` run takes one worker slot. Every connection runs one I/O-free connection
 //!   engine (bytes in, replies out). TCP connections are owned by a
 //!   fixed pool of shared-nothing shard event loops (one per core by
 //!   default) that drive it from sockets, so tens of thousands of idle

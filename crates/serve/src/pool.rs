@@ -1,7 +1,8 @@
 //! A small fixed-size worker pool for request-side parallelism.
 //!
-//! Instantiation (and large batch queries) fan out over these workers;
-//! the pool is deliberately boring: long-lived named threads, one shared
+//! Heavy tagged TCP requests (batches of 256+ vectors and triggered
+//! `refine` runs) take one job each on these workers, off the shard
+//! threads; the pool is deliberately boring: long-lived named threads, one shared
 //! job channel, panic isolation per job (a panicking handler yields a
 //! typed error to one client instead of killing the server), and a
 //! draining `Drop`.

@@ -15,12 +15,12 @@
 //! never dies on input: a malformed line yields a typed error response,
 //! and a panicking handler is caught and answered as an `internal`
 //! error. A panic can also never poison the server: every shared lock
-//! recovers via [`lock_recover`] (the guarded data — counters, rendered
-//! lines, id high-water marks — is valid at any interleaving), so one
-//! crashing request cannot take down the other connections.
+//! recovers via [`lock_recover`](crate::lock_recover) (the guarded
+//! data — counters, rendered lines, id high-water marks — is valid at
+//! any interleaving), so one crashing request cannot take down the
+//! other connections.
 
 use crate::cache::{AnswerCache, CacheClass, CacheLookup};
-use crate::lock_recover;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     id_value, ok_header, parse_envelope, tagged_error_response, ErrorKind, Request, RequestError,
@@ -35,17 +35,13 @@ use serde::{Map, Serialize, Value};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Tagged TCP batches at or above this many vectors fan out over the
-/// worker pool.
-pub(crate) const PARALLEL_BATCH_THRESHOLD: usize = 256;
-
-/// Floor on the per-chunk size of a fanned-out batch: chunks smaller
-/// than this cost more in handoff than the queries they carry.
-const MIN_FANOUT_CHUNK: usize = 64;
+/// Tagged TCP batches at or above this many vectors run on the worker
+/// pool, one job per batch, instead of on the shard thread.
+pub(crate) const HEAVY_BATCH_THRESHOLD: usize = 256;
 
 /// How many worst-request records the telemetry slow ring keeps between
 /// two `trace` drains.
@@ -85,9 +81,9 @@ pub(crate) enum Reply {
 /// Construction knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool threads behind heavy tagged TCP requests: uncached
-    /// instantiation, refinement runs and batch fan-out (clamped to at
-    /// least 1).
+    /// Worker pool threads behind heavy tagged TCP requests: batches of
+    /// 256+ vectors and triggered refinement runs, one job each (clamped
+    /// to at least 1).
     pub workers: usize,
     /// Total answer-cache capacity in entries; 0 disables the cache.
     pub cache_entries: usize,
@@ -665,7 +661,7 @@ impl Server {
     /// requests/s on a 2-core host.
     pub(crate) fn is_heavy(request: &Request) -> bool {
         match request {
-            Request::BatchQuery { dims_list, .. } => dims_list.len() >= PARALLEL_BATCH_THRESHOLD,
+            Request::BatchQuery { dims_list, .. } => dims_list.len() >= HEAVY_BATCH_THRESHOLD,
             // A triggered refinement pass re-anneals a structure —
             // milliseconds to seconds of CPU; it must never block the
             // pipelined stream behind it.
@@ -674,12 +670,10 @@ impl Server {
         }
     }
 
-    /// Routes one heavy tagged request off the calling thread,
-    /// guaranteeing `sink` receives the rendered response line exactly
-    /// once — even when a worker panics. A large batch no longer
-    /// occupies a single pool slot: it fans out in chunks across the
-    /// whole pool and the last chunk to finish assembles the ids back
-    /// into request order. Everything else takes one slot.
+    /// Routes one heavy tagged request off the calling thread as one
+    /// worker-pool job that runs [`Server::complete`], guaranteeing
+    /// `sink` receives the rendered response exactly once — even when a
+    /// worker panics.
     pub(crate) fn submit_heavy(
         self: &Arc<Self>,
         id: u64,
@@ -687,145 +681,44 @@ impl Server {
         parse_ns: u64,
         sink: ResponseSink,
     ) {
-        match request {
-            Request::BatchQuery {
-                structure,
-                dims_list,
-                binary,
-            } if dims_list.len() >= PARALLEL_BATCH_THRESHOLD && self.pool.workers() > 1 => {
-                self.fan_out_batch(id, structure, dims_list, binary, sink);
+        let server = Arc::clone(self);
+        let submitted = self.telemetry.enabled().then(Instant::now);
+        self.pool.execute(move || {
+            // The queue wait (submit → job start) is the pool stage of
+            // this request's trace.
+            let pool_ns = submitted.map_or(0, ns_since);
+            // Deliver from Drop so a panic anywhere in the render still
+            // produces a response (complete() already catches handler
+            // panics; this covers the rest of the job body).
+            struct DeliverOnDrop {
+                sink: ResponseSink,
+                id: u64,
+                reply: Option<Reply>,
             }
-            request => {
-                let server = Arc::clone(self);
-                let submitted = self.telemetry.enabled().then(Instant::now);
-                self.pool.execute(move || {
-                    // The queue wait (submit → job start) is the pool
-                    // stage of this request's trace.
-                    let pool_ns = submitted.map_or(0, ns_since);
-                    // Deliver from Drop so a panic anywhere in the
-                    // render still produces a response (complete()
-                    // already catches handler panics; this covers the
-                    // rest of the job body).
-                    struct DeliverOnDrop {
-                        sink: ResponseSink,
-                        id: u64,
-                        reply: Option<Reply>,
-                    }
-                    impl Drop for DeliverOnDrop {
-                        fn drop(&mut self) {
-                            let reply = self.reply.take().unwrap_or_else(|| {
-                                Reply::Line(tagged_error_response(
-                                    Some(self.id),
-                                    &RequestError::new(
-                                        ErrorKind::Internal,
-                                        "request handler panicked; the server keeps serving",
-                                    ),
-                                ))
-                            });
-                            // A second panic while already unwinding
-                            // would abort the process; the sinks only
-                            // move bytes behind recovered locks, but
-                            // stay paranoid.
-                            let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
-                        }
-                    }
-                    let mut delivery = DeliverOnDrop {
-                        sink,
-                        id,
-                        reply: None,
-                    };
-                    delivery.reply =
-                        Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
-                });
+            impl Drop for DeliverOnDrop {
+                fn drop(&mut self) {
+                    let reply = self.reply.take().unwrap_or_else(|| {
+                        Reply::Line(tagged_error_response(
+                            Some(self.id),
+                            &RequestError::new(
+                                ErrorKind::Internal,
+                                "request handler panicked; the server keeps serving",
+                            ),
+                        ))
+                    });
+                    // A second panic while already unwinding would abort
+                    // the process; the sinks only move bytes behind
+                    // recovered locks, but stay paranoid.
+                    let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
+                }
             }
-        }
-    }
-
-    /// Splits one oversized batch into chunks fanned across the whole
-    /// worker pool. Validation runs here on the submitting thread (an
-    /// error costs zero pool slots and renders identically to the
-    /// sequential path); nothing ever blocks waiting for a chunk — the
-    /// last finisher assembles and delivers, so a fully loaded pool
-    /// drains batches without any coordinator parking on a slot.
-    fn fan_out_batch(
-        self: &Arc<Self>,
-        id: u64,
-        structure: String,
-        dims_list: Vec<Dims>,
-        binary: bool,
-        sink: ResponseSink,
-    ) {
-        let validated = self.lookup(&structure).and_then(|served| {
-            for dims in &dims_list {
-                self.check_arity(&served, dims)?;
-            }
-            Ok(served)
+            let mut delivery = DeliverOnDrop {
+                sink,
+                id,
+                reply: None,
+            };
+            delivery.reply = Some(server.complete(Some(id), request, ReqCtx { parse_ns, pool_ns }));
         });
-        let served = match validated {
-            Ok(served) => served,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                // Errors are JSON lines even for binary-opted requests.
-                sink(Reply::Line(tagged_error_response(Some(id), &e)));
-                return;
-            }
-        };
-        self.queries
-            .fetch_add(dims_list.len() as u64, Ordering::Relaxed);
-        self.count_structure(&structure, dims_list.len() as u64);
-        // Heat is recorded here on the submitting thread: the dimension
-        // distribution is per request, not per worker chunk. Fanned
-        // batches bypass complete(), so their dispatch span is *not* in
-        // the stage histograms — the per-chunk index/pool spans below
-        // and the assemble-side render span are (see PROTOCOL.md).
-        if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
-            for dims in &dims_list {
-                heat.record(dims);
-            }
-        }
-        let chunk_len = dims_list
-            .len()
-            .div_ceil(self.pool.workers() * 2)
-            .max(MIN_FANOUT_CHUNK);
-        let chunks: Vec<Vec<Dims>> = dims_list.chunks(chunk_len).map(<[Dims]>::to_vec).collect();
-        let fanout = Arc::new(Fanout {
-            server: Arc::clone(self),
-            id,
-            structure,
-            binary,
-            slots: Mutex::new(vec![None; chunks.len()]),
-            remaining: AtomicUsize::new(chunks.len()),
-            sink,
-        });
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let fanout = Arc::clone(&fanout);
-            let served = Arc::clone(&served);
-            let submitted = self.telemetry.enabled().then(Instant::now);
-            self.pool.execute(move || {
-                // Drop-driven countdown: a panicking chunk still counts
-                // down, and the response is still delivered (as an
-                // internal error, from whichever chunk finishes last).
-                struct FinishGuard(Arc<Fanout>);
-                impl Drop for FinishGuard {
-                    fn drop(&mut self) {
-                        self.0.finish_one();
-                    }
-                }
-                let _guard = FinishGuard(Arc::clone(&fanout));
-                // Per-chunk spans land on this worker's lane: the queue
-                // wait as the pool stage, the chunk query as index.
-                let telemetry = fanout.server.telemetry();
-                if let Some(t) = submitted {
-                    telemetry.record(Stage::Pool, ns_since(t));
-                }
-                let query_started = submitted.map(|_| Instant::now());
-                let answered = served.index().query_batch(&chunk);
-                if let Some(t) = query_started {
-                    telemetry.record(Stage::Index, ns_since(t));
-                }
-                lock_recover(&fanout.slots)[i] = Some(answered);
-            });
-        }
     }
 
     fn dispatch(&self, request: Request, trace: &mut StageTrace) -> Result<Outcome, RequestError> {
@@ -911,8 +804,8 @@ impl Server {
                 // One sequential pass through one scratch buffer: batches
                 // bypass the answer cache deliberately — the compiled
                 // index answers an element in ~150ns, cheaper than any
-                // per-element cache lookup could be. Only tagged TCP
-                // batches fan out (see `submit_heavy`).
+                // per-element cache lookup could be. Large tagged TCP
+                // batches run here too, on a pool worker (see `is_heavy`).
                 let index_started = enabled.then(Instant::now);
                 let ids = served.index().query_batch(&dims_list);
                 if let Some(t) = index_started {
@@ -1455,73 +1348,6 @@ fn heat_bounds(served: &ServedStructure) -> Vec<(i64, i64, i64, i64)> {
         .collect()
 }
 
-/// State shared by the chunks of one fanned-out batch: each worker
-/// fills its slot, and the last chunk to finish — success or panic —
-/// assembles the ids back into request order, renders the one response
-/// line, and delivers it through the sink.
-struct Fanout {
-    server: Arc<Server>,
-    id: u64,
-    structure: String,
-    /// Deliver the answer as a binary frame (`"encoding":"bin"`).
-    binary: bool,
-    slots: Mutex<Vec<Option<Vec<Option<PlacementId>>>>>,
-    remaining: AtomicUsize,
-    sink: ResponseSink,
-}
-
-impl Fanout {
-    /// Counts one chunk done; the last one assembles and delivers.
-    fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        // The assemble-side render span lands on whichever worker lane
-        // finishes last — the only thread that does this work.
-        let t = self.server.telemetry().enabled().then(Instant::now);
-        let reply = catch_unwind(AssertUnwindSafe(|| self.assemble()))
-            .unwrap_or_else(|_| self.internal_error());
-        if let Some(t) = t {
-            self.server.telemetry().record(Stage::Render, ns_since(t));
-        }
-        // This can run inside another panic's unwind (the FinishGuard),
-        // where a second panic would abort the process — so the sink
-        // call is shielded even though the sinks only move bytes.
-        let _ = catch_unwind(AssertUnwindSafe(|| (self.sink)(reply)));
-    }
-
-    fn assemble(&self) -> Reply {
-        let slots = std::mem::take(&mut *lock_recover(&self.slots));
-        if slots.iter().any(Option::is_none) {
-            return self.internal_error();
-        }
-        let ids: Vec<Option<PlacementId>> = slots
-            .into_iter()
-            .flatten() // unwrap each filled slot
-            .flatten() // splice the chunks back into one id stream
-            .collect();
-        if self.binary {
-            return Reply::Frame(crate::frame::encode_batch_ids(Some(self.id), &ids));
-        }
-        let mut map = ok_header("batch_query");
-        map.insert("structure", Value::String(self.structure.clone()));
-        map.insert("ids", Value::Array(ids.into_iter().map(id_value).collect()));
-        map.insert("req", self.id.to_value());
-        Reply::Line(crate::protocol::render(map))
-    }
-
-    fn internal_error(&self) -> Reply {
-        self.server.errors.fetch_add(1, Ordering::Relaxed);
-        Reply::Line(tagged_error_response(
-            Some(self.id),
-            &RequestError::new(
-                ErrorKind::Internal,
-                "batch worker panicked; the server keeps serving",
-            ),
-        ))
-    }
-}
-
 /// One compiled lookup decides both the id and the placement; only
 /// uncovered space falls through to the structure's fallback path.
 fn materialize(served: &ServedStructure, dims: &Dims) -> (Option<PlacementId>, Placement) {
@@ -1958,7 +1784,7 @@ mod tests {
         assert_eq!(server.errors.load(Ordering::Relaxed), 1);
     }
 
-    /// Through `serve`, heavy tagged requests (a batch past the fan-out
+    /// Through `serve`, heavy tagged requests (a batch past the heavy
     /// threshold) run inline like everything else, so every reply comes
     /// back in request order.
     #[test]
@@ -1967,7 +1793,7 @@ mod tests {
         let dims = midpoint_dims(&server);
         let pairs: Vec<String> = dims.iter().map(|(w, h)| format!("[{w},{h}]")).collect();
         let dims_json = format!("[{}]", pairs.join(","));
-        let batch = vec![dims_json.as_str(); PARALLEL_BATCH_THRESHOLD + 1].join(",");
+        let batch = vec![dims_json.as_str(); HEAVY_BATCH_THRESHOLD + 1].join(",");
         let input = format!(
             "{{\"id\":1,\"kind\":\"instantiate\",\"structure\":\"circ01\",\"dims\":{dims_json}}}\n\
              {{\"id\":2,\"kind\":\"list_structures\"}}\n\
@@ -2047,9 +1873,9 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "every request must be answered");
     }
 
-    /// A tagged batch fanned out over the pool, as the shard loop
+    /// A tagged batch answered by one pool job, as the shard loop
     /// submits it, decoded from its binary frame.
-    fn fanned_out_ids(server: &Arc<Server>, dims_list: Vec<Dims>) -> Vec<Option<PlacementId>> {
+    fn pooled_ids(server: &Arc<Server>, dims_list: Vec<Dims>) -> Vec<Option<PlacementId>> {
         let (tx, rx) = std::sync::mpsc::channel();
         let request = Request::BatchQuery {
             structure: "circ01".to_owned(),
@@ -2082,7 +1908,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_fans_out_and_matches_sequential() {
+    fn large_pooled_batch_matches_inline() {
         let server = Arc::new(test_server());
         let served = server.registry().get("circ01").unwrap();
         let bounds = served.structure().bounds().to_vec();
@@ -2097,13 +1923,50 @@ mod tests {
                 })
                 .collect()
         };
-        let dims_list: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 100).map(vector).collect();
+        let dims_list: Vec<Dims> = (0..HEAVY_BATCH_THRESHOLD + 100).map(vector).collect();
         let expected = served.structure().query_batch(&dims_list);
-        let pooled = fanned_out_ids(&server, dims_list.clone());
+        let pooled = pooled_ids(&server, dims_list.clone());
         assert_eq!(pooled, expected);
         // The inline path answers identically.
         let inline = inline_ids(&server, dims_list);
         assert_eq!(inline, expected);
+    }
+
+    /// A pooled large batch keeps the telemetry contract of every other
+    /// request: one `dispatch` span, one `pool` span and a slow-ring
+    /// entry under its own kind and tag.
+    #[test]
+    fn pooled_batch_is_dispatched_and_traced_like_any_request() {
+        let server = Arc::new(test_server());
+        let dims = midpoint_dims(&server);
+        let ids = pooled_ids(&server, vec![dims; HEAVY_BATCH_THRESHOLD]);
+        assert_eq!(ids.len(), HEAVY_BATCH_THRESHOLD);
+        // A fresh server: the batch is the only request recorded before
+        // this `metrics` request builds its snapshot.
+        let metrics = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
+        let stages = metrics.get("stages").unwrap();
+        let stage_count = |stage: &str| {
+            stages
+                .get(stage)
+                .and_then(|s| s.get("count"))
+                .and_then(Value::as_u64)
+        };
+        assert_eq!(stage_count("dispatch"), Some(1), "{stages:?}");
+        assert_eq!(stage_count("pool"), Some(1), "{stages:?}");
+        let trace = parse(&server.handle_line(r#"{"kind":"trace"}"#).unwrap());
+        let entries = trace.get("entries").and_then(Value::as_array).unwrap();
+        let batch = entries
+            .iter()
+            .find(|e| e.get("req").and_then(Value::as_u64) == Some(1))
+            .expect("the pooled batch is in the slow ring");
+        assert_eq!(
+            batch.get("kind").and_then(Value::as_str),
+            Some("batch_query")
+        );
+        assert_eq!(
+            batch.get("structure").and_then(Value::as_str),
+            Some("circ01")
+        );
     }
 
     /// Regression, now structural: the per-structure query counters
@@ -2235,7 +2098,7 @@ mod tests {
     }
 
     /// End-to-end over the sharded event loops: pipelined tagged
-    /// queries, a fanned-out large batch, an untagged request, and a
+    /// queries, a pooled large batch, an untagged request, and a
     /// request line deliberately split across TCP segments — every
     /// answer must match the direct query path.
     #[test]
@@ -2292,9 +2155,9 @@ mod tests {
                 dims_json(&vector(k))
             ));
         }
-        // ...then one batch big enough to fan out over the pool.
+        // ...then one batch big enough to run on the pool.
         let batch_id = n;
-        let batch: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 50).map(vector).collect();
+        let batch: Vec<Dims> = (0..HEAVY_BATCH_THRESHOLD + 50).map(vector).collect();
         let batch_dims: Vec<String> = batch.iter().map(dims_json).collect();
         burst.push_str(&format!(
             "{{\"id\":{batch_id},\"kind\":\"batch_query\",\"structure\":\"circ01\",\
@@ -2346,7 +2209,7 @@ mod tests {
         assert_eq!(
             answered[&batch_id].get("ids"),
             Some(&Value::Array(expected_batch)),
-            "the fanned-out batch must reassemble ids in request order"
+            "the pooled batch must carry ids in request order"
         );
         // An untagged connection still gets in-order inline answers.
         let mut plain = TcpStream::connect(addr).unwrap();
@@ -2413,11 +2276,11 @@ mod tests {
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
     }
 
-    /// A binary batch big enough to fan out over the worker pool comes
+    /// A binary batch big enough to run on the worker pool comes
     /// back as one frame through the shard completion path, with ids in
     /// request order — exercised end-to-end over TCP.
     #[test]
-    fn binary_batch_fans_out_and_frames_over_tcp() {
+    fn binary_pooled_batch_frames_over_tcp() {
         let server = Arc::new(Server::with_config(
             {
                 let circuit = benchmarks::circ01();
@@ -2450,7 +2313,7 @@ mod tests {
                 })
                 .collect()
         };
-        let batch: Vec<Dims> = (0..PARALLEL_BATCH_THRESHOLD + 30).map(vector).collect();
+        let batch: Vec<Dims> = (0..HEAVY_BATCH_THRESHOLD + 30).map(vector).collect();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let accept_server = Arc::clone(&server);
@@ -2489,7 +2352,7 @@ mod tests {
         assert_eq!(
             ids,
             served.structure().query_batch(&batch),
-            "the fanned-out frame must carry ids in request order"
+            "the pooled frame must carry ids in request order"
         );
     }
 

@@ -34,9 +34,8 @@
 //! arrival order because they never leave the connection's thread;
 //! tagged heavy responses on TCP come back out of order, matched by
 //! `req`. Through [`Server::serve`] every response comes back in request
-//! order. A fanned-out batch is still one request and one response —
-//! its chunks are reassembled in request order before the line is
-//! delivered.
+//! order. A heavy request is one pool job that renders its whole
+//! response, so a large batch comes back as one line or frame.
 
 use crate::lock_recover;
 use crate::protocol::{ErrorKind, Request, RequestError};
@@ -617,7 +616,7 @@ impl SendBuffer {
 mod tests {
     use super::*;
     use crate::registry::{ServedStructure, StructureRegistry};
-    use crate::server::PARALLEL_BATCH_THRESHOLD;
+    use crate::server::HEAVY_BATCH_THRESHOLD;
     use crate::ServerConfig;
     use mps_core::{GeneratorConfig, MpsGenerator};
     use mps_geom::{Coord, Dims};
@@ -721,10 +720,10 @@ mod tests {
                     untagged.push(Untagged::Error("bad_id".to_owned()));
                     format!(r#"{{"id":{next_id},"kind":"list_structures"}}"#).into()
                 }
-                // A batch at the fan-out threshold: heavy when tagged,
+                // A batch at the heavy threshold: heavy when tagged,
                 // answered inline and in order when untagged.
                 7 | 8 => {
-                    let batch = vec![json.as_str(); PARALLEL_BATCH_THRESHOLD].join(",");
+                    let batch = vec![json.as_str(); HEAVY_BATCH_THRESHOLD].join(",");
                     let body = format!(
                         r#""kind":"batch_query","structure":"circ01","dims_list":[{batch}]"#
                     );
@@ -736,7 +735,7 @@ mod tests {
                     } else {
                         untagged.push(if next_id == 0 {
                             let id = served.structure().query(&dims).map(|id| u64::from(id.0));
-                            Untagged::Batch(vec![id; PARALLEL_BATCH_THRESHOLD])
+                            Untagged::Batch(vec![id; HEAVY_BATCH_THRESHOLD])
                         } else {
                             Untagged::Error("bad_id".to_owned())
                         });
@@ -888,13 +887,13 @@ mod tests {
         assert!(conn.is_finished(), "no reply is owed");
     }
 
-    /// A tagged batch at the fan-out threshold and a tagged triggered
+    /// A tagged batch at the heavy threshold and a tagged triggered
     /// `refine` still leave the shard thread for the pool.
     #[test]
     fn offloading_connection_still_offloads_large_batches_and_refine_runs() {
         let server = engine_server();
         let (_, json) = first_vector_json(server);
-        let batch = vec![json.as_str(); PARALLEL_BATCH_THRESHOLD].join(",");
+        let batch = vec![json.as_str(); HEAVY_BATCH_THRESHOLD].join(",");
         let mut conn = Connection::new(true);
         conn.receive(
             server,
