@@ -230,29 +230,22 @@ fn spawn_server(server_bin: &PathBuf, dir: &PathBuf, extra_args: &[&str]) -> Ser
     }
 }
 
-/// One `stats` request over a fresh connection.
-fn stats_snapshot(addr: &str) -> Value {
-    one_shot(addr, "stats")
-}
-
 /// One `metrics` request over a fresh connection: the server's own
-/// telemetry snapshot, fetched after a scenario's traffic has drained.
+/// counters and telemetry snapshot, fetched after a scenario's traffic
+/// has drained.
 fn metrics_snapshot(addr: &str) -> Value {
-    one_shot(addr, "metrics")
-}
-
-fn one_shot(addr: &str, kind: &str) -> Value {
-    let stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("{kind} connect: {e}")));
+    let stream =
+        TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("metrics connect: {e}")));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut writer = stream;
-    writeln!(writer, r#"{{"kind":"{kind}"}}"#).unwrap_or_else(|e| fail(&format!("{kind}: {e}")));
+    writeln!(writer, r#"{{"kind":"metrics"}}"#).unwrap_or_else(|e| fail(&format!("metrics: {e}")));
     let mut line = String::new();
     reader
         .read_line(&mut line)
-        .unwrap_or_else(|e| fail(&format!("{kind} response: {e}")));
+        .unwrap_or_else(|e| fail(&format!("metrics response: {e}")));
     serde_json::parse(line.trim_end())
-        .unwrap_or_else(|e| fail(&format!("unparsable {kind}: {e}: {line}")))
+        .unwrap_or_else(|e| fail(&format!("unparsable metrics: {e}: {line}")))
 }
 
 struct ScenarioOutcome {
@@ -438,13 +431,13 @@ fn run_scenario(
     if let Some(handle) = reloader {
         handle.join().expect("reloader thread");
     }
-    let stats = stats_snapshot(addr);
-    let hit_rate = stats
+    let metrics = metrics_snapshot(addr);
+    let hit_rate = metrics
         .get("cache")
         .and_then(|c| c.get("hit_rate"))
         .and_then(Value::as_f64)
         .unwrap_or(0.0);
-    let server_p99_ns = metrics_snapshot(addr)
+    let server_p99_ns = metrics
         .get("stages")
         .and_then(|s| s.get("dispatch"))
         .and_then(|d| d.get("p99_ns"))
@@ -1114,8 +1107,7 @@ fn main() {
     total_divergences += after.divergences;
     total_refusals += after.refusals;
     record("refinement_after", 2, &after);
-    let refine_stats = stats_snapshot(&server.addr);
-    let refinement_counters = refine_stats
+    let refinement_counters = metrics_snapshot(&server.addr)
         .get("refinement")
         .cloned()
         .unwrap_or(Value::Null);

@@ -176,7 +176,7 @@ fn main() {
             )
             .expect("server accepts requests");
         }
-        writeln!(stdin, "{{\"kind\":\"stats\"}}").expect("server accepts requests");
+        writeln!(stdin, "{{\"kind\":\"metrics\"}}").expect("server accepts requests");
         // Tagged traffic last: the first tagged line makes the stream
         // tagged for good.
         for (k, (s, dims)) in request_instantiates.iter().enumerate() {
@@ -264,8 +264,8 @@ fn main() {
             diffed += 1;
         }
     }
-    let stats = next("stats");
-    let served_queries = stats
+    let metrics = next("metrics");
+    let served_queries = metrics
         .get("counters")
         .and_then(|c| c.get("queries"))
         .and_then(Value::as_u64)
@@ -338,7 +338,7 @@ fn main() {
     let untagged = diffed - instantiates.len() - TAGGED_BATCH;
     if served_queries != untagged as u64 {
         fail(&format!(
-            "stats counted {served_queries} queries, the smoke diffed {untagged} before it"
+            "metrics counted {served_queries} queries, the smoke diffed {untagged} before it"
         ));
     }
     println!(

@@ -33,7 +33,7 @@
 //!   generation check rejects it.
 //! * **Counted**: hits and misses are tallied per shard *under the shard
 //!   lock*, so each shard's `(hits, misses)` pair is a coherent cut and
-//!   the hit-rate `stats` reports can never be computed from a torn
+//!   the hit-rate `metrics` reports can never be computed from a torn
 //!   pair; evictions and invalidations are plain atomic counters. See
 //!   `PROTOCOL.md` § "Telemetry consistency model".
 //!
@@ -81,7 +81,7 @@ struct Shard {
     tail: usize,
     len: usize,
     /// Hit/miss tallies live *inside* the shard (incremented under its
-    /// lock, read under its lock by `stats`), so the pair is always a
+    /// lock, read under its lock by `metrics`), so the pair is always a
     /// coherent cut of this shard's history — a hit-rate computed from
     /// it can never mix a post-lookup hit with a pre-lookup miss count.
     hits: u64,
@@ -256,7 +256,7 @@ pub struct MissToken {
 }
 
 /// A point-in-time copy of the cache counters, surfaced through the
-/// server's `stats` response.
+/// server's `metrics` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache. Summed from per-shard tallies

@@ -21,10 +21,11 @@
 //!   `(structure, Dims)` in front of the compiled index: hits replay the
 //!   exact stored answer (bit-identical by construction), a registry
 //!   hot-reload invalidates all-or-nothing, and hit/miss/eviction
-//!   counters surface through `stats`.
+//!   counters surface through `metrics`.
 //! * [`Server`] + the `mps-serve` binary — a line-delimited JSON protocol
-//!   (`query`, `batch_query`, `instantiate`, `reload`, `stats`,
-//!   `list_structures`) over stdin/stdout and localhost TCP, with
+//!   (`query`, `batch_query`, `instantiate`, `reload`,
+//!   `list_structures`, `metrics`, `trace`, `refine`) over stdin/stdout
+//!   and localhost TCP, with
 //!   request ids + pipelining (many requests in flight per connection,
 //!   responses tagged and out of order on TCP) and a [`WorkerPool`]
 //!   behind heavy tagged TCP requests: a tagged batch of 256+ vectors
@@ -96,6 +97,5 @@ pub use registry::{ReloadReport, ServeError, ServedStructure, StructureRegistry}
 pub use server::{Server, ServerConfig};
 pub use telemetry::{
     HeatSnapshot, HistogramSnapshot, LaneStats, LatencyHistogram, SlowRing, Stage, StageTrace,
-    StripedCounters, StructureHeat, Telemetry, TraceEntry, HEAT_BINS, HISTOGRAM_BUCKETS,
-    STAGE_COUNT,
+    StructureHeat, Telemetry, TraceEntry, HEAT_BINS, HISTOGRAM_BUCKETS, STAGE_COUNT,
 };

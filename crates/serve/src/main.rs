@@ -4,8 +4,7 @@
 //! ```sh
 //! mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N]
 //!           [--max-connections N] [--cache-entries N] [--cache-shards N]
-//!           [--telemetry on|off] [--metrics-interval SECS]
-//!           [--refine on|off] [--refine-interval SECS]
+//!           [--telemetry on|off] [--refine on|off] [--refine-interval SECS]
 //! mps-serve convert <IN> <OUT>
 //! ```
 //!
@@ -41,10 +40,10 @@
 //! `--cache-shards N` its shard count (default 8).
 //!
 //! `--telemetry off` disables the telemetry layer (per-stage latency
-//! histograms, query-dimension heatmaps, the slow-request ring; default
-//! on — the `metrics` and `trace` protocol requests report it either
-//! way). `--metrics-interval SECS` prints a one-line telemetry summary
-//! to stderr every `SECS` seconds (0, the default, prints none).
+//! histograms, per-structure query tallies and dimension heatmaps, the
+//! slow-request ring; default on). The `metrics` and `trace` protocol
+//! requests answer either way, and the request counters and gauges in
+//! `metrics` keep counting.
 //!
 //! `--refine on` starts the traffic-adaptive refinement worker: every
 //! `--refine-interval SECS` (default 30) it reads the query-dimension
@@ -65,8 +64,8 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N] \
                      [--max-connections N] [--cache-entries N] [--cache-shards N]\n\
-                     \x20                [--telemetry on|off] [--metrics-interval SECS] \
-                     [--refine on|off] [--refine-interval SECS]\n\
+                     \x20                [--telemetry on|off] [--refine on|off] \
+                     [--refine-interval SECS]\n\
                      \x20      mps-serve convert <IN> <OUT>   (artifact format by extension: \
                      .json = mps-v1, .mpsb = mps-v2)";
 
@@ -122,7 +121,6 @@ fn main() -> ExitCode {
     }
     let mut dir: Option<String> = None;
     let mut tcp_port: Option<u16> = None;
-    let mut metrics_interval: u64 = 0;
     let mut config = ServerConfig::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -154,10 +152,6 @@ fn main() -> ExitCode {
             "--telemetry" => match it.next().as_deref() {
                 Some("on") => config.telemetry = true,
                 Some("off") => config.telemetry = false,
-                _ => return usage(),
-            },
-            "--metrics-interval" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(secs)) => metrics_interval = secs,
                 _ => return usage(),
             },
             "--refine" => match it.next().as_deref() {
@@ -210,27 +204,13 @@ fn main() -> ExitCode {
     let server = Arc::new(Server::with_config(Arc::clone(&registry), config));
 
     // The background refinement worker (a no-op unless `--refine on`):
-    // detached like the metrics thread; it holds only a weak server
-    // reference and exits when the server drops.
+    // detached; it holds only a weak server reference and exits when
+    // the server drops.
     if server.spawn_refiner().is_some() {
         eprintln!(
             "mps-serve: refinement worker on ({}s interval)",
             server.config().refine_interval_secs.max(1)
         );
-    }
-
-    // Optional periodic one-line telemetry summary on stderr. The
-    // thread is detached on purpose: it only reads atomics and dies
-    // with the process.
-    if metrics_interval > 0 {
-        let metrics_server = Arc::clone(&server);
-        std::thread::Builder::new()
-            .name("mps-serve-metrics".to_owned())
-            .spawn(move || loop {
-                std::thread::sleep(std::time::Duration::from_secs(metrics_interval));
-                eprintln!("mps-serve: {}", metrics_server.metrics_line());
-            })
-            .expect("spawn metrics summary thread");
     }
 
     // Optional localhost TCP side: connections owned by shard event

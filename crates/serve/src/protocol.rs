@@ -35,12 +35,11 @@ use mps_geom::{Coord, Dims, DimsError};
 use serde::{Map, Serialize, Value};
 
 /// Every request kind the server understands, as spelled on the wire.
-pub const REQUEST_KINDS: [&str; 9] = [
+pub const REQUEST_KINDS: [&str; 8] = [
     "query",
     "batch_query",
     "instantiate",
     "reload",
-    "stats",
     "list_structures",
     "metrics",
     "trace",
@@ -79,13 +78,12 @@ pub enum Request {
     /// Rescan the registry's artifact directory and hot-swap the served
     /// set; the answer cache is invalidated all-or-nothing on success.
     Reload,
-    /// Server and per-structure counters.
-    Stats,
     /// Sorted names of every served structure.
     ListStructures,
-    /// The full telemetry snapshot: per-stage latency histograms per
-    /// lane, per-structure query-dimension heatmaps, cache/pool/
-    /// connection gauges.
+    /// The server's one introspection view: request counters, each
+    /// served structure's static facts, per-stage latency histograms
+    /// per lane, per-structure query tallies and dimension heatmaps,
+    /// and the cache, connection and refinement gauges.
     Metrics,
     /// Drain the slow-request ring: the N worst requests since the last
     /// `trace`, each with its per-stage time breakdown.
@@ -113,7 +111,6 @@ impl Request {
             Request::BatchQuery { .. } => "batch_query",
             Request::Instantiate { .. } => "instantiate",
             Request::Reload => "reload",
-            Request::Stats => "stats",
             Request::ListStructures => "list_structures",
             Request::Metrics => "metrics",
             Request::Trace => "trace",
@@ -329,7 +326,6 @@ fn parse_request_body(obj: &Map) -> Result<Request, RequestError> {
             dims: dims_vector(obj.get("dims"), "dims")?,
         }),
         "reload" => Ok(Request::Reload),
-        "stats" => Ok(Request::Stats),
         "list_structures" => Ok(Request::ListStructures),
         "metrics" => Ok(Request::Metrics),
         "trace" => Ok(Request::Trace),
@@ -566,8 +562,8 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"kind":"stats"}"#).unwrap(),
-            Request::Stats
+            parse_request(r#"{"kind":"metrics"}"#).unwrap(),
+            Request::Metrics
         );
         assert_eq!(
             parse_request(r#"{"kind":"reload"}"#).unwrap(),
@@ -651,14 +647,14 @@ mod tests {
     #[test]
     fn envelopes_carry_request_ids() {
         assert_eq!(
-            parse_envelope(r#"{"id":7,"kind":"stats"}"#).unwrap(),
+            parse_envelope(r#"{"id":7,"kind":"metrics"}"#).unwrap(),
             Envelope {
                 id: Some(7),
-                request: Request::Stats,
+                request: Request::Metrics,
             }
         );
         assert_eq!(
-            parse_envelope(r#"{"kind":"stats"}"#).unwrap().id,
+            parse_envelope(r#"{"kind":"metrics"}"#).unwrap().id,
             None,
             "untagged lines stay untagged"
         );
@@ -669,12 +665,12 @@ mod tests {
         assert_eq!(err.error.kind, ErrorKind::Protocol);
         // Ill-formed ids are bad_id, untagged (the tag is unusable).
         for line in [
-            r#"{"id":"seven","kind":"stats"}"#,
-            r#"{"id":1.5,"kind":"stats"}"#,
-            r#"{"id":-3,"kind":"stats"}"#,
-            r#"{"id":null,"kind":"stats"}"#,
-            r#"{"id":true,"kind":"stats"}"#,
-            r#"{"id":[7],"kind":"stats"}"#,
+            r#"{"id":"seven","kind":"metrics"}"#,
+            r#"{"id":1.5,"kind":"metrics"}"#,
+            r#"{"id":-3,"kind":"metrics"}"#,
+            r#"{"id":null,"kind":"metrics"}"#,
+            r#"{"id":true,"kind":"metrics"}"#,
+            r#"{"id":[7],"kind":"metrics"}"#,
         ] {
             let err = parse_envelope(line).unwrap_err();
             assert_eq!(err.error.kind, ErrorKind::BadId, "{line}");

@@ -79,8 +79,8 @@ const REFINE_OUTER: usize = 80;
 /// Inner annealing iterations per outer step.
 const REFINE_INNER: usize = 40;
 
-/// Counters behind the `refinement` block of `stats`/`metrics` and the
-/// `refine` status response. All monotone atomics plus the name of the
+/// Counters behind the `refinement` block of the `metrics` and
+/// `refine` status responses. All monotone atomics plus the name of the
 /// structure the last pass targeted.
 #[derive(Debug, Default)]
 pub(crate) struct RefineStats {

@@ -273,7 +273,7 @@ impl StructureRegistry {
     /// writes: one `<name>.mps.json` per structure).
     ///
     /// An empty directory yields an empty registry — valid, it serves
-    /// `list_structures`/`stats` and typed errors until a reload finds
+    /// `list_structures`/`metrics` and typed errors until a reload finds
     /// artifacts.
     ///
     /// # Errors

@@ -27,7 +27,7 @@ use crate::protocol::{
 };
 use crate::registry::{ServedStructure, StructureRegistry};
 use crate::shard::{Connection, ShardSet};
-use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, StripedCounters, Telemetry};
+use crate::telemetry::{HistogramSnapshot, Stage, StageTrace, Telemetry};
 use mps_core::PlacementId;
 use mps_geom::Dims;
 use mps_placer::Placement;
@@ -46,10 +46,6 @@ pub(crate) const HEAVY_BATCH_THRESHOLD: usize = 256;
 /// How many worst-request records the telemetry slow ring keeps between
 /// two `trace` drains.
 const SLOW_RING_CAPACITY: usize = 32;
-
-/// Stripe count of the per-structure query tally (16 thread-affine
-/// stripes keep concurrent dispatchers off each other's locks).
-const STRUCTURE_COUNTER_STRIPES: usize = 16;
 
 /// Nanoseconds elapsed since `t`, saturated into `u64` (584 years).
 pub(crate) fn ns_since(t: Instant) -> u64 {
@@ -95,11 +91,12 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Ceiling on concurrently open TCP connections; an accept beyond it
     /// is answered with a single typed `overloaded` error line and
-    /// closed (counted under `connections.refused` in `stats`). 0 means
+    /// closed (counted under `connections.refused` in `metrics`). 0 means
     /// unlimited.
     pub max_connections: usize,
     /// Whether the telemetry layer records (per-stage latency
-    /// histograms, query-dimension heatmaps, the slow-request ring).
+    /// histograms, per-structure query tallies and dimension heatmaps,
+    /// the slow-request ring).
     /// Defaults to on — recording is a handful of relaxed atomic adds
     /// per request. Off, every recording call short-circuits and the
     /// `metrics` response reports `"enabled":false` (the loadgen
@@ -217,14 +214,13 @@ enum Outcome {
 /// The query-serving engine: a registry snapshot discipline on the read
 /// side, a sharded LRU [`AnswerCache`] in front of the compiled query
 /// indexes, a worker pool for heavy tagged requests, and
-/// counters for the `stats` request.
+/// counters for the `metrics` request.
 #[derive(Debug)]
 pub struct Server {
     registry: Arc<StructureRegistry>,
     config: ServerConfig,
     pool: WorkerPool,
     cache: AnswerCache,
-    started: Instant,
     requests: AtomicU64,
     errors: AtomicU64,
     queries: AtomicU64,
@@ -233,7 +229,6 @@ pub struct Server {
     connections_total: AtomicU64,
     connections_open: AtomicU64,
     connections_refused: AtomicU64,
-    per_structure: StripedCounters,
     telemetry: Arc<Telemetry>,
     refine_stats: crate::refine::RefineStats,
 }
@@ -279,7 +274,6 @@ impl Server {
             config,
             pool,
             cache,
-            started: Instant::now(),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -288,7 +282,6 @@ impl Server {
             connections_total: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
             connections_refused: AtomicU64::new(0),
-            per_structure: StripedCounters::new(STRUCTURE_COUNTER_STRIPES),
             telemetry,
             refine_stats: crate::refine::RefineStats::default(),
         }
@@ -743,7 +736,6 @@ impl Server {
                     // so the stored line's checks all passed).
                     CacheLookup::Hit(line) => {
                         self.queries.fetch_add(1, Ordering::Relaxed);
-                        self.count_structure(&structure, 1);
                         // The heat grid exists: the entry this hit
                         // replays was stored by an earlier miss, which
                         // created the grid.
@@ -758,7 +750,6 @@ impl Server {
                 let served = self.lookup(&structure)?;
                 self.check_arity(&served, &dims)?;
                 self.queries.fetch_add(1, Ordering::Relaxed);
-                self.count_structure(&structure, 1);
                 if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
                     heat.record(&dims);
                 }
@@ -795,7 +786,6 @@ impl Server {
                 }
                 self.queries
                     .fetch_add(dims_list.len() as u64, Ordering::Relaxed);
-                self.count_structure(&structure, dims_list.len() as u64);
                 if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
                     for dims in &dims_list {
                         heat.record(dims);
@@ -843,7 +833,6 @@ impl Server {
                     // coordinate render — it replays the stored bytes.
                     CacheLookup::Hit(line) => {
                         self.instantiations.fetch_add(1, Ordering::Relaxed);
-                        self.count_structure(&structure, 1);
                         if let Some(heat) = self.telemetry.heat_get(&structure) {
                             heat.record(&dims);
                         }
@@ -856,7 +845,6 @@ impl Server {
                 self.check_arity(&served, &dims)?;
                 self.check_bounds(&served, &dims)?;
                 self.instantiations.fetch_add(1, Ordering::Relaxed);
-                self.count_structure(&structure, 1);
                 if let Some(heat) = self.telemetry.heat_for(&structure, || heat_bounds(&served)) {
                     heat.record(&dims);
                 }
@@ -914,7 +902,6 @@ impl Server {
                 );
                 Ok(Outcome::Map(map))
             }
-            Request::Stats => Ok(Outcome::Map(self.stats())),
             Request::Metrics => Ok(Outcome::Map(self.metrics())),
             Request::Trace => Ok(Outcome::Map(self.trace_map())),
             Request::Refine { run, structure } => {
@@ -1012,73 +999,9 @@ impl Server {
         Ok(())
     }
 
-    /// Tallies answered work per structure name for the `stats` and
-    /// `metrics` views. The counters are striped per thread (see
-    /// [`StripedCounters`]): dispatching threads each increment their
-    /// own stripe, so this sits on the inline hot path without ever
-    /// making two connections — or a `stats` read — contend on one
-    /// shared lock. Counts survive reload snapshots (keyed by name, not
-    /// by snapshot).
-    fn count_structure(&self, name: &str, n: u64) {
-        self.per_structure.add(name, n);
-    }
-
-    fn stats(&self) -> Map {
-        let snapshot = self.registry.snapshot();
-        let per_structure = self.per_structure.merged();
-        let mut names: Vec<&String> = snapshot.keys().collect();
-        names.sort_unstable();
-        let structures: Vec<Value> = names
-            .into_iter()
-            .map(|name| {
-                let served = &snapshot[name];
-                let mut s = Map::new();
-                s.insert("name", Value::String(name.clone()));
-                s.insert("blocks", served.structure().block_count().to_value());
-                s.insert(
-                    "placements",
-                    served.structure().placement_count().to_value(),
-                );
-                s.insert(
-                    "queries",
-                    per_structure.get(name).copied().unwrap_or(0).to_value(),
-                );
-                s.insert(
-                    "compiled_segments",
-                    served.index().segment_count().to_value(),
-                );
-                s.insert("bitset_words", served.index().bitset_words().to_value());
-                s.insert(
-                    "compiled_heap_bytes",
-                    served.index().heap_bytes().to_value(),
-                );
-                Value::Object(s)
-            })
-            .collect();
-        let mut counters = Map::new();
-        counters.insert("requests", self.requests.load(Ordering::Relaxed).to_value());
-        counters.insert("errors", self.errors.load(Ordering::Relaxed).to_value());
-        counters.insert("queries", self.queries.load(Ordering::Relaxed).to_value());
-        counters.insert(
-            "instantiations",
-            self.instantiations.load(Ordering::Relaxed).to_value(),
-        );
-        counters.insert("reloads", self.reloads.load(Ordering::Relaxed).to_value());
-        let mut map = ok_header("stats");
-        map.insert("uptime_ms", self.uptime_ms().to_value());
-        map.insert("workers", self.pool.workers().to_value());
-        map.insert("shards", self.config.effective_shards().to_value());
-        map.insert("counters", Value::Object(counters));
-        map.insert("cache", Value::Object(self.cache_map()));
-        map.insert("connections", Value::Object(self.connections_map()));
-        map.insert("refinement", Value::Object(self.refinement_map()));
-        map.insert("structures", Value::Array(structures));
-        map
-    }
-
-    /// The refinement gauge object shared by `stats`, `metrics` and the
-    /// `refine` status response: the background-worker knobs plus the
-    /// pass counters (see [`crate::refine`] and PROTOCOL.md).
+    /// The refinement gauge object of the `metrics` and `refine`
+    /// responses: the background-worker knobs plus the pass counters
+    /// (see [`crate::refine`] and PROTOCOL.md).
     fn refinement_map(&self) -> Map {
         let s = self.refine_stats();
         let mut map = Map::new();
@@ -1105,73 +1028,60 @@ impl Server {
         map
     }
 
-    fn uptime_ms(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// The cache gauge object shared by `stats` and `metrics`. The
-    /// hit-rate is computed from per-shard-coherent (hits, misses)
-    /// pairs — see [`AnswerCache::stats`] and PROTOCOL.md § "Telemetry
-    /// consistency model".
-    fn cache_map(&self) -> Map {
-        let c = self.cache.stats();
-        let mut cache = Map::new();
-        cache.insert("enabled", Value::Bool(self.cache.enabled()));
-        cache.insert("capacity", c.capacity.to_value());
-        cache.insert("shards", c.shards.to_value());
-        cache.insert("entries", c.entries.to_value());
-        cache.insert("hits", c.hits.to_value());
-        cache.insert("misses", c.misses.to_value());
-        cache.insert("evictions", c.evictions.to_value());
-        cache.insert("invalidations", c.invalidations.to_value());
-        let lookups = c.hits + c.misses;
-        cache.insert(
-            "hit_rate",
-            if lookups == 0 {
-                0.0f64.to_value()
-            } else {
-                // Two decimals of percentage is plenty for a counter view.
-                #[allow(clippy::cast_precision_loss)]
-                (((c.hits as f64 / lookups as f64) * 10_000.0).round() / 10_000.0).to_value()
-            },
-        );
-        cache
-    }
-
-    /// The connection gauge object shared by `stats` and `metrics`.
-    fn connections_map(&self) -> Map {
-        let mut connections = Map::new();
-        connections.insert(
-            "total",
-            self.connections_total.load(Ordering::Relaxed).to_value(),
-        );
-        connections.insert(
-            "open",
-            self.connections_open.load(Ordering::Relaxed).to_value(),
-        );
-        connections.insert(
-            "refused",
-            self.connections_refused.load(Ordering::Relaxed).to_value(),
-        );
-        connections.insert("max", self.config.max_connections.to_value());
-        connections
-    }
-
-    /// The `metrics` response: the full telemetry snapshot. Stage
-    /// histograms are reported merged across lanes and per active lane;
-    /// structure entries carry the query tally and the dimension
-    /// heatmap. With telemetry off only `enabled:false` and the gauges
-    /// are meaningful (histograms and heatmaps stay empty).
+    /// The `metrics` response, the server's one introspection view: the
+    /// always-on request counters, the registry with each structure's
+    /// static facts, the telemetry snapshot, and the cache, connection
+    /// and refinement gauges. Stage histograms are reported merged
+    /// across lanes and per active lane; `structures` entries carry the
+    /// query tally and the dimension heatmap of each structure queried.
+    /// With telemetry off `enabled` reads false and the histograms,
+    /// lanes and `structures` stay empty; everything else keeps its
+    /// meaning.
     fn metrics(&self) -> Map {
         let mut map = ok_header("metrics");
         map.insert("enabled", Value::Bool(self.telemetry.enabled()));
-        map.insert("uptime_ms", self.uptime_ms().to_value());
-        let mut registry = Map::new();
-        registry.insert("structures", self.registry.len().to_value());
-        registry.insert("generation", self.registry.generation().to_value());
-        map.insert("registry", Value::Object(registry));
+        map.insert("uptime_ms", self.telemetry.uptime_ms().to_value());
         map.insert("workers", self.pool.workers().to_value());
         map.insert("shards", self.config.effective_shards().to_value());
+        let mut counters = Map::new();
+        for (name, counter) in [
+            ("requests", &self.requests),
+            ("errors", &self.errors),
+            ("queries", &self.queries),
+            ("instantiations", &self.instantiations),
+            ("reloads", &self.reloads),
+        ] {
+            counters.insert(name, counter.load(Ordering::Relaxed).to_value());
+        }
+        map.insert("counters", Value::Object(counters));
+        // What each served structure is, in name order.
+        let snapshot = self.registry.snapshot();
+        let mut names: Vec<&String> = snapshot.keys().collect();
+        names.sort_unstable();
+        let mut served_map = Map::new();
+        for name in names {
+            let served = &snapshot[name];
+            let mut s = Map::new();
+            s.insert("blocks", served.structure().block_count().to_value());
+            s.insert(
+                "placements",
+                served.structure().placement_count().to_value(),
+            );
+            s.insert(
+                "compiled_segments",
+                served.index().segment_count().to_value(),
+            );
+            s.insert("bitset_words", served.index().bitset_words().to_value());
+            s.insert(
+                "compiled_heap_bytes",
+                served.index().heap_bytes().to_value(),
+            );
+            served_map.insert(name.clone(), Value::Object(s));
+        }
+        let mut registry = Map::new();
+        registry.insert("structures", Value::Object(served_map));
+        registry.insert("generation", self.registry.generation().to_value());
+        map.insert("registry", Value::Object(registry));
         // Whole-server per-stage distributions (merged across lanes);
         // stages nothing has recorded yet are omitted.
         let mut stages = Map::new();
@@ -1203,17 +1113,14 @@ impl Server {
             lanes.push(Value::Object(entry));
         }
         map.insert("lanes", Value::Array(lanes));
-        // Per-structure: the query tally and the dimension heatmap (in
-        // name order — the BTreeMap behind the snapshot makes this
-        // deterministic, which the byte-stability test relies on).
-        let tallies = self.per_structure.merged();
+        // Per-structure traffic: the query tally is the heat grid's
+        // vector count, and the heatmap itself (in name order — the
+        // BTreeMap behind the snapshot makes this deterministic, which
+        // the byte-stability test relies on).
         let mut structures = Map::new();
         for (name, heat) in self.telemetry.heat_snapshot() {
             let mut entry = Map::new();
-            entry.insert(
-                "queries",
-                tallies.get(&name).copied().unwrap_or(0).to_value(),
-            );
+            entry.insert("queries", heat.total.to_value());
             let mut heat_map = Map::new();
             heat_map.insert("total", heat.total.to_value());
             heat_map.insert("bins", crate::telemetry::HEAT_BINS.to_value());
@@ -1238,11 +1145,41 @@ impl Server {
             structures.insert(name, Value::Object(entry));
         }
         map.insert("structures", Value::Object(structures));
-        map.insert("cache", Value::Object(self.cache_map()));
-        let mut pool = Map::new();
-        pool.insert("workers", self.pool.workers().to_value());
-        map.insert("pool", Value::Object(pool));
-        map.insert("connections", Value::Object(self.connections_map()));
+        // The hit-rate is computed from per-shard-coherent (hits,
+        // misses) pairs — see `AnswerCache::stats` and PROTOCOL.md §
+        // "Telemetry consistency model".
+        let c = self.cache.stats();
+        let mut cache = Map::new();
+        cache.insert("enabled", Value::Bool(self.cache.enabled()));
+        cache.insert("capacity", c.capacity.to_value());
+        cache.insert("shards", c.shards.to_value());
+        cache.insert("entries", c.entries.to_value());
+        cache.insert("hits", c.hits.to_value());
+        cache.insert("misses", c.misses.to_value());
+        cache.insert("evictions", c.evictions.to_value());
+        cache.insert("invalidations", c.invalidations.to_value());
+        let lookups = c.hits + c.misses;
+        cache.insert(
+            "hit_rate",
+            if lookups == 0 {
+                0.0f64.to_value()
+            } else {
+                // Two decimals of percentage is plenty for a counter view.
+                #[allow(clippy::cast_precision_loss)]
+                (((c.hits as f64 / lookups as f64) * 10_000.0).round() / 10_000.0).to_value()
+            },
+        );
+        map.insert("cache", Value::Object(cache));
+        let mut connections = Map::new();
+        for (name, gauge) in [
+            ("total", &self.connections_total),
+            ("open", &self.connections_open),
+            ("refused", &self.connections_refused),
+        ] {
+            connections.insert(name, gauge.load(Ordering::Relaxed).to_value());
+        }
+        connections.insert("max", self.config.max_connections.to_value());
+        map.insert("connections", Value::Object(connections));
         map.insert("refinement", Value::Object(self.refinement_map()));
         map
     }
@@ -1284,33 +1221,6 @@ impl Server {
             ),
         );
         map
-    }
-
-    /// One summary line for the `--metrics-interval` stderr dump:
-    /// request totals, whole-server dispatch percentiles, cache hit
-    /// rate and the connection gauge.
-    #[must_use]
-    pub fn metrics_line(&self) -> String {
-        let dispatch = self.telemetry.merged_stage(Stage::Dispatch);
-        let c = self.cache.stats();
-        let lookups = c.hits + c.misses;
-        #[allow(clippy::cast_precision_loss)]
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            c.hits as f64 / lookups as f64
-        };
-        format!(
-            "requests={} errors={} dispatched={} dispatch_p50_ns={} dispatch_p99_ns={} \
-             dispatch_p999_ns={} cache_hit_rate={hit_rate:.4} connections_open={}",
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            dispatch.count(),
-            dispatch.percentile(0.5),
-            dispatch.percentile(0.99),
-            dispatch.percentile(0.999),
-            self.connections_open.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -1434,7 +1344,7 @@ mod tests {
             second.get("id"),
             "a cache hit must replay the stored answer"
         );
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(1));
         assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
@@ -1450,7 +1360,7 @@ mod tests {
         assert_eq!(reload.get("ok").and_then(Value::as_bool), Some(true));
         // In-memory registry reloads to itself; the cache still empties.
         assert_eq!(reload.get("serving").and_then(Value::as_u64), Some(1));
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("entries").and_then(Value::as_u64), Some(0));
         assert_eq!(cache.get("invalidations").and_then(Value::as_u64), Some(1));
@@ -1496,8 +1406,8 @@ mod tests {
             missing.get("outcome").and_then(Value::as_str),
             Some("no_candidate")
         );
-        // stats and metrics both carry the refinement block.
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        // metrics carries the refinement block too.
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let stats_block = stats.get("refinement").unwrap();
         assert_eq!(
             stats_block.get("interval_secs").and_then(Value::as_u64),
@@ -1585,7 +1495,7 @@ mod tests {
             served.structure().query(&dims).map(|id| u64::from(id.0))
         );
         // And the counters reflect the accepted pass.
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let block = stats.get("refinement").unwrap();
         assert!(block.get("accepted").and_then(Value::as_u64) >= Some(1));
         assert_eq!(block.get("active").and_then(Value::as_str), Some("circ01"));
@@ -1625,7 +1535,7 @@ mod tests {
             .and_then(|s| s.get("parse"))
             .expect("error traffic must appear in the parse stage");
         assert_eq!(parse_stage.get("count").and_then(Value::as_u64), Some(3));
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         assert_eq!(
             stats
                 .get("counters")
@@ -1669,7 +1579,7 @@ mod tests {
             .is_some_and(|m| m.contains("exceeds")));
         // The refusal is counted and its parse span recorded even
         // though the bytes never reached the parser — error traffic
-        // must stay visible in `stats` and `metrics`.
+        // must stay visible in `metrics`.
         assert_eq!(server.requests.load(Ordering::Relaxed), 1);
         assert_eq!(server.errors.load(Ordering::Relaxed), 1);
         assert_eq!(server.telemetry().merged_stage(Stage::Parse).count(), 1);
@@ -1679,12 +1589,12 @@ mod tests {
     fn tagged_requests_echo_req_and_enforce_increasing_ids() {
         let server = test_server();
         let input = concat!(
-            "{\"id\":1,\"kind\":\"stats\"}\n",
+            "{\"id\":1,\"kind\":\"metrics\"}\n",
             "{\"id\":5,\"kind\":\"list_structures\"}\n",
-            "{\"id\":5,\"kind\":\"stats\"}\n", // duplicate
-            "{\"id\":3,\"kind\":\"stats\"}\n", // decreasing
-            "{\"kind\":\"stats\"}\n",          // missing id after tagged
-            "{\"id\":9,\"kind\":\"stats\"}\n", // recovers
+            "{\"id\":5,\"kind\":\"metrics\"}\n", // duplicate
+            "{\"id\":3,\"kind\":\"metrics\"}\n", // decreasing
+            "{\"kind\":\"metrics\"}\n",          // missing id after tagged
+            "{\"id\":9,\"kind\":\"metrics\"}\n", // recovers
         )
         .as_bytes()
         .to_vec();
@@ -1722,7 +1632,7 @@ mod tests {
         assert!(server.handle_line("   ").is_none());
         let _ = server.handle_line(r#"{"kind":"list_structures"}"#).unwrap();
         let _ = server.handle_line("not json").unwrap();
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let counters = stats.get("counters").unwrap();
         assert_eq!(counters.get("requests").and_then(Value::as_u64), Some(3));
         assert_eq!(counters.get("errors").and_then(Value::as_u64), Some(1));
@@ -1731,14 +1641,14 @@ mod tests {
     #[test]
     fn serve_pumps_a_stream() {
         let server = test_server();
-        let input = b"{\"kind\":\"list_structures\"}\n\n{\"kind\":\"stats\"}\n".to_vec();
+        let input = b"{\"kind\":\"list_structures\"}\n\n{\"kind\":\"metrics\"}\n".to_vec();
         let mut output = Vec::new();
         server.serve(&input[..], &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "one response per non-blank request line");
         assert!(lines[0].contains("circ01"));
-        assert!(lines[1].contains("\"kind\":\"stats\""));
+        assert!(lines[1].contains("\"kind\":\"metrics\""));
     }
 
     /// Invalid UTF-8 used to end the whole `serve` stream with an I/O
@@ -1746,7 +1656,7 @@ mod tests {
     #[test]
     fn serve_answers_invalid_utf8_with_one_error_and_keeps_going() {
         let server = test_server();
-        let input = b"{\"kind\":\"stats\"\xff}\n{\"kind\":\"list_structures\"}\n".to_vec();
+        let input = b"{\"kind\":\"metrics\"\xff}\n{\"kind\":\"list_structures\"}\n".to_vec();
         let mut output = Vec::new();
         server.serve(&input[..], &mut output).unwrap();
         let lines: Vec<Value> = String::from_utf8(output)
@@ -1969,13 +1879,12 @@ mod tests {
         );
     }
 
-    /// Regression, now structural: the per-structure query counters
-    /// used to sit behind one shared `Mutex<BTreeMap>`, so a handler
-    /// panicking while holding it poisoned every later request. The
-    /// striped counters have no server-wide lock to poison — a thread
-    /// dying right after touching them leaves later requests and
-    /// `stats` untouched (stripe-level poison recovery itself is
-    /// covered in the telemetry module's tests).
+    /// Regression: the per-structure query counters used to sit behind
+    /// one shared `Mutex<BTreeMap>`, so a handler panicking while holding
+    /// it poisoned every later request. The one lock left on the
+    /// per-structure path is the heat-grid map's write lock, taken only
+    /// to create a grid; a bounds closure that panics inside it poisons
+    /// it, and later requests and `metrics` must still answer.
     #[test]
     fn requests_survive_a_panicking_handler_thread() {
         let server = Arc::new(test_server());
@@ -1984,8 +1893,9 @@ mod tests {
         assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true));
         let counting = Arc::clone(&server);
         let handle = std::thread::spawn(move || {
-            counting.per_structure.add("circ01", 1);
-            panic!("handler dies right after touching the shared counters");
+            counting.telemetry().heat_for("poisoned", || {
+                panic!("bounds panic under the heat write lock")
+            });
         });
         assert!(handle.join().is_err(), "the thread must have panicked");
         let after = parse(&server.handle_line(&query_line(&dims)).unwrap());
@@ -1994,7 +1904,7 @@ mod tests {
             Some(true),
             "a dead counter-touching thread must not fail later requests: {after:?}"
         );
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
     }
 
@@ -2085,7 +1995,7 @@ mod tests {
         drop(first);
         wait_for_open(&server, 1);
         let mut replacement = TcpStream::connect(addr).unwrap();
-        replacement.write_all(b"{\"kind\":\"stats\"}\n").unwrap();
+        replacement.write_all(b"{\"kind\":\"metrics\"}\n").unwrap();
         let mut reader = BufReader::new(replacement.try_clone().unwrap());
         line.clear();
         reader.read_line(&mut line).unwrap();
@@ -2235,7 +2145,7 @@ mod tests {
         let input = format!(
             "{{\"kind\":\"batch_query\",\"structure\":\"circ01\",\"dims_list\":[{dims_json},{dims_json}],\
              \"encoding\":\"bin\"}}\n\
-             {{\"kind\":\"stats\"}}\n"
+             {{\"kind\":\"metrics\"}}\n"
         );
         let mut output = Vec::new();
         server.serve(input.as_bytes(), &mut output).unwrap();
@@ -2249,7 +2159,7 @@ mod tests {
         // The JSON response right after the frame is undisturbed.
         let rest = std::str::from_utf8(&output[frame_len..]).unwrap();
         assert!(
-            rest.starts_with('{') && rest.contains("\"kind\":\"stats\""),
+            rest.starts_with('{') && rest.contains("\"kind\":\"metrics\""),
             "{rest}"
         );
 
@@ -2568,9 +2478,60 @@ mod tests {
             .and_then(Value::as_array)
             .unwrap()
             .is_empty());
-        // The per-structure tally in `stats` is independent of the
-        // telemetry knob: `stats` keeps its full meaning either way.
-        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        // The counters and gauges are independent of the telemetry
+        // knob and keep their meaning either way.
+        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    /// `metrics` is the one introspection response: with telemetry off
+    /// it still carries the always-on counters, the cache and
+    /// connection gauges and each served structure's static facts, and
+    /// the retired `stats` kind is refused like any unknown kind.
+    #[test]
+    fn metrics_carries_the_counters_without_telemetry_and_stats_is_gone() {
+        let server = Server::with_config(
+            test_registry(),
+            ServerConfig {
+                workers: 1,
+                telemetry: false,
+                ..ServerConfig::default()
+            },
+        );
+        let metrics = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
+        assert_eq!(metrics.get("enabled").and_then(Value::as_bool), Some(false));
+        let requests = metrics
+            .get("counters")
+            .and_then(|c| c.get("requests"))
+            .and_then(Value::as_u64);
+        assert_eq!(requests, Some(1), "{metrics:?}");
+        for section in ["cache", "connections"] {
+            assert!(
+                metrics.get(section).and_then(Value::as_object).is_some(),
+                "metrics lacks `{section}`: {metrics:?}"
+            );
+        }
+        let blocks = metrics
+            .get("registry")
+            .and_then(|r| r.get("structures"))
+            .and_then(|s| s.get("circ01"))
+            .and_then(|c| c.get("blocks"))
+            .and_then(Value::as_u64);
+        let expected = server
+            .registry()
+            .get("circ01")
+            .unwrap()
+            .structure()
+            .block_count();
+        assert_eq!(blocks, Some(expected as u64), "{metrics:?}");
+        let stats = parse(&server.handle_line(r#"{"kind":"stats"}"#).unwrap());
+        assert_eq!(
+            stats
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Value::as_str),
+            Some("unknown_kind"),
+            "{stats:?}"
+        );
     }
 }

@@ -123,7 +123,7 @@ impl Connection {
             // This refusal never reaches admit() — the buffered bytes are
             // dropped unparsed — so the server counts it and records its
             // parse span explicitly, keeping refused traffic visible in
-            // `stats`/`metrics` like every other error.
+            // `metrics` like every other error.
             self.out
                 .push_line(&server.refuse_preadmission(&RequestError::new(
                     ErrorKind::Protocol,
@@ -916,12 +916,12 @@ mod tests {
     #[test]
     fn recv_buffer_reassembles_a_line_split_across_segments() {
         let mut recv = RecvBuffer::default();
-        recv.extend(b"{\"kind\":\"sta");
+        recv.extend(b"{\"kind\":\"met");
         assert_eq!(recv.next_line(), None, "no newline yet");
-        recv.extend(b"ts\"}");
+        recv.extend(b"rics\"}");
         assert_eq!(recv.next_line(), None, "still no newline");
         recv.extend(b"\n{\"kind\":");
-        assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"stats\"}"));
+        assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"metrics\"}"));
         assert_eq!(recv.next_line(), None);
         assert_eq!(recv.len(), b"{\"kind\":".len(), "the tail stays buffered");
     }
@@ -941,12 +941,12 @@ mod tests {
     #[test]
     fn recv_buffer_handles_byte_at_a_time_arrival() {
         let mut recv = RecvBuffer::default();
-        for &b in b"{\"kind\":\"stats\"}" {
+        for &b in b"{\"kind\":\"metrics\"}" {
             recv.extend(&[b]);
             assert_eq!(recv.next_line(), None);
         }
         recv.extend(b"\n");
-        assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"stats\"}"));
+        assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"metrics\"}"));
     }
 
     /// A writer that accepts a budget of bytes, then reports WouldBlock
@@ -975,7 +975,7 @@ mod tests {
     #[test]
     fn send_buffer_parks_the_tail_on_a_full_socket_and_resumes() {
         let mut out = SendBuffer::default();
-        out.push_line("{\"ok\":true,\"kind\":\"stats\"}");
+        out.push_line("{\"ok\":true,\"kind\":\"metrics\"}");
         out.push_line("{\"ok\":true,\"kind\":\"query\"}");
         let mut sock = Throttled {
             accept: 10,
@@ -990,7 +990,7 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(
             sock.out,
-            b"{\"ok\":true,\"kind\":\"stats\"}\n{\"ok\":true,\"kind\":\"query\"}\n"
+            b"{\"ok\":true,\"kind\":\"metrics\"}\n{\"ok\":true,\"kind\":\"query\"}\n"
         );
     }
 

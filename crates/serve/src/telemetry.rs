@@ -29,7 +29,8 @@
 //! * **Heatmaps** ([`StructureHeat`]) bucket each queried dimension
 //!   vector axis-wise against the structure's designer bounds on a fixed
 //!   [`HEAT_BINS`]-bin grid — the observed query-dimension distribution
-//!   the ROADMAP's traffic-adaptive refinement needs as input.
+//!   the ROADMAP's traffic-adaptive refinement needs as input. A grid's
+//!   vector count is also the structure's query tally in `metrics`.
 //! * **The slow ring** ([`SlowRing`]) keeps the N worst requests by
 //!   total time with their full stage breakdown, behind an atomic floor
 //!   so the common (fast) request never takes its lock.
@@ -41,13 +42,14 @@
 //! atomic cut (a request recording concurrently may appear in one stage
 //! and not yet in another). Percentiles report the **upper bound** of
 //! the bucket holding the requested rank, so a reported p99 is an "at
-//! most" figure with ≤ half-octave (≈41%) resolution error, never an
-//! underestimate of the bucket's true range.
+//! most" figure, never an underestimate, and overstates by less than
+//! 50%: the two sub-buckets of an octave split it linearly, so the
+//! worst case is a value of `2^k` reported as `1.5·2^k − 1`.
 
 use crate::lock_recover;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -527,75 +529,8 @@ pub struct HeatSnapshot {
     pub blocks: Vec<([u64; HEAT_BINS], [u64; HEAT_BINS])>,
 }
 
-/// Sharded per-name counters for the dispatch hot path: each recording
-/// thread owns (a round-robin-assigned) stripe, so increments from
-/// different threads never contend, and a `stats`/`metrics` read merges
-/// stripes without ever stalling dispatch on one shared lock.
-#[derive(Debug)]
-pub struct StripedCounters {
-    // BTreeMap, not HashMap: the keys are a handful of short structure
-    // names, and 3-4 pointer-chasing string compares beat SipHashing the
-    // name on every single dispatch.
-    stripes: Vec<Mutex<BTreeMap<String, u64>>>,
-}
-
-/// Round-robin stripe assignment, one per thread for its lifetime.
-static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
     static LANE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn thread_stripe() -> usize {
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = STRIPE_SEQ.fetch_add(1, Ordering::Relaxed);
-            s.set(v);
-        }
-        v
-    })
-}
-
-impl StripedCounters {
-    /// A counter map spread over `stripes` independently locked stripes
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn new(stripes: usize) -> Self {
-        Self {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Adds `n` under `name` in the calling thread's stripe. The stripe
-    /// is thread-affine, so concurrent callers on different threads
-    /// (almost) never share a lock.
-    pub fn add(&self, name: &str, n: u64) {
-        let stripe = &self.stripes[thread_stripe() % self.stripes.len()];
-        let mut map = lock_recover(stripe);
-        if let Some(count) = map.get_mut(name) {
-            *count += n;
-        } else {
-            map.insert(name.to_owned(), n);
-        }
-    }
-
-    /// Merges every stripe into one sorted view. Each stripe is read
-    /// under its own lock, so per-stripe counts are coherent; the
-    /// cross-stripe sum is monotonic between two reads.
-    #[must_use]
-    pub fn merged(&self) -> BTreeMap<String, u64> {
-        let mut merged = BTreeMap::new();
-        for stripe in &self.stripes {
-            for (name, count) in lock_recover(stripe).iter() {
-                *merged.entry(name.clone()).or_insert(0) += count;
-            }
-        }
-        merged
-    }
 }
 
 /// The server-wide telemetry hub: per-lane per-stage histograms, the
@@ -850,6 +785,12 @@ mod tests {
             if i > 0 {
                 assert!(bucket_bound(i - 1) < v, "bucket {i} is tight for {v}");
             }
+            if v >= 4 {
+                assert!(
+                    u128::from(bucket_bound(i)) < u128::from(v) + u128::from(v / 2),
+                    "bound({i}) overstates {v} by less than 50%"
+                );
+            }
         }
         // Bounds are strictly increasing: the bucket order is the value
         // order, which is what percentile extraction relies on.
@@ -1015,41 +956,6 @@ mod tests {
         // Drain resets: the ring accepts fast requests again.
         ring.offer(entry(1));
         assert_eq!(ring.drain().len(), 1);
-    }
-
-    #[test]
-    fn striped_counters_merge_across_threads() {
-        let counters = StripedCounters::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let counters = &counters;
-                scope.spawn(move || {
-                    for _ in 0..1_000 {
-                        counters.add("alpha", 1);
-                    }
-                    counters.add("beta", 5);
-                });
-            }
-        });
-        let merged = counters.merged();
-        assert_eq!(merged.get("alpha"), Some(&8_000));
-        assert_eq!(merged.get("beta"), Some(&40));
-        assert_eq!(merged.len(), 2);
-    }
-
-    /// A thread panicking while holding a stripe lock poisons only that
-    /// stripe, and both recording and merging recover its data.
-    #[test]
-    fn striped_counters_recover_from_a_poisoned_stripe() {
-        let counters = StripedCounters::new(1); // every thread shares stripe 0
-        counters.add("alpha", 1);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = counters.stripes[0].lock().unwrap();
-            panic!("die while holding the stripe lock");
-        }));
-        assert!(counters.stripes[0].is_poisoned());
-        counters.add("alpha", 2);
-        assert_eq!(counters.merged().get("alpha"), Some(&3));
     }
 
     #[test]

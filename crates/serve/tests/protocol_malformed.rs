@@ -112,12 +112,12 @@ fn battery() -> Vec<(String, &'static str)> {
             "out_of_bounds",
         ),
         // --- tagged-request framing: ill-formed `id` members ---
-        (r#"{"id":"seven","kind":"stats"}"#.into(), "bad_id"),
-        (r#"{"id":1.5,"kind":"stats"}"#.into(), "bad_id"),
-        (r#"{"id":-3,"kind":"stats"}"#.into(), "bad_id"),
-        (r#"{"id":null,"kind":"stats"}"#.into(), "bad_id"),
+        (r#"{"id":"seven","kind":"metrics"}"#.into(), "bad_id"),
+        (r#"{"id":1.5,"kind":"metrics"}"#.into(), "bad_id"),
+        (r#"{"id":-3,"kind":"metrics"}"#.into(), "bad_id"),
+        (r#"{"id":null,"kind":"metrics"}"#.into(), "bad_id"),
         (r#"{"id":true,"kind":"list_structures"}"#.into(), "bad_id"),
-        (r#"{"id":[7],"kind":"stats"}"#.into(), "bad_id"),
+        (r#"{"id":[7],"kind":"metrics"}"#.into(), "bad_id"),
         (
             r#"{"id":{"n":7},"kind":"query","structure":"circ01","dims":[[20,20],[20,20],[20,20],[20,20]]}"#.into(),
             "bad_id",
@@ -168,8 +168,8 @@ fn server_survives_the_whole_battery_and_still_answers() {
         value.get("id").and_then(Value::as_u64),
         served.structure().query(&dims).map(|id| u64::from(id.0))
     );
-    // ... and stats counted every refused line as an error.
-    let stats = server.handle_line(r#"{"kind":"stats"}"#).unwrap();
+    // ... and metrics counted every refused line as an error.
+    let stats = server.handle_line(r#"{"kind":"metrics"}"#).unwrap();
     let stats = serde_json::parse(&stats).unwrap();
     assert_eq!(
         stats
@@ -190,9 +190,9 @@ fn tagged_framing_violations_are_refused_without_killing_the_connection() {
     let server = test_server();
     let input = concat!(
         "{\"id\":10,\"kind\":\"list_structures\"}\n",
-        "{\"id\":10,\"kind\":\"stats\"}\n", // duplicate id
-        "{\"id\":4,\"kind\":\"stats\"}\n",  // decreasing id
-        "{\"kind\":\"stats\"}\n",           // missing id on a tagged connection
+        "{\"id\":10,\"kind\":\"metrics\"}\n", // duplicate id
+        "{\"id\":4,\"kind\":\"metrics\"}\n",  // decreasing id
+        "{\"kind\":\"metrics\"}\n",           // missing id on a tagged connection
         "{\"id\":11,\"kind\":\"query\",\"structure\":\"nope\",\"dims\":[[1,1]]}\n",
         "{\"id\":12,\"kind\":\"list_structures\"}\n",
     )
@@ -239,11 +239,11 @@ fn tagged_framing_violations_are_refused_without_killing_the_connection() {
 #[test]
 fn tagged_mode_is_per_connection() {
     let server = test_server();
-    let tagged = b"{\"id\":1,\"kind\":\"stats\"}\n".to_vec();
+    let tagged = b"{\"id\":1,\"kind\":\"metrics\"}\n".to_vec();
     let mut output = Vec::new();
     server.serve(&tagged[..], &mut output).unwrap();
     // A second connection may still speak untagged.
-    let untagged = b"{\"kind\":\"stats\"}\n".to_vec();
+    let untagged = b"{\"kind\":\"metrics\"}\n".to_vec();
     let mut output = Vec::new();
     server.serve(&untagged[..], &mut output).unwrap();
     let value: Value = serde_json::parse(String::from_utf8(output).unwrap().trim()).unwrap();
@@ -263,4 +263,95 @@ fn out_of_bounds_query_answers_null_not_error() {
     let value = serde_json::parse(&response).unwrap();
     assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(value.get("id"), Some(&Value::Null));
+}
+
+/// Deterministic mutation fuzzing of the request parser and the whole
+/// line path. Seeds are the battery above plus one well-formed line per
+/// request kind; each mutant takes one to three byte flips,
+/// truncations, splices with another seed, or `kind` swaps. Nothing may
+/// panic, every envelope the parser accepts must name a known kind, and
+/// every non-blank mutant must be answered with exactly one JSON line.
+#[test]
+fn mutated_request_lines_parse_to_known_kinds_and_get_one_json_line() {
+    use mps_serve::{parse_envelope, REQUEST_KINDS};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const DIMS: &str = "[[20,20],[20,20],[20,20],[20,20]]";
+    let mut seeds: Vec<Vec<u8>> = battery().into_iter().map(|(l, _)| l.into_bytes()).collect();
+    for line in [
+        format!(r#"{{"kind":"query","structure":"circ01","dims":{DIMS}}}"#),
+        format!(r#"{{"id":3,"kind":"instantiate","structure":"circ01","dims":{DIMS}}}"#),
+        format!(r#"{{"kind":"batch_query","structure":"circ01","dims_list":[{DIMS},{DIMS}]}}"#),
+        format!(
+            r#"{{"kind":"batch_query","structure":"circ01","dims_list":[{DIMS}],"encoding":"bin"}}"#
+        ),
+        r#"{"kind":"list_structures"}"#.to_owned(),
+        r#"{"id":9,"kind":"metrics"}"#.to_owned(),
+        r#"{"kind":"trace"}"#.to_owned(),
+        r#"{"kind":"reload"}"#.to_owned(),
+        r#"{"kind":"refine","action":"status"}"#.to_owned(),
+        r#"{"kind":"refine","structure":"nope"}"#.to_owned(),
+    ] {
+        seeds.push(line.into_bytes());
+    }
+    let swaps: Vec<&str> = REQUEST_KINDS
+        .iter()
+        .copied()
+        .chain(["stats", "", "QUERY", "query\"", "\\u0071uery"])
+        .collect();
+    let server = test_server();
+    let mut rng = StdRng::seed_from_u64(0x4d50_5350);
+    let (mut accepted, mut refused) = (0u32, 0u32);
+    for _ in 0..10_000 {
+        let mut line = seeds[rng.random_range(0..seeds.len())].clone();
+        for _ in 0..rng.random_range(1..4u8) {
+            match rng.random_range(0..4u8) {
+                0 if !line.is_empty() => {
+                    let i = rng.random_range(0..line.len());
+                    line[i] ^= 1 << rng.random_range(0..8u8);
+                }
+                1 => line.truncate(rng.random_range(0..=line.len())),
+                2 => {
+                    let other = &seeds[rng.random_range(0..seeds.len())];
+                    line.truncate(rng.random_range(0..=line.len()));
+                    line.extend_from_slice(&other[rng.random_range(0..=other.len())..]);
+                }
+                _ => {
+                    let text = String::from_utf8_lossy(&line).into_owned();
+                    if let Some(at) = text.find(r#""kind":""#) {
+                        let start = at + r#""kind":""#.len();
+                        let end = text[start..].find('"').map_or(text.len(), |e| start + e);
+                        let kind = swaps[rng.random_range(0..swaps.len())];
+                        line = format!("{}{kind}{}", &text[..start], &text[end..]).into_bytes();
+                    }
+                }
+            }
+        }
+        let line = String::from_utf8_lossy(&line).into_owned();
+        match parse_envelope(&line) {
+            Ok(envelope) => {
+                accepted += 1;
+                let kind = envelope.request.kind_str();
+                assert!(REQUEST_KINDS.contains(&kind), "{kind} from {line:?}");
+            }
+            Err(_) => refused += 1,
+        }
+        let Some(response) = server.handle_line(&line) else {
+            assert!(line.trim().is_empty(), "no answer for {line:?}");
+            continue;
+        };
+        assert!(
+            !response.contains('\n'),
+            "one line for {line:?}: {response}"
+        );
+        assert!(
+            serde_json::parse(&response).is_ok(),
+            "invalid JSON for {line:?}: {response}"
+        );
+    }
+    assert!(
+        accepted > 200 && refused > 200,
+        "the mutations must land on both sides: {accepted} accepted, {refused} refused"
+    );
 }

@@ -137,7 +137,7 @@ fn stdin_stream_answers_match_direct_queries() {
                 dims_list.join(",")
             )
             .unwrap();
-            writeln!(stdin, "{{\"kind\":\"stats\"}}").unwrap();
+            writeln!(stdin, "{{\"kind\":\"metrics\"}}").unwrap();
             // dropping stdin closes the stream; the server exits cleanly
         })
     };
@@ -176,7 +176,7 @@ fn stdin_stream_answers_match_direct_queries() {
         assert_eq!(got.as_u64(), want.map(|id| u64::from(id.0)));
     }
 
-    // stats counted the traffic
+    // metrics counted the traffic
     let stats: Value = serde_json::parse(&next()).unwrap();
     let counters = stats.get("counters").unwrap();
     assert_eq!(counters.get("errors").and_then(Value::as_u64), Some(1));
@@ -331,7 +331,7 @@ fn tcp_pipelined_burst_answers_every_tagged_request() {
     assert!(answered.iter().all(|&a| a), "every request answered");
 
     // The same burst again: now largely cache hits — still identical,
-    // and the stats response reports them.
+    // and the metrics response reports them.
     for (k, dims) in queries.iter().enumerate() {
         let pairs: Vec<String> = dims.iter().map(|&(w, h)| format!("[{w},{h}]")).collect();
         writeln!(
@@ -354,11 +354,11 @@ fn tcp_pipelined_burst_answers_every_tagged_request() {
             "cached answer {req} diverges from the direct query"
         );
     }
-    writeln!(writer, r#"{{"id":{},"kind":"stats"}}"#, 2 * queries.len()).unwrap();
+    writeln!(writer, r#"{{"id":{},"kind":"metrics"}}"#, 2 * queries.len()).unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     let stats: Value = serde_json::parse(line.trim_end()).unwrap();
-    let cache = stats.get("cache").expect("stats carries cache counters");
+    let cache = stats.get("cache").expect("metrics carries cache counters");
     assert!(
         cache.get("hits").and_then(Value::as_u64).unwrap_or(0) >= queries.len() as u64,
         "second pass must hit the cache: {line}"

@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{\"id\":4,\"kind\":\"reload\"}".to_owned(),
         // Malformed input is answered with a typed error, never fatal.
         "{\"kind\":\"query\",\"structure\":\"circ02\",\"dims\":[[1,2,3]]}".to_owned(),
-        "{\"id\":5,\"kind\":\"stats\"}".to_owned(),
+        "{\"id\":5,\"kind\":\"metrics\"}".to_owned(),
     ] {
         let response = server.handle_line(&line).expect("non-blank line");
         println!("→ {line}");

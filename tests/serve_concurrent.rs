@@ -244,11 +244,11 @@ fn concurrent_clients_with_hot_reload_never_diverge() {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    writeln!(writer, r#"{{"kind":"stats"}}"#).unwrap();
+    writeln!(writer, r#"{{"kind":"metrics"}}"#).unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     let stats: Value = serde_json::parse(line.trim_end()).unwrap();
-    let cache = stats.get("cache").expect("stats carries cache counters");
+    let cache = stats.get("cache").expect("metrics carries cache counters");
     assert!(
         cache
             .get("invalidations")
@@ -377,7 +377,7 @@ fn two_hundred_fifty_six_clients_never_diverge() {
     );
 
     // All clients hung up: the open-connection gauge must drain back to
-    // just the stats probe itself — the drop-guard accounting survives
+    // just the metrics probe itself — the drop-guard accounting survives
     // 256 concurrent lifecycles.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
@@ -394,7 +394,7 @@ fn two_hundred_fifty_six_clients_never_diverge() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One stats request over a fresh connection, returning the named
+/// One metrics request over a fresh connection, returning the named
 /// nested counter (0 when anything fails — callers poll).
 fn stats_field(addr: std::net::SocketAddr, group: &str, name: &str) -> u64 {
     let Ok(stream) = TcpStream::connect(addr) else {
@@ -406,7 +406,7 @@ fn stats_field(addr: std::net::SocketAddr, group: &str, name: &str) -> u64 {
         Err(_) => return 0,
     });
     let mut writer = stream;
-    if writeln!(writer, r#"{{"kind":"stats"}}"#).is_err() {
+    if writeln!(writer, r#"{{"kind":"metrics"}}"#).is_err() {
         return 0;
     }
     let mut line = String::new();
@@ -435,7 +435,7 @@ fn server_requests_done(addr: std::net::SocketAddr) -> u64 {
         Err(_) => return 0,
     });
     let mut writer = stream;
-    if writeln!(writer, r#"{{"kind":"stats"}}"#).is_err() {
+    if writeln!(writer, r#"{{"kind":"metrics"}}"#).is_err() {
         return 0;
     }
     let mut line = String::new();
