@@ -275,7 +275,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(0x4d50_5346);
         let (mut accepted, mut rejected) = (0, 0);
-        for _ in 0..20_000 {
+        for _ in 0..20_000 * crate::protocol::corpus::fuzz_scale() {
             let ids: Vec<Option<PlacementId>> = (0..rng.random_range(0..24usize))
                 .map(|_| match rng.random_range(0..4u8) {
                     0 => None,

@@ -33,6 +33,8 @@
 
 use mps_geom::{Coord, Dims, DimsError};
 use serde::{Map, Serialize, Value};
+use serde_json::{Kind, Reader};
+use std::borrow::Cow;
 
 /// Every request kind the server understands, as spelled on the wire.
 pub const REQUEST_KINDS: [&str; 8] = [
@@ -229,7 +231,7 @@ pub struct EnvelopeError {
 }
 
 /// Parses one request line. Schema errors come back typed; nothing here
-/// panics on any input (the underlying parser is depth-capped).
+/// panics on any input (the JSON reader underneath is depth-capped).
 ///
 /// # Errors
 ///
@@ -248,6 +250,13 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 /// member, when present, must be a non-negative integer; connection-level
 /// rules (strictly increasing, sticky tagged mode) are the server's job.
 ///
+/// The line is read once, left to right, with [`serde_json::Reader`]:
+/// known members are decoded straight into the request (each `[w, h]`
+/// vector into a [`Dims`]), unknown ones are validated and dropped, and
+/// no JSON value tree is built. The member rules this pins down
+/// (duplicates, unknown members, what counts as an integer, the order
+/// errors are reported in) are listed in `crates/serve/PROTOCOL.md`.
+///
 /// # Errors
 ///
 /// Returns an [`EnvelopeError`] whose `error` is typed `parse`,
@@ -256,228 +265,336 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 /// stay correlatable).
 pub fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
     let untagged = |error| EnvelopeError { id: None, error };
-    let value = serde_json::parse(line)
-        .map_err(|e| untagged(RequestError::new(ErrorKind::Parse, e.to_string())))?;
-    let Some(obj) = value.as_object() else {
-        return Err(untagged(RequestError::new(
-            ErrorKind::Protocol,
-            format!("request must be a JSON object, found {}", value.kind()),
-        )));
-    };
-    let id = match obj.get("id") {
+    let members = read_members(line)
+        .map_err(|e| untagged(RequestError::new(ErrorKind::Parse, e.to_string())))?
+        .map_err(untagged)?;
+    let id = match members.id {
         None => None,
-        Some(raw) => match raw.as_u64() {
-            Some(id) => Some(id),
-            None => {
-                return Err(untagged(RequestError::new(
-                    ErrorKind::BadId,
-                    format!("`id` must be a non-negative integer, found {}", raw.kind()),
-                )));
-            }
-        },
+        Some(Ok(id)) => Some(id),
+        Some(Err(found)) => {
+            return Err(untagged(RequestError::new(
+                ErrorKind::BadId,
+                format!(
+                    "`id` must be a non-negative integer, found {}",
+                    found.as_str()
+                ),
+            )));
+        }
     };
-    match parse_request_body(obj) {
+    match members.request() {
         Ok(request) => Ok(Envelope { id, request }),
         Err(error) => Err(EnvelopeError { id, error }),
     }
 }
 
-/// Decodes the request out of an already-parsed line object (the `id`
-/// member, if any, has been handled by the caller).
-fn parse_request_body(obj: &Map) -> Result<Request, RequestError> {
-    let kind = obj
-        .get("kind")
-        .ok_or_else(|| RequestError::new(ErrorKind::Protocol, "missing `kind` member"))?;
-    let Some(kind) = kind.as_str() else {
-        return Err(RequestError::new(
-            ErrorKind::Protocol,
-            format!("`kind` must be a string, found {}", kind.kind()),
-        ));
-    };
-    match kind {
-        "query" => Ok(Request::Query {
-            structure: required_string(obj, "structure")?,
-            dims: dims_vector(obj.get("dims"), "dims")?,
-        }),
-        "batch_query" => {
-            let structure = required_string(obj, "structure")?;
-            let raw = obj.get("dims_list").ok_or_else(|| {
-                RequestError::new(ErrorKind::Protocol, "missing `dims_list` member")
-            })?;
-            let Some(items) = raw.as_array() else {
-                return Err(RequestError::new(
-                    ErrorKind::Protocol,
-                    format!("`dims_list` must be an array, found {}", raw.kind()),
-                ));
-            };
-            let dims_list = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| dims_vector(Some(item), &format!("dims_list[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Request::BatchQuery {
-                structure,
-                dims_list,
-                binary: binary_encoding(obj)?,
-            })
+/// A member value that was decoded, or the kind of JSON value found
+/// where another kind was wanted.
+type Typed<T> = Result<T, Kind>;
+
+/// The request members of one line, each decoded in the single pass
+/// over it. A slot holds the member's last occurrence (duplicate members:
+/// the last one wins) or its schema fault, which only surfaces if the
+/// request kind reads that member. Other members are validated and
+/// dropped.
+#[derive(Default)]
+struct Members<'a> {
+    id: Option<Typed<u64>>,
+    kind: Option<Typed<Cow<'a, str>>>,
+    structure: Option<Typed<Cow<'a, str>>>,
+    action: Option<Typed<Cow<'a, str>>>,
+    encoding: Option<Typed<Cow<'a, str>>>,
+    dims: Option<Result<Dims, RequestError>>,
+    dims_list: Option<Result<Vec<Dims>, RequestError>>,
+}
+
+/// Reads the whole line. The outer error is a syntax error anywhere in
+/// the line; the inner one a line that is valid JSON but no object.
+fn read_members(line: &str) -> Result<Result<Members<'_>, RequestError>, serde_json::Error> {
+    let mut r = Reader::new(line);
+    let found = r.peek()?;
+    if found != Kind::Object {
+        r.skip_value()?;
+        r.finish()?;
+        return Ok(Err(protocol_error(format!(
+            "request must be a JSON object, found {}",
+            found.as_str()
+        ))));
+    }
+    let mut members = Members::default();
+    // One vector's pairs, reused across the vectors of a batch; sized
+    // past the largest Table-1 circuit (24 blocks) so it never regrows.
+    let mut pairs = Vec::with_capacity(32);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "id" => {
+                let id = typed(&mut r, Kind::Number, Reader::number)?;
+                members.id = Some(id.and_then(|n| n.as_u64().ok_or(Kind::Number)));
+            }
+            "kind" => members.kind = Some(typed(&mut r, Kind::String, Reader::string)?),
+            "structure" => members.structure = Some(typed(&mut r, Kind::String, Reader::string)?),
+            "action" => members.action = Some(typed(&mut r, Kind::String, Reader::string)?),
+            "encoding" => members.encoding = Some(typed(&mut r, Kind::String, Reader::string)?),
+            "dims" => members.dims = Some(read_dims(&mut r, Member::Dims, &mut pairs)?),
+            "dims_list" => members.dims_list = Some(read_dims_list(&mut r, &mut pairs)?),
+            _ => r.skip_value()?,
         }
-        "instantiate" => Ok(Request::Instantiate {
-            structure: required_string(obj, "structure")?,
-            dims: dims_vector(obj.get("dims"), "dims")?,
-        }),
-        "reload" => Ok(Request::Reload),
-        "list_structures" => Ok(Request::ListStructures),
-        "metrics" => Ok(Request::Metrics),
-        "trace" => Ok(Request::Trace),
-        "refine" => {
-            let run = match obj.get("action") {
-                None => true,
-                Some(action) => match action.as_str() {
-                    Some("run") => true,
+    }
+    r.finish()?;
+    Ok(Ok(members))
+}
+
+/// Reads the next value with `read` when it is of kind `want`; skips it
+/// and reports its kind otherwise.
+#[inline(always)]
+fn typed<'a, T>(
+    r: &mut Reader<'a>,
+    want: Kind,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, serde_json::Error>,
+) -> Result<Typed<T>, serde_json::Error> {
+    let found = r.peek()?;
+    if found == want {
+        read(r).map(Ok)
+    } else {
+        r.skip_value()?;
+        Ok(Err(found))
+    }
+}
+
+/// Which dimension vector a decode error is about.
+#[derive(Clone, Copy)]
+enum Member {
+    Dims,
+    ListItem(usize),
+}
+
+impl std::fmt::Display for Member {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Member::Dims => f.write_str("dims"),
+            Member::ListItem(i) => write!(f, "dims_list[{i}]"),
+        }
+    }
+}
+
+fn protocol_error(message: String) -> RequestError {
+    RequestError::new(ErrorKind::Protocol, message)
+}
+
+/// Reads a `dims_list` array, one vector at a time. After the first bad
+/// vector the rest is only validated.
+fn read_dims_list(
+    r: &mut Reader<'_>,
+    pairs: &mut Vec<(Coord, Coord)>,
+) -> Result<Result<Vec<Dims>, RequestError>, serde_json::Error> {
+    let found = r.peek()?;
+    if found != Kind::Array {
+        r.skip_value()?;
+        return Ok(Err(protocol_error(format!(
+            "`dims_list` must be an array, found {}",
+            found.as_str()
+        ))));
+    }
+    r.begin_array()?;
+    let mut list = Vec::new();
+    let mut fault = None;
+    while r.next_item()? {
+        if fault.is_some() {
+            r.skip_value()?;
+            continue;
+        }
+        match read_dims(r, Member::ListItem(list.len()), pairs)? {
+            Ok(dims) => list.push(dims),
+            Err(e) => fault = Some(e),
+        }
+    }
+    Ok(fault.map_or(Ok(list), Err))
+}
+
+/// Reads a `[[w, h], ...]` dimension vector into a validated [`Dims`].
+/// Structure-independent validation happens right here at the trust
+/// boundary — an empty vector is a typed `bad_arity`, a zero or negative
+/// width/height a typed `out_of_bounds` — so no unchecked wire data ever
+/// reaches a `Dims`. Structure-*specific* checks (arity against the
+/// block count, designer bounds) still happen in the server, where the
+/// addressed structure is known. After the first bad pair the rest is
+/// only validated.
+fn read_dims(
+    r: &mut Reader<'_>,
+    member: Member,
+    pairs: &mut Vec<(Coord, Coord)>,
+) -> Result<Result<Dims, RequestError>, serde_json::Error> {
+    let found = r.peek()?;
+    if found != Kind::Array {
+        r.skip_value()?;
+        return Ok(Err(protocol_error(format!(
+            "`{member}` must be an array of [w, h] pairs, found {}",
+            found.as_str()
+        ))));
+    }
+    r.begin_array()?;
+    pairs.clear();
+    let mut fault = None;
+    while r.next_item()? {
+        if fault.is_some() {
+            r.skip_value()?;
+            continue;
+        }
+        match read_pair(r, member, pairs.len())? {
+            Ok(pair) => pairs.push(pair),
+            Err(e) => fault = Some(e),
+        }
+    }
+    if let Some(e) = fault {
+        return Ok(Err(e));
+    }
+    Ok(Dims::from_pairs(pairs).map_err(|e| match e {
+        DimsError::Empty => RequestError::new(
+            ErrorKind::BadArity,
+            format!("`{member}` holds no [w, h] pairs; no structure covers 0 blocks"),
+        ),
+        DimsError::NonPositive {
+            block,
+            width,
+            height,
+        } => RequestError::new(
+            ErrorKind::OutOfBounds,
+            format!(
+                "`{member}[{block}]` dimensions ({width}, {height}) are not positive \
+                 sizes; the smallest legal value is 1"
+            ),
+        ),
+    }))
+}
+
+/// Reads pair `i` of a dimension vector. Its length is checked before
+/// the types of its values.
+#[inline(always)]
+fn read_pair(
+    r: &mut Reader<'_>,
+    member: Member,
+    i: usize,
+) -> Result<Result<(Coord, Coord), RequestError>, serde_json::Error> {
+    let found = r.peek()?;
+    if found != Kind::Array {
+        r.skip_value()?;
+        return Ok(Err(protocol_error(format!(
+            "`{member}[{i}]` must be a [w, h] pair, found {}",
+            found.as_str()
+        ))));
+    }
+    r.begin_array()?;
+    let (mut width, mut height, mut len) = (Err(Kind::Null), Err(Kind::Null), 0usize);
+    while r.next_item()? {
+        match len {
+            0 => width = read_coord(r)?,
+            1 => height = read_coord(r)?,
+            _ => r.skip_value()?,
+        }
+        len += 1;
+    }
+    let (axis, found) = match (len, width, height) {
+        (2, Ok(w), Ok(h)) => return Ok(Ok((w, h))),
+        (2, Err(found), _) => ("width", found),
+        (2, _, Err(found)) => ("height", found),
+        _ => {
+            return Ok(Err(protocol_error(format!(
+                "`{member}[{i}]` must hold exactly 2 values, found {len}"
+            ))));
+        }
+    };
+    Ok(Err(protocol_error(format!(
+        "`{member}[{i}]` {axis} must be an integer, found {}",
+        found.as_str()
+    ))))
+}
+
+/// Reads one width or height: an integer within `i64`.
+#[inline(always)]
+fn read_coord(r: &mut Reader<'_>) -> Result<Typed<Coord>, serde_json::Error> {
+    let number = typed(r, Kind::Number, Reader::number)?;
+    Ok(number.and_then(|n| n.as_i64().ok_or(Kind::Number)))
+}
+
+impl Members<'_> {
+    /// The request the members spell, checked in a fixed order: `kind`,
+    /// then the kind's own members in the order listed below.
+    fn request(self) -> Result<Request, RequestError> {
+        let kind = required(string_member(self.kind, "kind")?, "kind")?;
+        match &*kind {
+            "query" => Ok(Request::Query {
+                structure: required(string_member(self.structure, "structure")?, "structure")?
+                    .into_owned(),
+                dims: required(self.dims, "dims")??,
+            }),
+            "batch_query" => {
+                let structure = required(string_member(self.structure, "structure")?, "structure")?
+                    .into_owned();
+                let dims_list = required(self.dims_list, "dims_list")??;
+                let binary = match string_member(self.encoding, "encoding")?.as_deref() {
+                    None | Some("json") => false,
+                    Some("bin") => true,
+                    Some(other) => {
+                        return Err(protocol_error(format!(
+                            "unknown `encoding` `{other}` (this server speaks json, bin)"
+                        )));
+                    }
+                };
+                Ok(Request::BatchQuery {
+                    structure,
+                    dims_list,
+                    binary,
+                })
+            }
+            "instantiate" => Ok(Request::Instantiate {
+                structure: required(string_member(self.structure, "structure")?, "structure")?
+                    .into_owned(),
+                dims: required(self.dims, "dims")??,
+            }),
+            "reload" => Ok(Request::Reload),
+            "list_structures" => Ok(Request::ListStructures),
+            "metrics" => Ok(Request::Metrics),
+            "trace" => Ok(Request::Trace),
+            "refine" => {
+                let run = match string_member(self.action, "action")?.as_deref() {
+                    None | Some("run") => true,
                     Some("status") => false,
                     Some(other) => {
-                        return Err(RequestError::new(
-                            ErrorKind::Protocol,
-                            format!("unknown refine `action` `{other}` (this server speaks run, status)"),
-                        ));
+                        return Err(protocol_error(format!(
+                            "unknown refine `action` `{other}` (this server speaks run, status)"
+                        )));
                     }
-                    None => {
-                        return Err(RequestError::new(
-                            ErrorKind::Protocol,
-                            format!("`action` must be a string, found {}", action.kind()),
-                        ));
-                    }
-                },
-            };
-            let structure = match obj.get("structure") {
-                None => None,
-                Some(value) => Some(value.as_str().map(str::to_owned).ok_or_else(|| {
-                    RequestError::new(
-                        ErrorKind::Protocol,
-                        format!("`structure` must be a string, found {}", value.kind()),
-                    )
-                })?),
-            };
-            Ok(Request::Refine { run, structure })
+                };
+                let structure = string_member(self.structure, "structure")?.map(Cow::into_owned);
+                Ok(Request::Refine { run, structure })
+            }
+            other => Err(RequestError::new(
+                ErrorKind::UnknownKind,
+                format!(
+                    "unknown request kind `{other}` (this server speaks {})",
+                    REQUEST_KINDS.join(", ")
+                ),
+            )),
         }
-        other => Err(RequestError::new(
-            ErrorKind::UnknownKind,
-            format!(
-                "unknown request kind `{other}` (this server speaks {})",
-                REQUEST_KINDS.join(", ")
-            ),
-        )),
     }
 }
 
-/// Decodes the optional `encoding` member: absent or `"json"` keeps the
-/// JSON response line, `"bin"` opts this one request into a binary
-/// answer frame. Anything else is a typed protocol error.
-fn binary_encoding(obj: &Map) -> Result<bool, RequestError> {
-    match obj.get("encoding") {
-        None => Ok(false),
-        Some(value) => match value.as_str() {
-            Some("json") => Ok(false),
-            Some("bin") => Ok(true),
-            Some(other) => Err(RequestError::new(
-                ErrorKind::Protocol,
-                format!("unknown `encoding` `{other}` (this server speaks json, bin)"),
-            )),
-            None => Err(RequestError::new(
-                ErrorKind::Protocol,
-                format!("`encoding` must be a string, found {}", value.kind()),
-            )),
-        },
-    }
-}
-
-fn required_string(obj: &Map, member: &str) -> Result<String, RequestError> {
-    let value = obj.get(member).ok_or_else(|| {
-        RequestError::new(ErrorKind::Protocol, format!("missing `{member}` member"))
-    })?;
-    value.as_str().map(str::to_owned).ok_or_else(|| {
-        RequestError::new(
-            ErrorKind::Protocol,
-            format!("`{member}` must be a string, found {}", value.kind()),
-        )
+/// An optional string member, or its type fault.
+fn string_member<'a>(
+    slot: Option<Typed<Cow<'a, str>>>,
+    member: &str,
+) -> Result<Option<Cow<'a, str>>, RequestError> {
+    slot.transpose().map_err(|found| {
+        protocol_error(format!(
+            "`{member}` must be a string, found {}",
+            found.as_str()
+        ))
     })
 }
 
-/// Decodes a `[[w, h], ...]` dimension vector into a validated
-/// [`Dims`]. Structure-independent validation happens right here at the
-/// trust boundary — an empty vector is a typed `bad_arity`, a zero or
-/// negative width/height a typed `out_of_bounds` — so no unchecked
-/// wire data ever reaches a `Dims`. Structure-*specific* checks (arity
-/// against the block count, designer bounds) still happen in the
-/// server, where the addressed structure is known.
-fn dims_vector(value: Option<&Value>, member: &str) -> Result<Dims, RequestError> {
-    let value = value.ok_or_else(|| {
-        RequestError::new(ErrorKind::Protocol, format!("missing `{member}` member"))
-    })?;
-    let Some(pairs) = value.as_array() else {
-        return Err(RequestError::new(
-            ErrorKind::Protocol,
-            format!(
-                "`{member}` must be an array of [w, h] pairs, found {}",
-                value.kind()
-            ),
-        ));
-    };
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let Some(wh) = pair.as_array() else {
-                return Err(RequestError::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "`{member}[{i}]` must be a [w, h] pair, found {}",
-                        pair.kind()
-                    ),
-                ));
-            };
-            if wh.len() != 2 {
-                return Err(RequestError::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "`{member}[{i}]` must hold exactly 2 values, found {}",
-                        wh.len()
-                    ),
-                ));
-            }
-            let coord = |v: &Value, axis: &str| {
-                v.as_i64().ok_or_else(|| {
-                    RequestError::new(
-                        ErrorKind::Protocol,
-                        format!(
-                            "`{member}[{i}]` {axis} must be an integer, found {}",
-                            v.kind()
-                        ),
-                    )
-                })
-            };
-            Ok((coord(&wh[0], "width")?, coord(&wh[1], "height")?))
-        })
-        .collect::<Result<Vec<(Coord, Coord)>, RequestError>>()
-        .and_then(|pairs| {
-            Dims::new(pairs).map_err(|e| match e {
-                DimsError::Empty => RequestError::new(
-                    ErrorKind::BadArity,
-                    format!("`{member}` holds no [w, h] pairs; no structure covers 0 blocks"),
-                ),
-                DimsError::NonPositive {
-                    block,
-                    width,
-                    height,
-                } => RequestError::new(
-                    ErrorKind::OutOfBounds,
-                    format!(
-                        "`{member}[{block}]` dimensions ({width}, {height}) are not positive \
-                         sizes; the smallest legal value is 1"
-                    ),
-                ),
-            })
-        })
+/// A member the request kind cannot do without.
+fn required<T>(slot: Option<T>, member: &str) -> Result<T, RequestError> {
+    slot.ok_or_else(|| protocol_error(format!("missing `{member}` member")))
 }
 
 /// Renders a `{"ok":false,"error":{...}}` response line (without the
@@ -527,9 +644,266 @@ pub fn id_value(id: Option<mps_core::PlacementId>) -> Value {
     }
 }
 
+/// The request-line corpus shared with `tests/protocol_malformed.rs`.
+#[cfg(test)]
+pub(crate) mod corpus {
+    use super::REQUEST_KINDS;
+    include!("../tests/support/request_corpus.rs");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decoder this module shipped before the single-pass one:
+    /// parse the line into a [`Value`] tree, then walk the tree. Kept
+    /// only as the oracle the differential tests hold `parse_envelope`
+    /// to.
+    mod oracle {
+        use crate::protocol::{
+            Envelope, EnvelopeError, ErrorKind, Request, RequestError, REQUEST_KINDS,
+        };
+        use mps_geom::{Coord, Dims, DimsError};
+        use serde::{Map, Value};
+
+        /// Parses one request line including its pipelining tag. The `id`
+        /// member, when present, must be a non-negative integer; connection-level
+        /// rules (strictly increasing, sticky tagged mode) are the server's job.
+        ///
+        /// # Errors
+        ///
+        /// Returns an [`EnvelopeError`] whose `error` is typed `parse`,
+        /// `protocol`, `bad_id` or `unknown_kind`, and whose `id` is the
+        /// request's tag when one was well-formed (schema errors on tagged lines
+        /// stay correlatable).
+        pub(super) fn parse_envelope(line: &str) -> Result<Envelope, EnvelopeError> {
+            let untagged = |error| EnvelopeError { id: None, error };
+            let value = serde_json::parse(line)
+                .map_err(|e| untagged(RequestError::new(ErrorKind::Parse, e.to_string())))?;
+            let Some(obj) = value.as_object() else {
+                return Err(untagged(RequestError::new(
+                    ErrorKind::Protocol,
+                    format!("request must be a JSON object, found {}", value.kind()),
+                )));
+            };
+            let id = match obj.get("id") {
+                None => None,
+                Some(raw) => match raw.as_u64() {
+                    Some(id) => Some(id),
+                    None => {
+                        return Err(untagged(RequestError::new(
+                            ErrorKind::BadId,
+                            format!("`id` must be a non-negative integer, found {}", raw.kind()),
+                        )));
+                    }
+                },
+            };
+            match parse_request_body(obj) {
+                Ok(request) => Ok(Envelope { id, request }),
+                Err(error) => Err(EnvelopeError { id, error }),
+            }
+        }
+
+        /// Decodes the request out of an already-parsed line object (the `id`
+        /// member, if any, has been handled by the caller).
+        fn parse_request_body(obj: &Map) -> Result<Request, RequestError> {
+            let kind = obj
+                .get("kind")
+                .ok_or_else(|| RequestError::new(ErrorKind::Protocol, "missing `kind` member"))?;
+            let Some(kind) = kind.as_str() else {
+                return Err(RequestError::new(
+                    ErrorKind::Protocol,
+                    format!("`kind` must be a string, found {}", kind.kind()),
+                ));
+            };
+            match kind {
+                "query" => Ok(Request::Query {
+                    structure: required_string(obj, "structure")?,
+                    dims: dims_vector(obj.get("dims"), "dims")?,
+                }),
+                "batch_query" => {
+                    let structure = required_string(obj, "structure")?;
+                    let raw = obj.get("dims_list").ok_or_else(|| {
+                        RequestError::new(ErrorKind::Protocol, "missing `dims_list` member")
+                    })?;
+                    let Some(items) = raw.as_array() else {
+                        return Err(RequestError::new(
+                            ErrorKind::Protocol,
+                            format!("`dims_list` must be an array, found {}", raw.kind()),
+                        ));
+                    };
+                    let dims_list = items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, item)| dims_vector(Some(item), &format!("dims_list[{i}]")))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    Ok(Request::BatchQuery {
+                        structure,
+                        dims_list,
+                        binary: binary_encoding(obj)?,
+                    })
+                }
+                "instantiate" => Ok(Request::Instantiate {
+                    structure: required_string(obj, "structure")?,
+                    dims: dims_vector(obj.get("dims"), "dims")?,
+                }),
+                "reload" => Ok(Request::Reload),
+                "list_structures" => Ok(Request::ListStructures),
+                "metrics" => Ok(Request::Metrics),
+                "trace" => Ok(Request::Trace),
+                "refine" => {
+                    let run = match obj.get("action") {
+                        None => true,
+                        Some(action) => match action.as_str() {
+                            Some("run") => true,
+                            Some("status") => false,
+                            Some(other) => {
+                                return Err(RequestError::new(
+                                    ErrorKind::Protocol,
+                                    format!("unknown refine `action` `{other}` (this server speaks run, status)"),
+                                ));
+                            }
+                            None => {
+                                return Err(RequestError::new(
+                                    ErrorKind::Protocol,
+                                    format!("`action` must be a string, found {}", action.kind()),
+                                ));
+                            }
+                        },
+                    };
+                    let structure = match obj.get("structure") {
+                        None => None,
+                        Some(value) => {
+                            Some(value.as_str().map(str::to_owned).ok_or_else(|| {
+                                RequestError::new(
+                                    ErrorKind::Protocol,
+                                    format!("`structure` must be a string, found {}", value.kind()),
+                                )
+                            })?)
+                        }
+                    };
+                    Ok(Request::Refine { run, structure })
+                }
+                other => Err(RequestError::new(
+                    ErrorKind::UnknownKind,
+                    format!(
+                        "unknown request kind `{other}` (this server speaks {})",
+                        REQUEST_KINDS.join(", ")
+                    ),
+                )),
+            }
+        }
+
+        /// Decodes the optional `encoding` member: absent or `"json"` keeps the
+        /// JSON response line, `"bin"` opts this one request into a binary
+        /// answer frame. Anything else is a typed protocol error.
+        fn binary_encoding(obj: &Map) -> Result<bool, RequestError> {
+            match obj.get("encoding") {
+                None => Ok(false),
+                Some(value) => match value.as_str() {
+                    Some("json") => Ok(false),
+                    Some("bin") => Ok(true),
+                    Some(other) => Err(RequestError::new(
+                        ErrorKind::Protocol,
+                        format!("unknown `encoding` `{other}` (this server speaks json, bin)"),
+                    )),
+                    None => Err(RequestError::new(
+                        ErrorKind::Protocol,
+                        format!("`encoding` must be a string, found {}", value.kind()),
+                    )),
+                },
+            }
+        }
+
+        fn required_string(obj: &Map, member: &str) -> Result<String, RequestError> {
+            let value = obj.get(member).ok_or_else(|| {
+                RequestError::new(ErrorKind::Protocol, format!("missing `{member}` member"))
+            })?;
+            value.as_str().map(str::to_owned).ok_or_else(|| {
+                RequestError::new(
+                    ErrorKind::Protocol,
+                    format!("`{member}` must be a string, found {}", value.kind()),
+                )
+            })
+        }
+
+        /// Decodes a `[[w, h], ...]` dimension vector into a validated
+        /// [`Dims`]. Structure-independent validation happens right here at the
+        /// trust boundary — an empty vector is a typed `bad_arity`, a zero or
+        /// negative width/height a typed `out_of_bounds` — so no unchecked
+        /// wire data ever reaches a `Dims`. Structure-*specific* checks (arity
+        /// against the block count, designer bounds) still happen in the
+        /// server, where the addressed structure is known.
+        fn dims_vector(value: Option<&Value>, member: &str) -> Result<Dims, RequestError> {
+            let value = value.ok_or_else(|| {
+                RequestError::new(ErrorKind::Protocol, format!("missing `{member}` member"))
+            })?;
+            let Some(pairs) = value.as_array() else {
+                return Err(RequestError::new(
+                    ErrorKind::Protocol,
+                    format!(
+                        "`{member}` must be an array of [w, h] pairs, found {}",
+                        value.kind()
+                    ),
+                ));
+            };
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, pair)| {
+                    let Some(wh) = pair.as_array() else {
+                        return Err(RequestError::new(
+                            ErrorKind::Protocol,
+                            format!(
+                                "`{member}[{i}]` must be a [w, h] pair, found {}",
+                                pair.kind()
+                            ),
+                        ));
+                    };
+                    if wh.len() != 2 {
+                        return Err(RequestError::new(
+                            ErrorKind::Protocol,
+                            format!(
+                                "`{member}[{i}]` must hold exactly 2 values, found {}",
+                                wh.len()
+                            ),
+                        ));
+                    }
+                    let coord = |v: &Value, axis: &str| {
+                        v.as_i64().ok_or_else(|| {
+                            RequestError::new(
+                                ErrorKind::Protocol,
+                                format!(
+                                    "`{member}[{i}]` {axis} must be an integer, found {}",
+                                    v.kind()
+                                ),
+                            )
+                        })
+                    };
+                    Ok((coord(&wh[0], "width")?, coord(&wh[1], "height")?))
+                })
+                .collect::<Result<Vec<(Coord, Coord)>, RequestError>>()
+                .and_then(|pairs| {
+                    Dims::new(pairs).map_err(|e| match e {
+                        DimsError::Empty => RequestError::new(
+                            ErrorKind::BadArity,
+                            format!("`{member}` holds no [w, h] pairs; no structure covers 0 blocks"),
+                        ),
+                        DimsError::NonPositive {
+                            block,
+                            width,
+                            height,
+                        } => RequestError::new(
+                            ErrorKind::OutOfBounds,
+                            format!(
+                                "`{member}[{block}]` dimensions ({width}, {height}) are not positive \
+                                 sizes; the smallest legal value is 1"
+                            ),
+                        ),
+                    })
+                })
+        }
+    }
 
     #[test]
     fn parses_every_request_kind() {
@@ -788,5 +1162,215 @@ mod tests {
                 .and_then(Value::as_str),
             Some("bad_arity")
         );
+    }
+
+    /// Both decoders on one line: identical results, messages included.
+    fn assert_decodes_like_the_oracle(line: &str) -> bool {
+        let decoded = parse_envelope(line);
+        assert_eq!(decoded, oracle::parse_envelope(line), "{line:?}");
+        decoded.is_ok()
+    }
+
+    #[test]
+    fn battery_lines_decode_like_the_value_tree_oracle() {
+        for (line, _) in corpus::battery() {
+            assert_decodes_like_the_oracle(&line);
+        }
+    }
+
+    #[test]
+    fn mutated_lines_decode_like_the_value_tree_oracle() {
+        for line in corpus::request_mutants(10_000 * corpus::fuzz_scale()) {
+            assert_decodes_like_the_oracle(&line);
+        }
+    }
+
+    /// Tokens a mutant substitutes for an integer: none of them but the
+    /// in-range integers decode as coordinates or ids.
+    const NUMBER_SPELLINGS: [&str; 12] = [
+        "-0",
+        "1.0",
+        "1e2",
+        "18446744073709551616",
+        "18446744073709551615",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "1e400",
+        "0",
+        "-3",
+        "01",
+    ];
+
+    /// Values a duplicated or injected member carries.
+    const ODD_VALUES: [&str; 10] = [
+        "7",
+        "null",
+        "true",
+        r#""bin""#,
+        r#""query""#,
+        "[]",
+        "[[1,2]]",
+        "[[[1,2]]]",
+        r#"{"a":[1,{"b":null}]}"#,
+        r#""\u0062in""#,
+    ];
+
+    /// A walk-shaped `instantiate` or a sweep-shaped 512-vector binary
+    /// `batch_query` line, built member by member and then mutated:
+    /// members reordered, duplicated, dropped or added, numbers and
+    /// strings respelled, `kind` moved after `dims_list`, and now and
+    /// then a byte flipped or the line cut short. Sweep-shaped lines
+    /// start from `sweep_list`, one rendered 512-vector `dims_list`.
+    fn shaped_mutant(rng: &mut rand::rngs::StdRng, sweep_list: &str) -> String {
+        use rand::Rng;
+
+        let id = rng.random_range(0..1u64 << 40).to_string();
+        // One line in eight is sweep-shaped: each is 16 KiB, and the
+        // two decoders run unoptimized under `cargo test`.
+        let mut members: Vec<(String, String)> = if rng.random_range(0..8u8) != 0 {
+            vec![
+                ("id".into(), id),
+                ("kind".into(), r#""instantiate""#.into()),
+                ("structure".into(), r#""circ01""#.into()),
+                ("dims".into(), random_vector(rng)),
+            ]
+        } else {
+            vec![
+                ("id".into(), id),
+                ("kind".into(), r#""batch_query""#.into()),
+                ("structure".into(), r#""grid10x""#.into()),
+                ("dims_list".into(), sweep_list.to_owned()),
+                ("encoding".into(), r#""bin""#.into()),
+            ]
+        };
+        for _ in 0..rng.random_range(1..4u8) {
+            let at = rng.random_range(0..members.len().max(1));
+            match rng.random_range(0..8u8) {
+                0 => {
+                    for i in (1..members.len()).rev() {
+                        members.swap(i, rng.random_range(0..=i));
+                    }
+                }
+                1 if !members.is_empty() => {
+                    let (key, value) = members[at].clone();
+                    let value = if rng.random_bool(0.5) {
+                        ODD_VALUES[rng.random_range(0..ODD_VALUES.len())].to_owned()
+                    } else {
+                        value
+                    };
+                    let to = rng.random_range(0..=members.len());
+                    members.insert(to, (key, value));
+                }
+                2 if !members.is_empty() => {
+                    let value = &mut members[at].1;
+                    let from = rng.random_range(0..value.len());
+                    if let Some(rel) = value[from..].find(|c: char| c.is_ascii_digit()) {
+                        let mut start = from + rel;
+                        if start > 0 && value.as_bytes()[start - 1] == b'-' {
+                            start -= 1;
+                        }
+                        let end = value[start + 1..]
+                            .find(|c: char| !c.is_ascii_digit())
+                            .map_or(value.len(), |e| start + 1 + e);
+                        let token = NUMBER_SPELLINGS[rng.random_range(0..NUMBER_SPELLINGS.len())];
+                        value.replace_range(start..end, token);
+                    }
+                }
+                3 => {
+                    // \u-escape one character of a string member or key.
+                    let picks: Vec<usize> = (0..members.len())
+                        .filter(|&i| members[i].1.starts_with('"') && members[i].1.len() > 2)
+                        .collect();
+                    if picks.is_empty() || rng.random_bool(0.3) {
+                        if let Some((key, _)) = members.get_mut(at) {
+                            let c = key.remove(0);
+                            key.insert_str(0, &format!("\\u{:04x}", u32::from(c)));
+                        }
+                    } else {
+                        let value = &mut members[picks[rng.random_range(0..picks.len())]].1;
+                        let i = rng.random_range(1..value.len() - 1);
+                        let c = value.remove(i);
+                        value.insert_str(i, &format!("\\u{:04X}", u32::from(c)));
+                    }
+                }
+                4 => {
+                    if let Some(i) = members.iter().position(|(k, _)| k == "kind") {
+                        let kind = members.remove(i);
+                        members.push(kind);
+                    }
+                }
+                5 => {
+                    let value = ODD_VALUES[rng.random_range(0..ODD_VALUES.len())];
+                    members.insert(at, (format!("x{at}"), value.to_owned()));
+                }
+                6 if !members.is_empty() => {
+                    members.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let joined: Vec<String> = members
+            .iter()
+            .map(|(key, value)| format!(r#""{key}":{value}"#))
+            .collect();
+        let mut line = format!("{{{}}}", joined.join(",")).into_bytes();
+        match rng.random_range(0..10u8) {
+            0 => {
+                let i = rng.random_range(0..line.len());
+                line[i] ^= 1 << rng.random_range(0..7u8);
+            }
+            1 => line.truncate(rng.random_range(0..line.len())),
+            _ => {}
+        }
+        String::from_utf8(line).expect("mutants stay ASCII")
+    }
+
+    /// A random in-bounds-looking 4-block `[[w, h], ...]` vector.
+    fn random_vector(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+
+        let pairs: Vec<String> = (0..4)
+            .map(|_| {
+                format!(
+                    "[{},{}]",
+                    rng.random_range(1..200u32),
+                    rng.random_range(1..200u32)
+                )
+            })
+            .collect();
+        format!("[{}]", pairs.join(","))
+    }
+
+    #[test]
+    fn mutated_sweep_and_walk_lines_decode_like_the_value_tree_oracle() {
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4d50_5357);
+        let vectors: Vec<String> = (0..512).map(|_| random_vector(&mut rng)).collect();
+        let sweep_list = format!("[{}]", vectors.join(","));
+        let mut kinds = std::collections::BTreeMap::new();
+        for _ in 0..10_000 * corpus::fuzz_scale() {
+            let line = shaped_mutant(&mut rng, &sweep_list);
+            let kind = match parse_envelope(&line) {
+                Ok(_) => "ok",
+                Err(e) => e.error.kind.as_str(),
+            };
+            assert_decodes_like_the_oracle(&line);
+            *kinds.entry(kind).or_insert(0u32) += 1;
+        }
+        for kind in [
+            "ok",
+            "parse",
+            "protocol",
+            "bad_id",
+            "unknown_kind",
+            "out_of_bounds",
+        ] {
+            assert!(
+                kinds.get(kind).is_some_and(|&n| n >= 20),
+                "the mutants must reach `{kind}`: {kinds:?}"
+            );
+        }
     }
 }

@@ -42,6 +42,7 @@ use crate::protocol::{ErrorKind, Request, RequestError};
 use crate::server::{ns_since, Admitted, OpenConnGuard, Reply, ReqCtx, ResponseSink, Server};
 use crate::telemetry::Stage;
 use netpoll::{raw_fd, Interest, Poller, WAKE_TOKEN};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -115,10 +116,15 @@ impl Connection {
         if self.read_closed {
             return;
         }
-        self.recv.extend(bytes);
-        while let Some(line) = self.recv.next_line() {
+        // The buffer is moved out while its lines are answered: they
+        // borrow from it, and answering needs the rest of `self`.
+        let mut recv = std::mem::take(&mut self.recv);
+        recv.extend(bytes);
+        while let Some(line) = recv.next_line() {
             self.answer_line(server, &line);
         }
+        recv.compact();
+        self.recv = recv;
         if self.recv.len() > MAX_LINE_BYTES {
             // This refusal never reaches admit() — the buffered bytes are
             // dropped unparsed — so the server counts it and records its
@@ -489,12 +495,17 @@ fn remove_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, token: usize) 
 /// Accumulates request bytes until a full `\n`-terminated line exists.
 /// The split points TCP chooses are invisible to the protocol layer: a
 /// line may arrive in one segment with ten siblings or one byte at a
-/// time.
+/// time. Lines are handed out as slices behind a read cursor, and the
+/// consumed prefix is dropped once per [`compact`](Self::compact), so a
+/// chunk of many lines is not copied once per line.
 #[derive(Default)]
 struct RecvBuffer {
     buf: Vec<u8>,
-    /// How far the newline scan has already looked, so a long line
-    /// arriving in many segments is not rescanned from the start.
+    /// Start of the first unconsumed byte.
+    start: usize,
+    /// How far the newline scan has already looked (never before
+    /// `start`), so a long line arriving in many segments is not
+    /// rescanned from the start.
     scanned: usize,
 }
 
@@ -505,34 +516,39 @@ impl RecvBuffer {
 
     /// Bytes buffered and not yet consumed as lines.
     fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     fn clear(&mut self) {
         self.buf.clear();
+        self.start = 0;
         self.scanned = 0;
     }
 
+    /// Drops the consumed lines, moving the partial line (if any) to the
+    /// front.
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+    }
+
     /// Takes the next complete line off the front (newline consumed, a
-    /// trailing `\r` stripped), or `None` until one exists.
-    fn next_line(&mut self) -> Option<String> {
+    /// trailing `\r` stripped), or `None` until one exists. A valid line
+    /// is borrowed from the buffer; invalid UTF-8 is replaced lossily and
+    /// flows through to the parser, which answers it with a typed error,
+    /// and the connection lives on.
+    fn next_line(&mut self) -> Option<Cow<'_, str>> {
         match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(rel) => {
-                let pos = self.scanned + rel;
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop();
+                let end = self.scanned + rel;
+                let mut line = &self.buf[self.start..end];
                 if line.last() == Some(&b'\r') {
-                    line.pop();
+                    line = &line[..line.len() - 1];
                 }
-                self.scanned = 0;
-                // A valid line moves into the String without a copy.
-                // Invalid UTF-8 flows through to the parser, which
-                // answers it with a typed error; the connection lives on.
-                Some(
-                    String::from_utf8(line)
-                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
-                )
+                self.start = end + 1;
+                self.scanned = self.start;
+                Some(String::from_utf8_lossy(line))
             }
             None => {
                 self.scanned = self.buf.len();
@@ -543,10 +559,10 @@ impl RecvBuffer {
 
     /// At EOF: the final unterminated line, if any.
     fn take_trailing(&mut self) -> Option<String> {
-        if self.buf.is_empty() {
+        if self.len() == 0 {
             return None;
         }
-        let line = String::from_utf8_lossy(&self.buf).into_owned();
+        let line = String::from_utf8_lossy(&self.buf[self.start..]).into_owned();
         self.clear();
         Some(line)
     }
@@ -947,6 +963,31 @@ mod tests {
         }
         recv.extend(b"\n");
         assert_eq!(recv.next_line().as_deref(), Some("{\"kind\":\"metrics\"}"));
+    }
+
+    /// Many pipelined lines in one chunk are all answered, in order, and
+    /// the buffer holds nothing afterwards.
+    #[test]
+    fn a_chunk_of_1000_tagged_lines_is_answered_in_order() {
+        let server = engine_server();
+        let chunk: String = (1..=1000)
+            .map(|id| format!("{{\"id\":{id},\"kind\":\"list_structures\"}}\n"))
+            .collect();
+        let mut conn = Connection::new(true);
+        conn.receive(server, chunk.as_bytes());
+        assert_eq!(conn.recv.len(), 0, "every line was consumed");
+        let mut out = Vec::new();
+        assert!(conn.flush_to(&mut out).unwrap());
+        let reqs: Vec<Option<u64>> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let reply = serde_json::parse(line).unwrap();
+                assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+                reply.get("req").and_then(Value::as_u64)
+            })
+            .collect();
+        assert_eq!(reqs, (1..=1000).map(Some).collect::<Vec<_>>());
     }
 
     /// A writer that accepts a budget of bytes, then reports WouldBlock

@@ -74,7 +74,8 @@ pub const HEAT_BINS: usize = 8;
 pub enum Stage {
     /// Socket read syscalls (shard event loops only).
     Recv = 0,
-    /// Request-line parsing (`parse_envelope`).
+    /// Request-line decoding (`parse_envelope`): one pass over the line
+    /// straight into the typed request, no JSON value tree.
     Parse = 1,
     /// One request's whole dispatch (contains index/cache/render).
     Dispatch = 2,

@@ -11,6 +11,12 @@ use mps_serve::{ServedStructure, Server, StructureRegistry};
 use serde::Value;
 use std::sync::Arc;
 
+mod corpus {
+    use mps_serve::REQUEST_KINDS;
+    include!("support/request_corpus.rs");
+}
+use corpus::{battery, fuzz_scale, request_mutants};
+
 /// A server over one in-memory circ01 structure (4 blocks).
 fn test_server() -> Server {
     let circuit = benchmarks::circ01();
@@ -50,83 +56,6 @@ fn assert_error(response: &str, expected_kind: &str, input: &str) {
             .is_some_and(|m| !m.is_empty()),
         "input {input:?}: refusal carries no message"
     );
-}
-
-/// The battery: (bad line, expected typed error kind). circ01 has 4
-/// blocks, so 4 pairs is the correct arity.
-fn battery() -> Vec<(String, &'static str)> {
-    let good_query =
-        r#"{"kind":"query","structure":"circ01","dims":[[20,20],[20,20],[20,20],[20,20]]}"#;
-    let mut cases: Vec<(String, &'static str)> = vec![
-        // --- not JSON at all / truncated ---
-        ("not json".into(), "parse"),
-        ("{".into(), "parse"),
-        (r#"{"kind":"#.into(), "parse"),
-        (r#"{"kind":"query""#.into(), "parse"),
-        (format!("{} trailing garbage", good_query), "parse"),
-        ("\u{7f}".into(), "parse"),
-        // deeply nested input trips the parser's depth cap, not the stack
-        (format!("{}{}", "[".repeat(4_000), "]".repeat(4_000)), "parse"),
-        // --- valid JSON, wrong shape ---
-        ("[1,2,3]".into(), "protocol"),
-        ("42".into(), "protocol"),
-        ("\"query\"".into(), "protocol"),
-        ("{}".into(), "protocol"),
-        (r#"{"kind":17}"#.into(), "protocol"),
-        (r#"{"kind":"query"}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01"}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":7,"dims":[[1,2]]}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01","dims":7}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01","dims":[7]}"#.into(), "protocol"),
-        // wrong pair arity: a [w, h] pair must hold exactly two values
-        (r#"{"kind":"query","structure":"circ01","dims":[[1,2,3]]}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01","dims":[[1]]}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01","dims":[[1.5,2]]}"#.into(), "protocol"),
-        (r#"{"kind":"query","structure":"circ01","dims":[["20","20"]]}"#.into(), "protocol"),
-        (r#"{"kind":"batch_query","structure":"circ01"}"#.into(), "protocol"),
-        (r#"{"kind":"batch_query","structure":"circ01","dims_list":7}"#.into(), "protocol"),
-        (r#"{"kind":"batch_query","structure":"circ01","dims_list":[7]}"#.into(), "protocol"),
-        // --- unknown request kind ---
-        (r#"{"kind":"frobnicate"}"#.into(), "unknown_kind"),
-        (r#"{"kind":"QUERY"}"#.into(), "unknown_kind"),
-        (r#"{"kind":""}"#.into(), "unknown_kind"),
-        // --- unknown structure ---
-        (r#"{"kind":"query","structure":"nonexistent","dims":[[20,20]]}"#.into(), "unknown_structure"),
-        (r#"{"kind":"instantiate","structure":"","dims":[[20,20]]}"#.into(), "unknown_structure"),
-        // --- wrong vector arity (circ01 has 4 blocks) ---
-        (r#"{"kind":"query","structure":"circ01","dims":[[20,20]]}"#.into(), "bad_arity"),
-        (r#"{"kind":"query","structure":"circ01","dims":[]}"#.into(), "bad_arity"),
-        (
-            r#"{"kind":"batch_query","structure":"circ01","dims_list":[[[20,20],[20,20],[20,20],[20,20]],[[20,20]]]}"#.into(),
-            "bad_arity",
-        ),
-        (r#"{"kind":"instantiate","structure":"circ01","dims":[[20,20],[20,20]]}"#.into(), "bad_arity"),
-        // --- out-of-bounds dims (instantiation refuses: the fallback
-        //     packing guarantees legality only inside the bounds) ---
-        (
-            r#"{"kind":"instantiate","structure":"circ01","dims":[[1000000,20],[20,20],[20,20],[20,20]]}"#.into(),
-            "out_of_bounds",
-        ),
-        (
-            r#"{"kind":"instantiate","structure":"circ01","dims":[[20,-3],[20,20],[20,20],[20,20]]}"#.into(),
-            "out_of_bounds",
-        ),
-        // --- tagged-request framing: ill-formed `id` members ---
-        (r#"{"id":"seven","kind":"metrics"}"#.into(), "bad_id"),
-        (r#"{"id":1.5,"kind":"metrics"}"#.into(), "bad_id"),
-        (r#"{"id":-3,"kind":"metrics"}"#.into(), "bad_id"),
-        (r#"{"id":null,"kind":"metrics"}"#.into(), "bad_id"),
-        (r#"{"id":true,"kind":"list_structures"}"#.into(), "bad_id"),
-        (r#"{"id":[7],"kind":"metrics"}"#.into(), "bad_id"),
-        (
-            r#"{"id":{"n":7},"kind":"query","structure":"circ01","dims":[[20,20],[20,20],[20,20],[20,20]]}"#.into(),
-            "bad_id",
-        ),
-    ];
-    // Null bytes and long lines are answered, not fatal.
-    cases.push((format!("{}\u{0}", good_query), "parse"));
-    cases.push(("x".repeat(1 << 20), "parse"));
-    cases
 }
 
 #[test]
@@ -266,69 +195,17 @@ fn out_of_bounds_query_answers_null_not_error() {
 }
 
 /// Deterministic mutation fuzzing of the request parser and the whole
-/// line path. Seeds are the battery above plus one well-formed line per
-/// request kind; each mutant takes one to three byte flips,
-/// truncations, splices with another seed, or `kind` swaps. Nothing may
-/// panic, every envelope the parser accepts must name a known kind, and
-/// every non-blank mutant must be answered with exactly one JSON line.
+/// line path over the shared mutant corpus (`MPS_FUZZ_SCALE` times
+/// 10,000 lines). Nothing may panic, every envelope the parser accepts
+/// must name a known kind, and every non-blank mutant must be answered
+/// with exactly one JSON line.
 #[test]
 fn mutated_request_lines_parse_to_known_kinds_and_get_one_json_line() {
     use mps_serve::{parse_envelope, REQUEST_KINDS};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
-    const DIMS: &str = "[[20,20],[20,20],[20,20],[20,20]]";
-    let mut seeds: Vec<Vec<u8>> = battery().into_iter().map(|(l, _)| l.into_bytes()).collect();
-    for line in [
-        format!(r#"{{"kind":"query","structure":"circ01","dims":{DIMS}}}"#),
-        format!(r#"{{"id":3,"kind":"instantiate","structure":"circ01","dims":{DIMS}}}"#),
-        format!(r#"{{"kind":"batch_query","structure":"circ01","dims_list":[{DIMS},{DIMS}]}}"#),
-        format!(
-            r#"{{"kind":"batch_query","structure":"circ01","dims_list":[{DIMS}],"encoding":"bin"}}"#
-        ),
-        r#"{"kind":"list_structures"}"#.to_owned(),
-        r#"{"id":9,"kind":"metrics"}"#.to_owned(),
-        r#"{"kind":"trace"}"#.to_owned(),
-        r#"{"kind":"reload"}"#.to_owned(),
-        r#"{"kind":"refine","action":"status"}"#.to_owned(),
-        r#"{"kind":"refine","structure":"nope"}"#.to_owned(),
-    ] {
-        seeds.push(line.into_bytes());
-    }
-    let swaps: Vec<&str> = REQUEST_KINDS
-        .iter()
-        .copied()
-        .chain(["stats", "", "QUERY", "query\"", "\\u0071uery"])
-        .collect();
     let server = test_server();
-    let mut rng = StdRng::seed_from_u64(0x4d50_5350);
     let (mut accepted, mut refused) = (0u32, 0u32);
-    for _ in 0..10_000 {
-        let mut line = seeds[rng.random_range(0..seeds.len())].clone();
-        for _ in 0..rng.random_range(1..4u8) {
-            match rng.random_range(0..4u8) {
-                0 if !line.is_empty() => {
-                    let i = rng.random_range(0..line.len());
-                    line[i] ^= 1 << rng.random_range(0..8u8);
-                }
-                1 => line.truncate(rng.random_range(0..=line.len())),
-                2 => {
-                    let other = &seeds[rng.random_range(0..seeds.len())];
-                    line.truncate(rng.random_range(0..=line.len()));
-                    line.extend_from_slice(&other[rng.random_range(0..=other.len())..]);
-                }
-                _ => {
-                    let text = String::from_utf8_lossy(&line).into_owned();
-                    if let Some(at) = text.find(r#""kind":""#) {
-                        let start = at + r#""kind":""#.len();
-                        let end = text[start..].find('"').map_or(text.len(), |e| start + e);
-                        let kind = swaps[rng.random_range(0..swaps.len())];
-                        line = format!("{}{kind}{}", &text[..start], &text[end..]).into_bytes();
-                    }
-                }
-            }
-        }
-        let line = String::from_utf8_lossy(&line).into_owned();
+    for line in request_mutants(10_000 * fuzz_scale()) {
         match parse_envelope(&line) {
             Ok(envelope) => {
                 accepted += 1;
@@ -353,5 +230,32 @@ fn mutated_request_lines_parse_to_known_kinds_and_get_one_json_line() {
     assert!(
         accepted > 200 && refused > 200,
         "the mutations must land on both sides: {accepted} accepted, {refused} refused"
+    );
+}
+
+/// Unknown members are validated and dropped, never stored, so a line's
+/// cost grows linearly with its member count: about 1 MiB of 100,000
+/// distinct unknown members is answered well within the bound, even
+/// unoptimized.
+#[test]
+fn a_line_of_100k_unknown_members_is_answered_in_linear_time() {
+    use std::fmt::Write as _;
+    use std::time::{Duration, Instant};
+
+    let server = test_server();
+    let mut line = String::from(r#"{"kind":"metrics""#);
+    for i in 0..100_000 {
+        write!(line, r#","m{i}":{i}"#).unwrap();
+    }
+    line.push('}');
+    assert!(line.len() > 1_000_000, "{} bytes", line.len());
+    let started = Instant::now();
+    let response = server.handle_line(&line).unwrap();
+    let took = started.elapsed();
+    let value = serde_json::parse(&response).unwrap();
+    assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
+    assert!(
+        took < Duration::from_secs(5),
+        "100k unknown members took {took:?}"
     );
 }
