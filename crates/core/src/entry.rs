@@ -68,7 +68,7 @@ impl StoredPlacement {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for PlacementId {
         fn to_value(&self) -> Value {
@@ -77,8 +77,8 @@ mod serde_impls {
     }
 
     impl Deserialize for PlacementId {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            u32::from_value(value).map(PlacementId)
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            u32::deserialize(r).map(PlacementId)
         }
     }
 
@@ -98,18 +98,26 @@ mod serde_impls {
     // coordinate vector, validity box and best-dims vector must all agree
     // on the block count, and the recorded costs must be finite.
     impl Deserialize for StoredPlacement {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value.get(name).ok_or_else(|| {
-                    Error::custom(format!("missing field `{name}` in StoredPlacement"))
-                })
-            };
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut placement = Field::new("placement");
+            let mut dims_box = Field::new("dims_box");
+            let mut avg_cost = Field::new("avg_cost");
+            let mut best_cost = Field::new("best_cost");
+            let mut best_dims = Field::new("best_dims");
+            serde::read_object(r, |key, r| match key {
+                "placement" => placement.read(r),
+                "dims_box" => dims_box.read(r),
+                "avg_cost" => avg_cost.read(r),
+                "best_cost" => best_cost.read(r),
+                "best_dims" => best_dims.read(r),
+                _ => r.skip_value(),
+            })?;
             let entry = StoredPlacement {
-                placement: Deserialize::from_value(field("placement")?)?,
-                dims_box: Deserialize::from_value(field("dims_box")?)?,
-                avg_cost: f64::from_value(field("avg_cost")?)?,
-                best_cost: f64::from_value(field("best_cost")?)?,
-                best_dims: Deserialize::from_value(field("best_dims")?)?,
+                placement: placement.take("StoredPlacement")?,
+                dims_box: dims_box.take("StoredPlacement")?,
+                avg_cost: avg_cost.take("StoredPlacement")?,
+                best_cost: best_cost.take("StoredPlacement")?,
+                best_dims: best_dims.take("StoredPlacement")?,
             };
             let n = entry.placement.block_count();
             if entry.dims_box.block_count() != n || entry.best_dims.len() != n {

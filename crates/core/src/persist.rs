@@ -18,6 +18,26 @@
 //! [`PersistError`] — never a panic and never a silently corrupt
 //! structure.
 //!
+//! Loading reads the text once, left to right, with the vendored pull
+//! reader: every `[w, h]` pair, interval and row id list goes straight
+//! into the structure's own vectors, with no intermediate JSON tree.
+//! Members may come in any order, the last of a repeated member wins
+//! and unknown members are skipped (still validated). Errors keep one
+//! precedence whatever the member order:
+//!
+//! 1. a syntax error anywhere in the text: [`PersistError::Decode`];
+//! 2. an envelope that is not an object, lacks a string `format` tag or
+//!    a `structure` member: [`PersistError::Envelope`]; a foreign tag:
+//!    [`PersistError::WrongFormat`];
+//! 3. a structure field that does not decode or a structural frame that
+//!    does not hold together: [`PersistError::Decode`];
+//! 4. a violated placement invariant: [`PersistError::Invariant`].
+//!
+//! A field's error waits until the reader has reached the end of the
+//! text; only then, when the text is well-formed, does it surface. Only
+//! this error path reads part of the text twice: the value that failed
+//! is rescanned from its start to find where it ends.
+//!
 //! Next to the JSON envelope lives **mps-v2**, a compact length-prefixed
 //! binary encoding of the same payload (`MPSB` magic + version header,
 //! little-endian fixed-width floats, varint-prefixed sections — see the
@@ -33,6 +53,8 @@
 
 use crate::{InvariantError, MultiPlacementStructure};
 use binfmt::{Decode, Decoder, Encode, Encoder};
+use serde_json::{Kind, Reader};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
@@ -220,32 +242,61 @@ impl MultiPlacementStructure {
     /// references, inverted intervals, …) or violated placement
     /// invariants (overlapping validity boxes, illegal placements).
     pub fn from_json(json: &str) -> Result<Self, PersistError> {
-        let envelope = serde_json::parse(json)?;
-        let Some(obj) = envelope.as_object() else {
+        let mps = Self::read_envelope(json)?;
+        mps.check_invariants().map_err(PersistError::Invariant)?;
+        Ok(mps)
+    }
+
+    /// The envelope and its structure, read in one left-to-right pass.
+    /// The envelope's members may come in any order and the last of a
+    /// repeated member wins; every data error waits until the reader
+    /// has reached the end of the text, so a syntax error anywhere is
+    /// reported first, then the envelope's own errors, then the
+    /// structure's.
+    fn read_envelope(json: &str) -> Result<Self, PersistError> {
+        let mut r = Reader::new(json);
+        let found = r.peek()?;
+        if found != Kind::Object {
+            r.skip_value()?;
+            r.finish()?;
             return Err(PersistError::Envelope(format!(
                 "expected a JSON object, found {}",
-                envelope.kind()
+                found.as_str()
             )));
-        };
-        let format = obj
-            .get("format")
-            .ok_or_else(|| PersistError::Envelope("missing `format` tag".to_owned()))?;
-        let Some(format) = format.as_str() else {
-            return Err(PersistError::Envelope(
-                "`format` tag must be a string".to_owned(),
-            ));
+        }
+        // `Some(None)`: a `format` member that is not a string.
+        let mut format: Option<Option<Cow<'_, str>>> = None;
+        let mut structure: Option<Result<Self, serde_json::Error>> = None;
+        serde::read_object(&mut r, |key, r| {
+            match key {
+                "format" if r.peek()? == Kind::String => format = Some(Some(r.string()?)),
+                "format" => {
+                    format = Some(None);
+                    r.skip_value()?;
+                }
+                "structure" => structure = Some(serde::read_deferred(r)?),
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        let format = match format {
+            None => return Err(PersistError::Envelope("missing `format` tag".to_owned())),
+            Some(None) => {
+                return Err(PersistError::Envelope(
+                    "`format` tag must be a string".to_owned(),
+                ))
+            }
+            Some(Some(format)) => format,
         };
         if format != FORMAT {
             return Err(PersistError::WrongFormat {
-                found: format.to_owned(),
+                found: format.into_owned(),
             });
         }
-        let structure = obj
-            .get("structure")
+        let structure = structure
             .ok_or_else(|| PersistError::Envelope("missing `structure` member".to_owned()))?;
-        let mps: MultiPlacementStructure = serde_json::from_value(structure)?;
-        mps.check_invariants().map_err(PersistError::Invariant)?;
-        Ok(mps)
+        Ok(structure?)
     }
 
     /// Writes the compact envelope to a file **atomically** (temp file +
@@ -663,5 +714,96 @@ mod tests {
         let back = MultiPlacementStructure::load_json(&path).unwrap();
         assert_eq!(back.to_json(), mps.to_json());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The envelope rules of the one-pass reader: members in any order,
+    /// the last of a repeated member wins, unknown members are skipped,
+    /// and errors keep their precedence (syntax, envelope, field).
+    #[test]
+    fn envelope_members_read_in_any_order_with_the_last_winning() {
+        let mps = sample_structure();
+        let structure = serde_json::to_string(&mps).unwrap();
+        let load = |json: String| MultiPlacementStructure::from_json(&json);
+        let reordered = load(format!(
+            r#"{{"extra":[1,{{"x":null}}],"structure":{structure},"format":"mps-v1"}}"#
+        ))
+        .unwrap();
+        assert_eq!(reordered.to_json(), mps.to_json());
+        // A bad first `structure` or `format` is replaced by a good one.
+        let replaced = load(format!(
+            r#"{{"format":7,"structure":{{"bounds":true}},"format":"mps-v1","structure":{structure}}}"#
+        ))
+        .unwrap();
+        assert_eq!(replaced.to_json(), mps.to_json());
+        // ... and a good first one by a bad one.
+        let err = load(format!(
+            r#"{{"format":"mps-v1","structure":{structure},"structure":{{"bounds":true}}}}"#
+        ))
+        .unwrap_err();
+        assert!(matches!(err, PersistError::Decode(_)), "{err}");
+        // The envelope outranks a bad field read before it ...
+        let err =
+            load(r#"{"structure":{"bounds":true},"format":"mps-v0"}"#.to_owned()).unwrap_err();
+        assert!(matches!(err, PersistError::WrongFormat { .. }), "{err}");
+        let err = load(r#"{"structure":{"bounds":true},"format":[]}"#.to_owned()).unwrap_err();
+        assert!(matches!(err, PersistError::Envelope(_)), "{err}");
+        // ... and a syntax error anywhere outranks both.
+        let err = load(r#"{"structure":{"bounds":true},"format":"mps-v0","x":tru}"#.to_owned())
+            .unwrap_err();
+        match err {
+            PersistError::Decode(e) => {
+                assert_eq!(e.to_string(), "expected `true` at byte offset 51");
+            }
+            other => panic!("expected a syntax error, got {other}"),
+        }
+        let err = load(r#"[1,{"a":nul}]"#.to_owned()).unwrap_err();
+        assert!(matches!(err, PersistError::Decode(_)), "{err}");
+        let err = load(r#"[1,{"a":null}]"#.to_owned()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid persistence envelope: expected a JSON object, found array"
+        );
+    }
+
+    /// Every entry of `dir` whose name ends in `.tmp`.
+    fn temp_files(dir: &Path) -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(".tmp"))
+            .collect()
+    }
+
+    /// `write_atomic` made to fail at each step by the file system
+    /// itself: the old artifact keeps its bytes and no temp file stays.
+    #[test]
+    fn failed_atomic_writes_leave_the_old_artifact_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("mps_persist_faults_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = b"old artifact bytes".as_slice();
+
+        // The temp file cannot be created: its parent is a file.
+        let artifact = dir.join("structure.json");
+        std::fs::write(&artifact, old).unwrap();
+        let err = write_atomic(&artifact.join("nested.json"), b"new").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotADirectory, "{err}");
+        assert_eq!(std::fs::read(&artifact).unwrap(), old);
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+
+        // The rename fails: the destination is a non-empty directory.
+        let occupied = dir.join("occupied.json");
+        std::fs::create_dir_all(&occupied).unwrap();
+        std::fs::write(occupied.join("inner.json"), old).unwrap();
+        assert!(write_atomic(&occupied, b"new").is_err());
+        assert_eq!(std::fs::read(occupied.join("inner.json")).unwrap(), old);
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+
+        // A successful save over the old artifact leaves exactly the new
+        // bytes.
+        write_atomic(&artifact, b"new bytes").unwrap();
+        assert_eq!(std::fs::read(&artifact).unwrap(), b"new bytes");
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

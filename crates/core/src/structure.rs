@@ -1,7 +1,7 @@
 //! The multi-placement structure itself (§2).
 
 use crate::{InvariantError, PlacementId, StoredPlacement};
-use mps_geom::{BlockRanges, Coord, Dims, DimsBox, IntervalMap, Rect};
+use mps_geom::{Axis, BlockRanges, Coord, Dims, DimsBox, Interval, IntervalMap, Rect};
 use mps_netlist::Circuit;
 use mps_placer::{Placement, SequencePair, Template};
 
@@ -475,8 +475,12 @@ impl MultiPlacementStructure {
         &self.h_rows[block]
     }
 
-    /// Verifies every structural invariant; intended for tests and
-    /// post-generation sanity checks (cost: O(P² · N + rows)).
+    /// Verifies every structural invariant; the loaders run it on every
+    /// artifact, and it serves as the post-generation sanity check. Cost:
+    /// one pass over each row, the per-entry legality checks (O(P · N²)
+    /// for `P` entries of `N` blocks), and a sort-and-sweep over one
+    /// dimension for Eq. 5 (O(P log P + C · N), where `C` is the number
+    /// of entry pairs whose intervals overlap along that dimension).
     ///
     /// 1. every interval row is sorted, non-overlapping and ascending;
     /// 2. each live entry's row registrations equal its box exactly;
@@ -490,7 +494,6 @@ impl MultiPlacementStructure {
     /// Returns a typed [`InvariantError`] naming the first violated
     /// invariant (its `Display` form is the old prose description).
     pub fn check_invariants(&self) -> Result<(), InvariantError> {
-        use mps_geom::Axis;
         for (i, (wr, hr)) in self.w_rows.iter().zip(&self.h_rows).enumerate() {
             for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
                 row.check_invariants().map_err(|e| InvariantError::Row {
@@ -500,54 +503,188 @@ impl MultiPlacementStructure {
                 })?;
             }
         }
+        let misregistered = misregistrations(&self.entries, &self.w_rows, &self.h_rows);
         let live: Vec<(PlacementId, &StoredPlacement)> = self.iter().collect();
+        // Every block at its box's upper corner, one entry at a time.
+        let mut top: Vec<(Coord, Coord)> = Vec::with_capacity(self.bounds.len());
         for &(id, entry) in &live {
-            for (i, r) in entry.dims_box.ranges().iter().enumerate() {
-                for (row, iv, axis) in [
-                    (&self.w_rows[i], r.w, Axis::Width),
-                    (&self.h_rows[i], r.h, Axis::Height),
-                ] {
-                    let ranges = row.ranges_of(id.0);
-                    if ranges != vec![iv] {
-                        return Err(InvariantError::Registration {
-                            id,
-                            block: i,
-                            axis,
-                            registered: ranges,
-                            expected: iv,
-                        });
-                    }
-                }
+            if let Some((axis, block)) = misregistered[id.index()] {
+                let row = match axis {
+                    Axis::Width => &self.w_rows[block],
+                    Axis::Height => &self.h_rows[block],
+                };
+                return Err(InvariantError::Registration {
+                    id,
+                    block,
+                    axis,
+                    registered: row.ranges_of(id.0),
+                    expected: axis_interval(&entry.dims_box, block, axis),
+                });
             }
             entry
                 .dims_box
                 .check_within_bounds(&self.bounds)
                 .map_err(|e| InvariantError::OutOfBounds { id, detail: e })?;
-            let top: Vec<(Coord, Coord)> = entry
-                .dims_box
-                .ranges()
-                .iter()
-                .map(|r| (r.w.hi(), r.h.hi()))
-                .collect();
+            top.clear();
+            top.extend(entry.dims_box.ranges().iter().map(|r| (r.w.hi(), r.h.hi())));
             if !entry.placement.is_legal(&top, Some(&self.floorplan)) {
                 return Err(InvariantError::IllegalPlacement { id });
             }
         }
-        for (a_idx, &(a_id, a)) in live.iter().enumerate() {
-            for &(b_id, b) in &live[a_idx + 1..] {
-                if a.dims_box.overlaps(&b.dims_box) {
-                    return Err(InvariantError::BoxOverlap { a: a_id, b: b_id });
+        match first_box_overlap(&live, &self.dimensions_by_segments()) {
+            Some((a, b)) => Err(InvariantError::BoxOverlap { a, b }),
+            None => Ok(()),
+        }
+    }
+
+    /// Every dimension `(block, axis)`, the rows cut into the most
+    /// segments first: their entries' intervals tend to be the narrowest
+    /// against their span, so the fewest pairs overlap along them. The
+    /// Eq. 5 sweep runs along the first and tests the rest in this order.
+    fn dimensions_by_segments(&self) -> Vec<(usize, Axis)> {
+        let mut dims: Vec<(usize, Axis, usize)> = (0..self.bounds.len())
+            .flat_map(|i| {
+                [
+                    (i, Axis::Width, self.w_rows[i].segment_count()),
+                    (i, Axis::Height, self.h_rows[i].segment_count()),
+                ]
+            })
+            .collect();
+        dims.sort_by_key(|&(_, _, segments)| std::cmp::Reverse(segments));
+        dims.into_iter().map(|(i, axis, _)| (i, axis)).collect()
+    }
+}
+
+/// `block`'s interval along `axis` in `dims_box`.
+fn axis_interval(dims_box: &DimsBox, block: usize, axis: Axis) -> Interval {
+    let r = &dims_box.ranges()[block];
+    match axis {
+        Axis::Width => r.w,
+        Axis::Height => r.h,
+    }
+}
+
+/// Where the walk of one row last saw an entry: the row (`stamp`) and
+/// the run of adjacent segments holding the entry there.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    /// `2 · block + axis + 1` of the row; 0 before any row.
+    stamp: usize,
+    lo: Coord,
+    hi: Coord,
+    /// The row holds the entry in more than one run.
+    split: bool,
+}
+
+/// Per entry index, the first row, as `(axis, block)` in block order
+/// with width before height, that does not register the live entry over
+/// exactly its box's interval as one run of adjacent segments (what
+/// `IntervalMap::ranges_of` would return as `[interval]`); `None` for
+/// dead entries and consistent ones.
+///
+/// One pass over each row keeps, per entry, the hull of the segments
+/// holding it and whether they form a single run, and compares it with
+/// the entry's box once the row ends: linear in the registrations plus
+/// one comparison per entry and row. The verdicts assume sorted,
+/// disjoint rows, which `check_invariants` verifies first. Ids of dead
+/// or missing entries are skipped: they have no box to compare with.
+fn misregistrations(
+    entries: &[Option<StoredPlacement>],
+    w_rows: &[IntervalMap<u32>],
+    h_rows: &[IntervalMap<u32>],
+) -> Vec<Option<(Axis, usize)>> {
+    let mut misregistered = vec![None; entries.len()];
+    let mut runs = vec![Run::default(); entries.len()];
+    for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
+        for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
+            let stamp = 2 * i + usize::from(axis == Axis::Height) + 1;
+            for (iv, ids) in row.iter() {
+                for &id in ids {
+                    let Some(run) = runs.get_mut(id as usize) else {
+                        continue;
+                    };
+                    if run.stamp != stamp {
+                        *run = Run {
+                            stamp,
+                            lo: iv.lo(),
+                            hi: iv.hi(),
+                            split: false,
+                        };
+                    } else if run.hi.checked_add(1) == Some(iv.lo()) {
+                        run.hi = iv.hi();
+                    } else {
+                        run.split = true;
+                    }
+                }
+            }
+            for (k, entry) in entries.iter().enumerate() {
+                let Some(entry) = entry else { continue };
+                if misregistered[k].is_some() {
+                    continue;
+                }
+                let run = runs[k];
+                let expected = axis_interval(&entry.dims_box, i, axis);
+                if run.stamp != stamp
+                    || run.split
+                    || (run.lo, run.hi) != (expected.lo(), expected.hi())
+                {
+                    misregistered[k] = Some((axis, i));
                 }
             }
         }
-        Ok(())
     }
+    misregistered
+}
+
+/// The first pair of live entries, in the order `(a, b)` with `a`
+/// before `b` in `live`, whose validity boxes overlap (Eq. 5 broken).
+/// Entries are swept in order of their interval's lower end along the
+/// first of `dims`; only entries whose intervals along it still reach
+/// the current one are compared along the rest, and every overlapping
+/// pair is among them, so the smallest pair found is the first one a
+/// full pairwise scan would report.
+fn first_box_overlap(
+    live: &[(PlacementId, &StoredPlacement)],
+    dims: &[(usize, Axis)],
+) -> Option<(PlacementId, PlacementId)> {
+    // Every box's intervals in `dims` order, one contiguous run per
+    // entry, so a comparison reads two short slices.
+    let flat: Vec<Interval> = live
+        .iter()
+        .flat_map(|(_, e)| {
+            dims.iter()
+                .map(|&(i, axis)| axis_interval(&e.dims_box, i, axis))
+        })
+        .collect();
+    let intervals = |k: usize| &flat[k * dims.len()..(k + 1) * dims.len()];
+    let mut order: Vec<usize> = (0..live.len()).collect();
+    order.sort_unstable_by_key(|&k| intervals(k)[0].lo());
+    // Entries whose interval along the sweep dimension may still meet a
+    // later one, with that interval's upper end.
+    let mut active: Vec<(Coord, usize)> = Vec::new();
+    let mut first: Option<(usize, usize)> = None;
+    for k in order {
+        let (swept, rest) = intervals(k).split_first()?;
+        active.retain(|&(hi, _)| hi >= swept.lo());
+        for &(_, j) in &active {
+            if intervals(j)[1..]
+                .iter()
+                .zip(rest)
+                .all(|(a, b)| a.overlaps(b))
+            {
+                let pair = (j.min(k), j.max(k));
+                first = Some(first.map_or(pair, |f| f.min(pair)));
+            }
+        }
+        active.push((swept.hi(), k));
+    }
+    first.map(|(a, b)| (live[a].0, live[b].0))
 }
 
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for MultiPlacementStructure {
         fn to_value(&self) -> Value {
@@ -571,20 +708,30 @@ mod serde_impls {
     // check is `check_invariants()`, which the `mps-v1` envelope loader
     // (`MultiPlacementStructure::from_json`) runs on top of this.
     impl Deserialize for MultiPlacementStructure {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value.get(name).ok_or_else(|| {
-                    Error::custom(format!("missing field `{name}` in MultiPlacementStructure"))
-                })
-            };
-            let bounds: Vec<BlockRanges> = Deserialize::from_value(field("bounds")?)?;
-            let floorplan = Rect::from_value(field("floorplan")?)?;
-            let entries: Vec<Option<StoredPlacement>> = Deserialize::from_value(field("entries")?)?;
-            let w_rows: Vec<IntervalMap<u32>> = Deserialize::from_value(field("w_rows")?)?;
-            let h_rows: Vec<IntervalMap<u32>> = Deserialize::from_value(field("h_rows")?)?;
-            let fallback: Option<Template> = Deserialize::from_value(field("fallback")?)?;
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut bounds = Field::new("bounds");
+            let mut floorplan = Field::new("floorplan");
+            let mut entries = Field::new("entries");
+            let mut w_rows = Field::new("w_rows");
+            let mut h_rows = Field::new("h_rows");
+            let mut fallback = Field::new("fallback");
+            serde::read_object(r, |key, r| match key {
+                "bounds" => bounds.read(r),
+                "floorplan" => floorplan.read(r),
+                "entries" => entries.read(r),
+                "w_rows" => w_rows.read(r),
+                "h_rows" => h_rows.read(r),
+                "fallback" => fallback.read(r),
+                _ => r.skip_value(),
+            })?;
+            let owner = "MultiPlacementStructure";
             MultiPlacementStructure::from_parts(
-                bounds, floorplan, entries, w_rows, h_rows, fallback,
+                bounds.take(owner)?,
+                floorplan.take(owner)?,
+                entries.take(owner)?,
+                w_rows.take(owner)?,
+                h_rows.take(owner)?,
+                fallback.take(owner)?,
             )
             .map_err(Error::custom)
         }
@@ -644,9 +791,12 @@ mod binfmt_impls {
 }
 
 #[cfg(test)]
+mod reference_checks;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use mps_geom::{dims, Interval, Point};
+    use mps_geom::{dims, Point};
     use mps_netlist::{benchmarks, Block, Circuit};
 
     fn small_circuit() -> Circuit {

@@ -290,7 +290,7 @@ macro_rules! dims {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::{Deserialize, Error, Reader, Serialize, Value};
 
     // Wire-format transparent: a `Dims` is the same `[[w, h], ...]`
     // nested array a `Vec<(Coord, Coord)>` has always been, so the
@@ -307,8 +307,8 @@ mod serde_impls {
     // bounds) by the consuming seam, exactly as raw vectors were; only
     // shape errors (not arrays, not pairs, not integers) fail here.
     impl Deserialize for Dims {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            Vec::<(Coord, Coord)>::from_value(value).map(Dims::from_vec_unchecked)
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            Vec::<(Coord, Coord)>::deserialize(r).map(Dims::from_vec_unchecked)
         }
     }
 }

@@ -262,7 +262,7 @@ impl From<(Coord, Coord)> for Interval {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for Interval {
         fn to_value(&self) -> Value {
@@ -276,14 +276,14 @@ mod serde_impls {
     // Hand-written so `lo <= hi` is re-validated: a loaded interval must
     // satisfy the same invariant a constructed one does.
     impl Deserialize for Interval {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Interval")))
-                    .and_then(Coord::from_value)
-            };
-            Interval::try_new(field("lo")?, field("hi")?).map_err(Error::custom)
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let (mut lo, mut hi) = (Field::<Coord>::new("lo"), Field::<Coord>::new("hi"));
+            serde::read_object(r, |key, r| match key {
+                "lo" => lo.read(r),
+                "hi" => hi.read(r),
+                _ => r.skip_value(),
+            })?;
+            Interval::try_new(lo.take("Interval")?, hi.take("Interval")?).map_err(Error::custom)
         }
     }
 }

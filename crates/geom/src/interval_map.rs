@@ -347,7 +347,7 @@ impl<T: Copy + Ord> Extend<(Interval, T)> for IntervalMap<T> {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl<T: Serialize> Serialize for IntervalMap<T> {
         fn to_value(&self) -> Value {
@@ -361,12 +361,15 @@ mod serde_impls {
     // sorted non-empty index arrays) are re-validated on load instead of
     // trusting the input.
     impl<T: Deserialize + Copy + Ord> Deserialize for IntervalMap<T> {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let segments = value
-                .get("segments")
-                .ok_or_else(|| Error::custom("missing field `segments` in IntervalMap"))
-                .and_then(Vec::<(Interval, Vec<T>)>::from_value)?;
-            let map = IntervalMap { segments };
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut segments = Field::<Vec<(Interval, Vec<T>)>>::new("segments");
+            serde::read_object(r, |key, r| match key {
+                "segments" => segments.read(r),
+                _ => r.skip_value(),
+            })?;
+            let map = IntervalMap {
+                segments: segments.take("IntervalMap")?,
+            };
             map.check_invariants()
                 .map_err(|e| Error::custom(format!("invalid IntervalMap: {e}")))?;
             Ok(map)

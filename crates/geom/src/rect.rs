@@ -221,7 +221,7 @@ impl fmt::Display for Rect {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for Rect {
         fn to_value(&self) -> Value {
@@ -235,15 +235,18 @@ mod serde_impls {
 
     // Hand-written so positive extent is re-validated on load.
     impl Deserialize for Rect {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Rect")))
-            };
-            let origin = Point::from_value(field("origin")?)?;
-            let w = Coord::from_value(field("w")?)?;
-            let h = Coord::from_value(field("h")?)?;
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut origin = Field::<Point>::new("origin");
+            let (mut w, mut h) = (Field::<Coord>::new("w"), Field::<Coord>::new("h"));
+            serde::read_object(r, |key, r| match key {
+                "origin" => origin.read(r),
+                "w" => w.read(r),
+                "h" => h.read(r),
+                _ => r.skip_value(),
+            })?;
+            let origin = origin.take("Rect")?;
+            let w = w.take("Rect")?;
+            let h = h.take("Rect")?;
             if w <= 0 || h <= 0 {
                 return Err(Error::custom(format!(
                     "rectangle dimensions must be positive (got {w}x{h})"

@@ -156,7 +156,7 @@ impl Block {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for BlockId {
         fn to_value(&self) -> Value {
@@ -165,8 +165,8 @@ mod serde_impls {
     }
 
     impl Deserialize for BlockId {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            usize::from_value(value).map(BlockId)
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            usize::deserialize(r).map(BlockId)
         }
     }
 
@@ -185,17 +185,25 @@ mod serde_impls {
     // Hand-written so the dimension-bound invariants are re-validated on
     // load (positive minima, min <= max on both axes).
     impl Deserialize for Block {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Block")))
-            };
-            let name = String::from_value(field("name")?)?;
-            let w_min = Coord::from_value(field("w_min")?)?;
-            let w_max = Coord::from_value(field("w_max")?)?;
-            let h_min = Coord::from_value(field("h_min")?)?;
-            let h_max = Coord::from_value(field("h_max")?)?;
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut name = Field::<String>::new("name");
+            let mut w_min = Field::<Coord>::new("w_min");
+            let mut w_max = Field::<Coord>::new("w_max");
+            let mut h_min = Field::<Coord>::new("h_min");
+            let mut h_max = Field::<Coord>::new("h_max");
+            serde::read_object(r, |key, r| match key {
+                "name" => name.read(r),
+                "w_min" => w_min.read(r),
+                "w_max" => w_max.read(r),
+                "h_min" => h_min.read(r),
+                "h_max" => h_max.read(r),
+                _ => r.skip_value(),
+            })?;
+            let name = name.take("Block")?;
+            let w_min = w_min.take("Block")?;
+            let w_max = w_max.take("Block")?;
+            let h_min = h_min.take("Block")?;
+            let h_max = h_max.take("Block")?;
             if w_min <= 0 || h_min <= 0 {
                 return Err(Error::custom(format!(
                     "block `{name}`: minimum dimensions must be positive"

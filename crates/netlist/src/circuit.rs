@@ -389,7 +389,7 @@ impl CircuitBuilder {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for Circuit {
         fn to_value(&self) -> Value {
@@ -404,16 +404,22 @@ mod serde_impls {
     // Hand-written so a loaded circuit goes through the same validation
     // as a constructed one (non-empty, no dangling pin references).
     impl Deserialize for Circuit {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Circuit")))
-            };
-            let name = String::from_value(field("name")?)?;
-            let blocks = Vec::<Block>::from_value(field("blocks")?)?;
-            let nets = Vec::<Net>::from_value(field("nets")?)?;
-            Circuit::new(name, blocks, nets).map_err(Error::custom)
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut name = Field::<String>::new("name");
+            let mut blocks = Field::<Vec<Block>>::new("blocks");
+            let mut nets = Field::<Vec<Net>>::new("nets");
+            serde::read_object(r, |key, r| match key {
+                "name" => name.read(r),
+                "blocks" => blocks.read(r),
+                "nets" => nets.read(r),
+                _ => r.skip_value(),
+            })?;
+            Circuit::new(
+                name.take("Circuit")?,
+                blocks.take("Circuit")?,
+                nets.take("Circuit")?,
+            )
+            .map_err(Error::custom)
         }
     }
 }

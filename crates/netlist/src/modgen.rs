@@ -505,7 +505,7 @@ serde::impl_serde_struct!(SizingModel { generators });
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{read_deferred, Deserialize, Error, Kind, Map, Reader, Serialize, Value};
 
     // Externally tagged, matching serde's default enum representation:
     // {"Mosfet": {...}} etc.
@@ -524,24 +524,39 @@ mod serde_impls {
     }
 
     impl Deserialize for Generator {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let map = value
-                .as_object()
-                .ok_or_else(|| Error::expected("Generator object", value))?;
-            if map.len() != 1 {
-                return Err(Error::custom(format!(
-                    "expected single-variant Generator object, found {} keys",
-                    map.len()
-                )));
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let found = r.peek()?;
+            if found != Kind::Object {
+                return Err(Error::expected("Generator object", found));
             }
-            let (tag, config) = map.iter().next().expect("len checked");
-            match tag {
-                "Mosfet" => MosfetGenerator::from_value(config).map(Generator::Mosfet),
-                "DiffPair" => DiffPairGenerator::from_value(config).map(Generator::DiffPair),
-                "Capacitor" => CapacitorGenerator::from_value(config).map(Generator::Capacitor),
-                "Resistor" => ResistorGenerator::from_value(config).map(Generator::Resistor),
-                other => Err(Error::custom(format!(
-                    "unknown Generator variant `{other}`"
+            // Every distinct key with the last decode of its value: the
+            // single-variant check counts keys, as an object map would.
+            let mut members: Vec<(String, Result<Generator, Error>)> = Vec::new();
+            serde::read_object(r, |key, r| {
+                let value = match key {
+                    "Mosfet" => read_deferred::<MosfetGenerator>(r)?.map(Generator::Mosfet),
+                    "DiffPair" => read_deferred::<DiffPairGenerator>(r)?.map(Generator::DiffPair),
+                    "Capacitor" => {
+                        read_deferred::<CapacitorGenerator>(r)?.map(Generator::Capacitor)
+                    }
+                    "Resistor" => read_deferred::<ResistorGenerator>(r)?.map(Generator::Resistor),
+                    other => {
+                        r.skip_value()?;
+                        Err(Error::custom(format!(
+                            "unknown Generator variant `{other}`"
+                        )))
+                    }
+                };
+                match members.iter_mut().find(|(k, _)| k == key) {
+                    Some(member) => member.1 = value,
+                    None => members.push((key.to_owned(), value)),
+                }
+                Ok(())
+            })?;
+            match members.len() {
+                1 => members.swap_remove(0).1,
+                keys => Err(Error::custom(format!(
+                    "expected single-variant Generator object, found {keys} keys"
                 ))),
             }
         }

@@ -261,7 +261,7 @@ impl fmt::Display for Net {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     // Hand-written so the [0, 1] fraction invariant is re-validated.
     impl Serialize for PinOffset {
@@ -274,14 +274,14 @@ mod serde_impls {
     }
 
     impl Deserialize for PinOffset {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in PinOffset")))
-                    .and_then(f32::from_value)
-            };
-            let (fx, fy) = (field("fx")?, field("fy")?);
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let (mut fx, mut fy) = (Field::<f32>::new("fx"), Field::<f32>::new("fy"));
+            serde::read_object(r, |key, r| match key {
+                "fx" => fx.read(r),
+                "fy" => fy.read(r),
+                _ => r.skip_value(),
+            })?;
+            let (fx, fy) = (fx.take("PinOffset")?, fy.take("PinOffset")?);
             for f in [fx, fy] {
                 if !f.is_finite() || !(0.0..=1.0).contains(&f) {
                     return Err(Error::custom(format!("pin fraction out of [0,1]: {f}")));
@@ -301,14 +301,15 @@ mod serde_impls {
     }
 
     impl Deserialize for Pad {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Pad")))
-            };
-            let side = PadSide::from_value(field("side")?)?;
-            let frac = f32::from_value(field("frac")?)?;
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let (mut side, mut frac) = (Field::<PadSide>::new("side"), Field::<f32>::new("frac"));
+            serde::read_object(r, |key, r| match key {
+                "side" => side.read(r),
+                "frac" => frac.read(r),
+                _ => r.skip_value(),
+            })?;
+            let side = side.take("Pad")?;
+            let frac = frac.take("Pad")?;
             if !frac.is_finite() || !(0.0..=1.0).contains(&frac) {
                 return Err(Error::custom(format!("pad fraction out of [0,1]: {frac}")));
             }
@@ -330,16 +331,22 @@ mod serde_impls {
     // Hand-written so the non-empty-pins and weight invariants are
     // re-validated on load.
     impl Deserialize for Net {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in Net")))
-            };
-            let name = String::from_value(field("name")?)?;
-            let pins = Vec::<Pin>::from_value(field("pins")?)?;
-            let pad = Option::<Pad>::from_value(field("pad")?)?;
-            let weight = f64::from_value(field("weight")?)?;
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut name = Field::<String>::new("name");
+            let mut pins = Field::<Vec<Pin>>::new("pins");
+            let mut pad = Field::<Option<Pad>>::new("pad");
+            let mut weight = Field::<f64>::new("weight");
+            serde::read_object(r, |key, r| match key {
+                "name" => name.read(r),
+                "pins" => pins.read(r),
+                "pad" => pad.read(r),
+                "weight" => weight.read(r),
+                _ => r.skip_value(),
+            })?;
+            let name = name.take("Net")?;
+            let pins = pins.take("Net")?;
+            let pad = pad.take("Net")?;
+            let weight = weight.take("Net")?;
             if pins.is_empty() {
                 return Err(Error::custom(format!(
                     "net `{name}` must connect at least one block pin"

@@ -351,7 +351,7 @@ serde::impl_serde_struct!(Node {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for BStarTree {
         fn to_value(&self) -> Value {
@@ -365,15 +365,19 @@ mod serde_impls {
     // Hand-written so the single-connected-tree invariant is re-validated
     // on load (a malformed tree would make packing loop or panic).
     impl Deserialize for BStarTree {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in BStarTree")))
-            };
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let (mut nodes, mut root) = (
+                Field::<Vec<Node>>::new("nodes"),
+                Field::<usize>::new("root"),
+            );
+            serde::read_object(r, |key, r| match key {
+                "nodes" => nodes.read(r),
+                "root" => root.read(r),
+                _ => r.skip_value(),
+            })?;
             let tree = BStarTree {
-                nodes: Vec::<Node>::from_value(field("nodes")?)?,
-                root: usize::from_value(field("root")?)?,
+                nodes: nodes.take("BStarTree")?,
+                root: root.take("BStarTree")?,
             };
             if tree.nodes.is_empty() {
                 return Err(Error::custom("BStarTree must have at least one node"));

@@ -250,7 +250,7 @@ impl SequencePair {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Map, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
     impl Serialize for SequencePair {
         fn to_value(&self) -> Value {
@@ -264,16 +264,23 @@ mod serde_impls {
     // Hand-written so the both-sequences-are-permutations invariant is
     // re-validated on load (via the checked constructor).
     impl Deserialize for SequencePair {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |name: &str| {
-                value
-                    .get(name)
-                    .ok_or_else(|| Error::custom(format!("missing field `{name}` in SequencePair")))
-                    .and_then(Vec::<usize>::from_value)
-            };
-            SequencePair::new(field("pos")?, field("neg")?).ok_or_else(|| {
-                Error::custom("SequencePair sequences must be equal-length permutations of 0..n")
-            })
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let (mut pos, mut neg) = (
+                Field::<Vec<usize>>::new("pos"),
+                Field::<Vec<usize>>::new("neg"),
+            );
+            serde::read_object(r, |key, r| match key {
+                "pos" => pos.read(r),
+                "neg" => neg.read(r),
+                _ => r.skip_value(),
+            })?;
+            SequencePair::new(pos.take("SequencePair")?, neg.take("SequencePair")?).ok_or_else(
+                || {
+                    Error::custom(
+                        "SequencePair sequences must be equal-length permutations of 0..n",
+                    )
+                },
+            )
         }
     }
 }

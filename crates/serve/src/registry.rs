@@ -23,6 +23,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 /// Probes `verify_against` runs per artifact load, scaled to the
 /// structure's compiled segment population.
@@ -131,7 +132,8 @@ impl ServedStructure {
     ///
     /// Returns [`ServeError::Load`] when the artifact is missing,
     /// malformed, wrong-format or invariant-violating, and
-    /// [`ServeError::Equivalence`] when the compiled index diverges.
+    /// [`ServeError::Equivalence`], naming the artifact file, when the
+    /// compiled index diverges.
     pub fn open(name: impl Into<String>, path: impl Into<PathBuf>) -> Result<Self, ServeError> {
         let path = path.into();
         let structure =
@@ -139,9 +141,13 @@ impl ServedStructure {
                 path: path.clone(),
                 source,
             })?;
-        let mut served = Self::from_structure(name, structure);
-        served.path = Some(path);
-        Ok(served)
+        match Self::try_from_structure(name, structure) {
+            Ok(served) => Ok(served.with_path(path)),
+            Err(ServeError::Equivalence { detail, .. }) => {
+                Err(ServeError::Equivalence { path, detail })
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Wraps an in-memory structure (tests, examples, freshly generated
@@ -242,6 +248,11 @@ pub struct ReloadReport {
     pub added: Vec<String>,
     /// Names that were served before and are gone now.
     pub removed: Vec<String>,
+    /// How long the reload held the registry's commit lock, in
+    /// milliseconds: the directory rescan (load, invariant check, index
+    /// build and verify of every artifact) plus the swap. Refinement
+    /// commits wait this long behind a reload; readers never do.
+    pub load_ms: f64,
 }
 
 type Snapshot = Arc<HashMap<String, Arc<ServedStructure>>>;
@@ -445,6 +456,7 @@ impl StructureRegistry {
             .commit_lock
             .lock()
             .expect("registry commit lock poisoned");
+        let locked_at = Instant::now();
         let next = Arc::new(scan_dir(dir)?);
         let prev = {
             let mut guard = self.map.write().expect("registry lock poisoned");
@@ -467,6 +479,7 @@ impl StructureRegistry {
             serving: next.len(),
             added,
             removed,
+            load_ms: locked_at.elapsed().as_secs_f64() * 1e3,
         })
     }
 }
@@ -546,6 +559,7 @@ mod tests {
         assert_eq!(report.serving, 1);
         assert_eq!(report.added, vec!["beta"]);
         assert_eq!(report.removed, vec!["alpha"]);
+        assert!(report.load_ms > 0.0, "{}", report.load_ms);
         assert_eq!(registry.names(), vec!["beta"]);
 
         // ... and the old snapshot keeps answering after the swap.

@@ -900,6 +900,7 @@ impl Server {
                     "removed",
                     Value::Array(report.removed.into_iter().map(Value::String).collect()),
                 );
+                map.insert("load_ms", report.load_ms.to_value());
                 Ok(Outcome::Map(map))
             }
             Request::Metrics => Ok(Outcome::Map(self.metrics())),
@@ -1360,6 +1361,7 @@ mod tests {
         assert_eq!(reload.get("ok").and_then(Value::as_bool), Some(true));
         // In-memory registry reloads to itself; the cache still empties.
         assert_eq!(reload.get("serving").and_then(Value::as_u64), Some(1));
+        assert_eq!(reload.get("load_ms").and_then(Value::as_f64), Some(0.0));
         let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("entries").and_then(Value::as_u64), Some(0));
