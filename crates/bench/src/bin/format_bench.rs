@@ -29,27 +29,30 @@ const DEFAULT_PROBES: usize = 1000;
 
 /// Load rounds per format; the fastest round is reported (standard
 /// min-of-N to shed scheduler noise).
-const DEFAULT_ROUNDS: usize = 5;
+const DEFAULT_ROUNDS: usize = 20;
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-/// Total wall-clock of the fastest round of loading every file through
-/// `load`.
-fn best_round_secs(
-    paths: &[PathBuf],
-    rounds: usize,
-    load: impl Fn(&PathBuf) -> MultiPlacementStructure,
-) -> f64 {
-    let mut best = f64::INFINITY;
+/// One format's artifact files and the loader that reads one of them.
+type Format<'a> = (&'a [PathBuf], fn(&PathBuf) -> MultiPlacementStructure);
+
+/// Per format, the total wall-clock of the fastest round of loading
+/// every file of its set through its loader. The formats take turns
+/// round by round, so interference lasting a few rounds slows both
+/// alike instead of every round of one.
+fn best_round_secs(rounds: usize, formats: [Format<'_>; 2]) -> [f64; 2] {
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..rounds {
-        let start = Instant::now();
-        for path in paths {
-            std::hint::black_box(load(path));
+        for ((paths, load), best) in formats.iter().zip(&mut best) {
+            let start = Instant::now();
+            for path in *paths {
+                std::hint::black_box(load(path));
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
         }
-        best = best.min(start.elapsed().as_secs_f64());
     }
     best
 }
@@ -133,12 +136,17 @@ fn main() {
     let bin_bytes = total_bytes(&bin_paths);
     let size_ratio = json_bytes as f64 / bin_bytes as f64;
 
-    let json_secs = best_round_secs(&json_paths, rounds, |p| {
-        MultiPlacementStructure::load_json(p).expect("JSON load")
-    });
-    let bin_secs = best_round_secs(&bin_paths, rounds, |p| {
-        MultiPlacementStructure::load_bin(p).expect("binary load")
-    });
+    let [json_secs, bin_secs] = best_round_secs(
+        rounds,
+        [
+            (&json_paths, |p| {
+                MultiPlacementStructure::load_json(p).expect("JSON load")
+            }),
+            (&bin_paths, |p| {
+                MultiPlacementStructure::load_bin(p).expect("binary load")
+            }),
+        ],
+    );
     let load_speedup = json_secs / bin_secs;
 
     println!(

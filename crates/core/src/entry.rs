@@ -139,7 +139,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for PlacementId {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -148,7 +148,7 @@ mod binfmt_impls {
     }
 
     impl Decode for PlacementId {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let raw = dec.varint()?;
             u32::try_from(raw)
                 .map(PlacementId)
@@ -171,7 +171,7 @@ mod binfmt_impls {
     // best-dims vector must agree on the block count, and the recorded
     // costs must be finite.
     impl Decode for StoredPlacement {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let entry = StoredPlacement {
                 placement: Placement::decode(dec)?,
                 dims_box: DimsBox::decode(dec)?,

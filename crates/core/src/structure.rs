@@ -741,7 +741,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Allocation caps for decoded top-level sections. Sanity bounds,
     /// not tight limits: real structures have tens of blocks and at
@@ -771,7 +771,7 @@ mod binfmt_impls {
     // the structural frame — the same funnel the JSON deserializer goes
     // through, so both formats accept exactly the same structures.
     impl Decode for MultiPlacementStructure {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let bounds: Vec<BlockRanges> = dec.seq(MAX_BLOCKS, "structure bounds")?;
             let floorplan = Rect::decode(dec)?;
             let n_entries = dec.len(MAX_ENTRIES, "structure entries")?;

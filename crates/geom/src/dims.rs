@@ -317,7 +317,7 @@ mod binfmt_impls {
     use super::*;
     use crate::dims_box::MAX_BLOCKS;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for Dims {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -335,7 +335,7 @@ mod binfmt_impls {
     // through the *checked* constructor: a persisted vector is always a
     // valid one.
     impl Decode for Dims {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let n = dec.len(MAX_BLOCKS, "Dims pairs")?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {

@@ -374,7 +374,7 @@ serde::impl_serde_struct!(DimsBox { ranges });
 mod binfmt_impls {
     use super::*;
     use binfmt::{Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Allocation cap for decoded per-block sections: far above any real
     /// circuit (the paper's largest benchmark has 24 blocks), far below
@@ -389,7 +389,7 @@ mod binfmt_impls {
     }
 
     impl Decode for BlockRanges {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Ok(BlockRanges::new(
                 Interval::decode(dec)?,
                 Interval::decode(dec)?,
@@ -404,7 +404,7 @@ mod binfmt_impls {
     }
 
     impl Decode for DimsBox {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Ok(DimsBox::new(dec.seq(MAX_BLOCKS, "DimsBox ranges")?))
         }
     }

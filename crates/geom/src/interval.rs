@@ -291,7 +291,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for Interval {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -302,7 +302,7 @@ mod binfmt_impls {
 
     // `lo <= hi` is re-validated, exactly like the JSON path.
     impl Decode for Interval {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Interval::try_new(dec.zigzag()?, dec.zigzag()?).map_err(|e| malformed(e.to_string()))
         }
     }

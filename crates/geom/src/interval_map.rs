@@ -380,7 +380,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Allocation caps for decoded rows. A row over a coordinate range
     /// of millions of grid units cannot exceed a few thousand segments
@@ -406,7 +406,7 @@ mod binfmt_impls {
     // index arrays) are re-validated on decode, exactly like the JSON
     // path.
     impl Decode for IntervalMap<u32> {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let n = dec.len(MAX_SEGMENTS, "IntervalMap segments")?;
             let mut segments = Vec::with_capacity(n);
             for _ in 0..n {

@@ -85,7 +85,7 @@ serde::impl_serde_struct!(Point { x, y });
 mod binfmt_impls {
     use super::*;
     use binfmt::{Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for Point {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -95,7 +95,7 @@ mod binfmt_impls {
     }
 
     impl Decode for Point {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Ok(Point::new(dec.zigzag()?, dec.zigzag()?))
         }
     }

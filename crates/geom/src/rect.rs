@@ -260,7 +260,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for Rect {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -272,7 +272,7 @@ mod binfmt_impls {
 
     // Positive extent is re-validated, exactly like the JSON path.
     impl Decode for Rect {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let origin = Point::decode(dec)?;
             let w = dec.zigzag()?;
             let h = dec.zigzag()?;

@@ -213,7 +213,7 @@ serde::impl_serde_struct!(Placement { coords });
 mod binfmt_impls {
     use super::*;
     use binfmt::{Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Allocation cap for decoded coordinate vectors (one per block).
     const MAX_BLOCKS: usize = 1 << 20;
@@ -225,7 +225,7 @@ mod binfmt_impls {
     }
 
     impl Decode for Placement {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Ok(Placement::new(dec.seq(MAX_BLOCKS, "Placement coords")?))
         }
     }

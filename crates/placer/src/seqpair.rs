@@ -288,7 +288,7 @@ mod serde_impls {
 mod binfmt_impls {
     use super::*;
     use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     /// Allocation cap for decoded sequences (one slot per block).
     const MAX_BLOCKS: usize = 1 << 20;
@@ -301,7 +301,7 @@ mod binfmt_impls {
         Ok(())
     }
 
-    fn decode_seq<R: Read>(dec: &mut Decoder<R>, what: &str) -> Result<Vec<usize>, Error> {
+    fn decode_seq(dec: &mut Decoder<'_>, what: &str) -> Result<Vec<usize>, Error> {
         let n = dec.len(MAX_BLOCKS, what)?;
         let mut seq = Vec::with_capacity(n);
         for _ in 0..n {
@@ -323,7 +323,7 @@ mod binfmt_impls {
     // The both-sequences-are-permutations invariant is re-validated on
     // decode via the checked constructor, exactly like the JSON path.
     impl Decode for SequencePair {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let pos = decode_seq(dec, "SequencePair pos")?;
             let neg = decode_seq(dec, "SequencePair neg")?;
             SequencePair::new(pos, neg).ok_or_else(|| {

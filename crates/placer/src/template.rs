@@ -126,7 +126,7 @@ serde::impl_serde_struct!(Template { seqpair });
 mod binfmt_impls {
     use super::*;
     use binfmt::{Decode, Decoder, Encode, Encoder, Error};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     impl Encode for Template {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
@@ -135,7 +135,7 @@ mod binfmt_impls {
     }
 
     impl Decode for Template {
-        fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Self, Error> {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             Ok(Template::new(SequencePair::decode(dec)?))
         }
     }

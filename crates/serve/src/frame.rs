@@ -146,7 +146,7 @@ pub fn decode_batch_ids(bytes: &[u8]) -> Result<(Option<u64>, Vec<Option<Placeme
         ));
     }
     fn decode_ids(
-        mut dec: Decoder<&[u8]>,
+        mut dec: Decoder<'_>,
         max: usize,
     ) -> Result<Vec<Option<PlacementId>>, binfmt::Error> {
         // Every encoded id takes at least one payload byte, so the

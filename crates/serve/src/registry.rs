@@ -111,6 +111,16 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+/// The error for a compiled index that diverges from `name`'s query
+/// path, naming the artifact file it was loaded from, or
+/// `<in-memory:name>` for a structure that never was a file.
+fn equivalence_error(name: &str, path: Option<PathBuf>, detail: String) -> ServeError {
+    ServeError::Equivalence {
+        path: path.unwrap_or_else(|| PathBuf::from(format!("<in-memory:{name}>"))),
+        detail,
+    }
+}
+
 /// One loaded artifact: the validated structure plus its compiled index,
 /// immutable for its whole serving life.
 #[derive(Debug)]
@@ -141,13 +151,7 @@ impl ServedStructure {
                 path: path.clone(),
                 source,
             })?;
-        match Self::try_from_structure(name, structure) {
-            Ok(served) => Ok(served.with_path(path)),
-            Err(ServeError::Equivalence { detail, .. }) => {
-                Err(ServeError::Equivalence { path, detail })
-            }
-            Err(e) => Err(e),
-        }
+        Self::compile(name.into(), Some(path), structure)
     }
 
     /// Wraps an in-memory structure (tests, examples, freshly generated
@@ -177,23 +181,27 @@ impl ServedStructure {
         name: impl Into<String>,
         structure: MultiPlacementStructure,
     ) -> Result<Self, ServeError> {
-        let name = name.into();
-        // The compiled index must pass the bit-identity battery before
-        // the structure is ever served.
+        Self::compile(name.into(), None, structure)
+    }
+
+    /// Compiles the query index, which must pass the bit-identity battery
+    /// before the structure is ever served.
+    fn compile(
+        name: String,
+        path: Option<PathBuf>,
+        structure: MultiPlacementStructure,
+    ) -> Result<Self, ServeError> {
         let index = CompiledQueryIndex::build(&structure);
-        index
-            .verify_against(
-                &structure,
-                load_probe_budget(index.segment_count()),
-                0x5EED_C0DE,
-            )
-            .map_err(|detail| ServeError::Equivalence {
-                path: PathBuf::from(format!("<in-memory:{name}>")),
-                detail,
-            })?;
+        if let Err(detail) = index.verify_against(
+            &structure,
+            load_probe_budget(index.segment_count()),
+            0x5EED_C0DE,
+        ) {
+            return Err(equivalence_error(&name, path, detail));
+        }
         Ok(Self {
             name,
-            path: None,
+            path,
             structure,
             index,
         })
@@ -783,6 +791,32 @@ mod tests {
             elapsed < std::time::Duration::from_secs(20),
             "cold start over 24 artifacts took {elapsed:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A diverging compiled index is a compiler bug that no artifact can
+    // provoke, so the error is checked where `open` and
+    // `try_from_structure` build it.
+    #[test]
+    fn equivalence_error_names_the_artifact_file() {
+        let dir = temp_dir("equivalence");
+        let path = dir.join("alpha.mps.json");
+        tiny_structure(3).save_json(&path).unwrap();
+        let served = ServedStructure::open("alpha", &path).unwrap();
+        assert_eq!(served.path(), Some(path.as_path()));
+
+        let err = equivalence_error("alpha", Some(path.clone()), "probe 7".to_owned());
+        assert!(matches!(&err, ServeError::Equivalence { path: p, .. } if *p == path));
+        let message = err.to_string();
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        assert!(!message.contains("<in-memory"), "{message}");
+        assert!(message.contains("probe 7"), "{message}");
+
+        let err = equivalence_error("alpha", None, "probe 7".to_owned());
+        assert!(matches!(
+            &err,
+            ServeError::Equivalence { path: p, .. } if p.as_os_str() == "<in-memory:alpha>"
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
