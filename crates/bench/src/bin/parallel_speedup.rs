@@ -81,10 +81,13 @@ fn main() {
 
     let (mps_serial, report_serial, t_serial) = timed(&bm.circuit, serial);
     let (mps_parallel, report_parallel, t_parallel) = timed(&bm.circuit, parallel);
-    eprintln!("  1 thread:   {}", fmt_phases(&report_serial.phases));
+    eprintln!(
+        "  1 thread:   {}",
+        fmt_phases(&report_serial.phases, Some(report_serial.duration))
+    );
     eprintln!(
         "  {threads} threads:  {}",
-        fmt_phases(&report_parallel.phases)
+        fmt_phases(&report_parallel.phases, None)
     );
 
     assert_identical(&mps_serial, &mps_parallel);

@@ -10,6 +10,7 @@
 
 use mps_bench::cli::{obtain_structure, BenchArgs, StructureSource};
 use mps_bench::{fmt_duration, fmt_phases, markdown_table, measure_instantiation};
+use mps_core::parallel::effective_threads;
 use mps_netlist::benchmarks;
 
 fn main() {
@@ -22,6 +23,7 @@ fn main() {
     let mut rows = Vec::new();
     for bm in benchmarks::all() {
         let config = args.config_for(&bm.circuit, 2005);
+        let one_thread = effective_threads(config.threads, config.num_starts) == 1;
         let (mps, source) = obtain_structure(bm.name, &bm.circuit, config, &args.persist);
         let mean_instantiation = measure_instantiation(&bm.circuit, &mps, queries, 2005 ^ 0xABCD);
         let generation = match &source {
@@ -42,7 +44,8 @@ fn main() {
                     ex.stored_forked,
                     ex.stored_annihilated,
                 );
-                eprintln!("  {:<18} {}", "", fmt_phases(&report.phases));
+                let wall = one_thread.then_some(report.duration);
+                eprintln!("  {:<18} {}", "", fmt_phases(&report.phases, wall));
                 fmt_duration(report.duration)
             }
             StructureSource::Loaded(path) => {

@@ -244,15 +244,30 @@ pub fn fmt_duration(d: Duration) -> String {
 
 /// One line of generation phase timings, e.g. for a report's
 /// [`mps_core::GenerationReport::phases`].
+///
+/// With the run's wall time (`wall`, e.g.
+/// [`mps_core::GenerationReport::duration`]) the line ends with `other`:
+/// the wall time no phase accounts for (see
+/// [`mps_core::PhaseTimings`]). Pass it only for a run on one thread;
+/// with more, the phases are summed over concurrent starts and can
+/// exceed the wall time.
 #[must_use]
-pub fn fmt_phases(phases: &mps_core::PhaseTimings) -> String {
-    format!(
+pub fn fmt_phases(phases: &mps_core::PhaseTimings, wall: Option<Duration>) -> String {
+    let mut line = format!(
         "expansion {}  bdio {}  resolve+store {}  merge {}",
         fmt_duration(phases.expansion),
         fmt_duration(phases.bdio),
         fmt_duration(phases.resolve_store),
         fmt_duration(phases.merge),
-    )
+    );
+    if let Some(wall) = wall {
+        let phased = phases.expansion + phases.bdio + phases.resolve_store + phases.merge;
+        line.push_str(&format!(
+            "  other {}",
+            fmt_duration(wall.saturating_sub(phased))
+        ));
+    }
+    line
 }
 
 /// Renders a markdown table.

@@ -28,6 +28,13 @@ use crate::MultiPlacementStructure;
 /// Computed in log space: each box contributes
 /// `exp(Σ_d ln len_d(box) − Σ_d ln len_d(bounds))`. Boxes are pairwise
 /// disjoint (Eq. 5), so the contributions sum without double-counting.
+///
+/// The box terms `Σ_d ln len_d(box)` are the log-volumes the structure
+/// caches per entry whenever a box is stored, shrunk or loaded, so a call
+/// costs one `exp` per live entry (the explorer checks coverage before
+/// every proposal). The contributions are summed in id order, exactly as
+/// recomputing each `DimsBox::log_volume` would, so the result is the
+/// same to the bit.
 #[must_use]
 pub fn volume_coverage(mps: &MultiPlacementStructure) -> f64 {
     let total_log: f64 = mps
@@ -37,8 +44,8 @@ pub fn volume_coverage(mps: &MultiPlacementStructure) -> f64 {
         .map(|l| (l as f64).ln())
         .sum();
     let covered: f64 = mps
-        .iter()
-        .map(|(_, e)| (e.dims_box.log_volume() - total_log).exp())
+        .live_log_volumes()
+        .map(|lv| (lv - total_log).exp())
         .sum();
     covered.min(1.0)
 }

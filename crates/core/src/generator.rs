@@ -259,6 +259,11 @@ pub struct GenerationReport {
 /// Where generation time went, by phase. Each phase is summed over the
 /// explorer starts, so with several threads the sum can exceed the
 /// wall-clock [`GenerationReport::duration`].
+///
+/// On one thread, the duration minus the four phases is the explorer's
+/// own bookkeeping, which no phase times: drawing the initial and restart
+/// placements, perturbation, the coverage check before every proposal,
+/// the Metropolis step, and, after the walks, the fallback-template pick.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Placement expansion (§3.1.2), with legalization and compaction.

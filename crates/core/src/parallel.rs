@@ -176,6 +176,9 @@ pub(crate) fn generate_multi_start(
 /// structure. Entries flow through [`resolve_overlaps`] exactly as they
 /// would during single-start generation, reusing each entry's recorded
 /// BDIO costs — no placement is re-expanded or re-costed at merge time.
+/// Start 0's entries are pairwise disjoint and would all be stored
+/// unchanged into the empty structure, so the merge starts from start 0's
+/// structure, compacted, instead of storing them one by one.
 ///
 /// Aggregate-counter semantics (mirroring the single-start report):
 /// `proposals`/`accepted`/`rejected_illegal` are exploration events and
@@ -190,7 +193,6 @@ fn merge(
     outcomes: Vec<StartOutcome>,
     timings: &mut PhaseTimings,
 ) -> (MultiPlacementStructure, Vec<ExplorerStats>, ExplorerStats) {
-    let mut merged = MultiPlacementStructure::new(circuit, floorplan);
     let mut aggregate = ExplorerStats::default();
     let mut per_start = Vec::with_capacity(outcomes.len());
 
@@ -202,6 +204,14 @@ fn merge(
         *timings += outcome.timings;
     }
 
+    let mut outcomes = outcomes.into_iter();
+    let mut merged = match outcomes.next() {
+        Some(first) => {
+            aggregate.boxes_stored += first.mps.placement_count();
+            first.mps.into_compacted()
+        }
+        None => MultiPlacementStructure::new(circuit, floorplan),
+    };
     for outcome in outcomes {
         for (_, entry) in outcome.mps.iter() {
             aggregate.boxes_stored += resolve_and_store(

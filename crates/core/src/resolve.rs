@@ -380,6 +380,22 @@ mod tests {
         (brute, rows)
     }
 
+    /// `volume_coverage` with every live box's log-volume recomputed
+    /// instead of read from the structure's cache.
+    fn recomputed_coverage(m: &MultiPlacementStructure) -> f64 {
+        let total_log: f64 = m
+            .bounds()
+            .iter()
+            .flat_map(|b| [b.w.len(), b.h.len()])
+            .map(|l| (l as f64).ln())
+            .sum();
+        let covered: f64 = m
+            .iter()
+            .map(|(_, e)| (e.dims_box.log_volume() - total_log).exp())
+            .sum();
+        covered.min(1.0)
+    }
+
     fn random_box(rng: &mut StdRng, blocks: usize) -> DimsBox {
         let mut interval = || {
             let a = rng.random_range(1..=200);
@@ -393,6 +409,8 @@ mod tests {
         )
     }
 
+    /// Also pins the coverage check, which sums cached log-volumes, to
+    /// the boxes after every store.
     #[test]
     fn first_overlapping_matches_brute_force_on_resolved_streams() {
         let mut totals = ExplorerStats::default();
@@ -429,6 +447,11 @@ mod tests {
                         };
                         stats.boxes_stored +=
                             resolve_and_store(&mut m, &proposal, fork, &mut stats);
+                        assert_eq!(
+                            m.coverage().to_bits(),
+                            recomputed_coverage(&m).to_bits(),
+                            "cached log-volumes drifted from the boxes"
+                        );
                         let max_id = (stats.boxes_stored + stats.stored_forked) as u32;
                         for _ in 0..8 {
                             let probe = random_box(&mut rng, blocks);

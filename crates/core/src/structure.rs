@@ -47,6 +47,11 @@ pub struct MultiPlacementStructure {
     /// Stored placements; `None` marks entries annihilated during overlap
     /// resolution. Indices are stable — they are the numbers in the rows.
     entries: Vec<Option<StoredPlacement>>,
+    /// `entries[k]`'s `DimsBox::log_volume`, kept in step with its box so
+    /// the coverage check sums cached values instead of taking 2N logs per
+    /// entry on every proposal. Slots of annihilated entries are stale and
+    /// never read.
+    log_volumes: Vec<f64>,
     live_count: usize,
     /// One width row per block (the `W_i` functions of Eq. 3).
     w_rows: Vec<IntervalMap<u32>>,
@@ -65,6 +70,7 @@ impl MultiPlacementStructure {
             bounds: circuit.dim_bounds(),
             floorplan,
             entries: Vec::new(),
+            log_volumes: Vec::new(),
             live_count: 0,
             w_rows: vec![IntervalMap::new(); n],
             h_rows: vec![IntervalMap::new(); n],
@@ -130,10 +136,15 @@ impl MultiPlacementStructure {
             }
         }
         let live_count = entries.iter().flatten().count();
+        let log_volumes = entries
+            .iter()
+            .map(|e| e.as_ref().map_or(0.0, |e| e.dims_box.log_volume()))
+            .collect();
         Ok(MultiPlacementStructure {
             bounds,
             floorplan,
             entries,
+            log_volumes,
             live_count,
             w_rows,
             h_rows,
@@ -178,6 +189,15 @@ impl MultiPlacementStructure {
             .iter()
             .enumerate()
             .filter_map(|(i, e)| e.as_ref().map(|sp| (PlacementId(i as u32), sp)))
+    }
+
+    /// The cached `DimsBox::log_volume` of every live entry, in id order
+    /// (the order of [`Self::iter`]).
+    pub(crate) fn live_log_volumes(&self) -> impl Iterator<Item = f64> + '_ {
+        self.entries
+            .iter()
+            .zip(&self.log_volumes)
+            .filter_map(|(e, &lv)| e.as_ref().map(|_| lv))
     }
 
     /// The backup template, if installed.
@@ -383,9 +403,38 @@ impl MultiPlacementStructure {
             self.w_rows[i].insert(r.w, id.0);
             self.h_rows[i].insert(r.h, id.0);
         }
+        self.log_volumes.push(entry.dims_box.log_volume());
         self.entries.push(Some(entry));
         self.live_count += 1;
         id
+    }
+
+    /// The structure with its annihilated slots dropped and the live
+    /// entries renumbered `0..` in id order: exactly what storing those
+    /// entries one by one into an empty structure builds. A row holds the
+    /// maximal runs of equal id sets, so it depends only on the
+    /// registrations, and the renumbering keeps the ids' order.
+    pub(crate) fn into_compacted(mut self) -> Self {
+        let mut next = 0;
+        let new_ids: Vec<u32> = self
+            .entries
+            .iter()
+            .map(|e| {
+                let id = next;
+                next += u32::from(e.is_some());
+                id
+            })
+            .collect();
+        for row in self.w_rows.iter_mut().chain(&mut self.h_rows) {
+            row.rename_ids(|id| new_ids[id as usize]);
+        }
+        (self.entries, self.log_volumes) = self
+            .entries
+            .into_iter()
+            .zip(self.log_volumes)
+            .filter(|(e, _)| e.is_some())
+            .unzip();
+        self
     }
 
     /// Removes a stored placement entirely (annihilation during overlap
@@ -417,6 +466,7 @@ impl MultiPlacementStructure {
                 ),
             "shrink must not grow the box"
         );
+        self.log_volumes[id.index()] = new_box.log_volume();
         let old_box = std::mem::replace(&mut entry.dims_box, new_box.clone());
         // Keep the recorded best dimensions inside the surviving region.
         entry.best_dims = new_box.clamp_dims(&entry.best_dims);
@@ -986,6 +1036,34 @@ mod tests {
         assert_eq!(mps.query(&dims![(20, 20), (20, 20)]), Some(PlacementId(0)));
         assert!(mps.query(&dims![(40, 20), (20, 20)]).is_none());
         mps.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn compacting_equals_storing_the_live_entries_afresh() {
+        let c = benchmarks::circ02();
+        let config = crate::GeneratorConfig::builder()
+            .outer_iterations(60)
+            .inner_iterations(20)
+            .seed(4)
+            .build();
+        let mps = crate::MpsGenerator::new(&c, config).generate().unwrap();
+        assert!(
+            mps.entries.len() > mps.live_count,
+            "no annihilated slot to drop"
+        );
+        let mut fresh = MultiPlacementStructure::new(&c, mps.floorplan());
+        for (_, e) in mps.iter() {
+            fresh.insert_unchecked(e.clone());
+        }
+        let compacted = mps.into_compacted();
+        assert_eq!(compacted.entries, fresh.entries);
+        assert_eq!(compacted.live_count, fresh.live_count);
+        assert_eq!(compacted.w_rows, fresh.w_rows);
+        assert_eq!(compacted.h_rows, fresh.h_rows);
+        let bits = |m: &MultiPlacementStructure| -> Vec<u64> {
+            m.log_volumes.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&compacted), bits(&fresh));
     }
 
     #[test]

@@ -155,6 +155,7 @@ fn corrupt(mps: &mut MultiPlacementStructure, how: Corruption, rng: &mut StdRng)
             if rng.random_bool(0.5) {
                 mps.insert_unchecked(copy);
             } else {
+                mps.log_volumes.push(copy.dims_box.log_volume());
                 mps.entries.push(Some(copy));
                 mps.live_count += 1;
             }

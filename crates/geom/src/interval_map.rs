@@ -216,6 +216,18 @@ impl<T: Copy + Ord> IntervalMap<T> {
         debug_assert!(self.check_invariants().is_ok());
     }
 
+    /// Renames every id through `rename`, which must preserve their order
+    /// (`a < b` implies `rename(a) < rename(b)`), so each segment's ids stay
+    /// sorted and adjacent segments stay distinct.
+    pub fn rename_ids(&mut self, mut rename: impl FnMut(T) -> T) {
+        for (_, ids) in &mut self.segments {
+            for id in ids.iter_mut() {
+                *id = rename(*id);
+            }
+        }
+        debug_assert!(self.check_invariants().is_ok());
+    }
+
     /// Removes `id` everywhere it appears.
     pub fn remove_everywhere(&mut self, id: T) {
         for (_, ids) in &mut self.segments {

@@ -39,6 +39,7 @@ impl Rect {
     ///
     /// Panics if `w <= 0` or `h <= 0`; blocks always have positive extent.
     #[must_use]
+    #[inline]
     pub fn new(origin: Point, w: Coord, h: Coord) -> Self {
         assert!(
             w > 0 && h > 0,
@@ -122,6 +123,7 @@ impl Rect {
     ///
     /// Edge abutment is *not* overlap.
     #[must_use]
+    #[inline]
     pub fn overlaps(&self, other: &Rect) -> bool {
         self.left() < other.right()
             && other.left() < self.right()
@@ -151,6 +153,7 @@ impl Rect {
 
     /// Whether `self` lies entirely inside `other`.
     #[must_use]
+    #[inline]
     pub fn fits_inside(&self, other: &Rect) -> bool {
         other.left() <= self.left()
             && self.right() <= other.right()

@@ -89,14 +89,14 @@ pub fn expand_placement(
         })
         .collect();
 
-    let legal_for = |i: usize, end_dims: &[(Coord, Coord)]| -> bool {
-        let r = placement.rect(i, end_dims);
-        if !r.fits_inside(floorplan) {
-            return false;
-        }
-        (0..n)
-            .filter(|&j| j != i)
-            .all(|j| !r.overlaps(&placement.rect(j, end_dims)))
+    // Every block's rectangle at its current end dimensions. A probe
+    // builds only the grown block's trial rectangle and tests it against
+    // these; the others cannot move while block `i` grows.
+    let mut rects = placement.rects(&end_dims);
+    let fits = |i: usize, trial: &Rect, rects: &[Rect]| -> bool {
+        trial.fits_inside(floorplan)
+            && !rects[..i].iter().any(|r| trial.overlaps(r))
+            && !rects[i + 1..].iter().any(|r| trial.overlaps(r))
     };
 
     let mut any_active = true;
@@ -106,24 +106,22 @@ pub fn expand_placement(
             let block = &circuit.blocks()[i];
             for (axis, max_dim) in [(0usize, block.max_width()), (1, block.max_height())] {
                 while steps[i][axis] > 0 {
-                    let current = if axis == 0 {
-                        end_dims[i].0
-                    } else {
-                        end_dims[i].1
-                    };
+                    let (w, h) = end_dims[i];
+                    let current = if axis == 0 { w } else { h };
                     if current >= max_dim {
                         steps[i][axis] = 0;
                         break;
                     }
                     let step = steps[i][axis].min(max_dim - current);
-                    let mut trial = end_dims.clone();
-                    if axis == 0 {
-                        trial[i].0 += step;
+                    let grown = if axis == 0 {
+                        (w + step, h)
                     } else {
-                        trial[i].1 += step;
-                    }
-                    if legal_for(i, &trial) {
-                        end_dims = trial;
+                        (w, h + step)
+                    };
+                    let trial = Rect::new(placement.coords()[i], grown.0, grown.1);
+                    if fits(i, &trial, &rects) {
+                        end_dims[i] = grown;
+                        rects[i] = trial;
                         any_active = true;
                         break; // move on round-robin; retry this dim next pass
                     }

@@ -69,6 +69,7 @@ impl Placement {
     ///
     /// Panics if `i` is out of range or the dimensions are non-positive.
     #[must_use]
+    #[inline]
     pub fn rect(&self, i: usize, dims: &[(Coord, Coord)]) -> Rect {
         let (w, h) = dims[i];
         Rect::new(self.coords[i], w, h)
@@ -113,17 +114,31 @@ impl Placement {
     /// Panics if `dims.len() != self.block_count()`.
     #[must_use]
     pub fn is_legal(&self, dims: &[(Coord, Coord)], floorplan: Option<&Rect>) -> bool {
-        let rects = self.rects(dims);
-        if let Some(fp) = floorplan {
-            if rects.iter().any(|r| !r.fits_inside(fp)) {
-                return false;
-            }
+        assert_eq!(
+            dims.len(),
+            self.coords.len(),
+            "dimension vector length mismatch"
+        );
+        // Every rectangle is built (its dimensions checked) before any
+        // verdict, and the floorplan check runs before the pair check.
+        let mut inside = true;
+        for i in 0..dims.len() {
+            let r = self.rect(i, dims);
+            inside &= floorplan.is_none_or(|fp| r.fits_inside(fp));
         }
-        for i in 0..rects.len() {
-            for j in (i + 1)..rects.len() {
-                if rects[i].overlaps(&rects[j]) {
-                    return false;
-                }
+        if !inside {
+            return false;
+        }
+        // One branch per block, not per pair: a legal placement, the
+        // common case, tests every pair anyway.
+        for i in 0..dims.len() {
+            let a = self.rect(i, dims);
+            let mut hit = false;
+            for j in (i + 1)..dims.len() {
+                hit |= a.overlaps(&self.rect(j, dims));
+            }
+            if hit {
+                return false;
             }
         }
         true

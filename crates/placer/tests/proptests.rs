@@ -1,11 +1,11 @@
 //! Property-based tests of the placement substrate.
 
-use mps_geom::{Coord, Point, Rect};
-use mps_netlist::benchmarks::random_circuit;
-use mps_netlist::{BlockId, Circuit, Pad, PadSide};
+use mps_geom::{BlockRanges, Coord, DimsBox, Interval, Point, Rect};
+use mps_netlist::benchmarks::{self, random_circuit};
+use mps_netlist::{modgen, BlockId, Circuit, Pad, PadSide};
 use mps_placer::{
-    expand_placement, BStarTree, CostCalculator, CostWeights, ExpansionConfig, Placement,
-    SequencePair, SymmetryConstraints, SymmetryGroup, Template,
+    expand_placement, BStarTree, CostCalculator, CostWeights, ExpandPlacementError,
+    ExpansionConfig, Placement, SequencePair, SymmetryConstraints, SymmetryGroup, Template,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -269,6 +269,190 @@ proptest! {
             })
             .collect();
         prop_assert!(template.instantiate(&big_dims).is_legal(&big_dims, None));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // ------------------------------------------------------------------
+    // Expansion against cached rectangles returns exactly what the
+    // clone-per-probe expansion returned, on the nine benchmark circuits
+    // and on ladders, for placements legal and illegal at the minima.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn expansion_matches_clone_per_probe_reference(
+        seed in 0u64..100_000,
+        which in 0usize..12,
+        mode in 0u8..3,
+        slack in 1.1f64..2.2,
+        divisor in 1i64..12,
+    ) {
+        let circuit = differential_circuit(which);
+        let fp = circuit.suggested_floorplan(slack);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let placement = draw_placement(&circuit, &fp, mode, &mut rng);
+        let config = ExpansionConfig { step_divisor: divisor };
+        prop_assert_eq!(
+            expand_placement(&circuit, &placement, &fp, &config),
+            reference_expand_placement(&circuit, &placement, &fp, &config)
+        );
+    }
+}
+
+/// The nine Table-1 circuits (`which < 9`), then ladders of 1, 4 and 12
+/// rungs.
+fn differential_circuit(which: usize) -> Circuit {
+    match which.checked_sub(9) {
+        None => benchmarks::all().swap_remove(which).circuit,
+        Some(k) => modgen::ladder_circuit([1, 4, 12][k], 1.0).0,
+    }
+}
+
+/// A placement at minimum dimensions: scattered at random over the
+/// floorplan (mostly illegal), a packed random sequence pair (legal unless
+/// it escapes the floorplan), or that packing spread apart and jittered
+/// (either), sometimes pushed past the floorplan's edge.
+fn draw_placement(circuit: &Circuit, fp: &Rect, mode: u8, rng: &mut StdRng) -> Placement {
+    let n = circuit.block_count();
+    let min_dims = circuit.min_dims();
+    let coords: Vec<Point> = match mode {
+        0 => (0..n)
+            .map(|_| {
+                Point::new(
+                    rng.random_range(fp.left()..fp.right()),
+                    rng.random_range(fp.bottom()..fp.top()),
+                )
+            })
+            .collect(),
+        _ => {
+            let packed = SequencePair::random(n, rng).pack(&min_dims);
+            if mode == 1 {
+                packed.coords().to_vec()
+            } else {
+                let spread = rng.random_range(1..4);
+                packed
+                    .coords()
+                    .iter()
+                    .map(|p| {
+                        Point::new(
+                            p.x * spread + rng.random_range(-3..=3),
+                            p.y * spread + rng.random_range(-3..=3),
+                        )
+                    })
+                    .collect()
+            }
+        }
+    };
+    let shift = if rng.random_bool(0.1) { -1 } else { 0 };
+    Placement::new(
+        coords
+            .into_iter()
+            .map(|p| Point::new(p.x + shift, p.y))
+            .collect(),
+    )
+}
+
+/// `expand_placement` as it was before it cached the block rectangles:
+/// every probe clones the whole end-dimension vector and rebuilds all n
+/// rectangles from it. Same probe sequence: round-robin over `(block,
+/// axis)`, halving steps, moving on after each success.
+fn reference_expand_placement(
+    circuit: &Circuit,
+    placement: &Placement,
+    floorplan: &Rect,
+    config: &ExpansionConfig,
+) -> Result<DimsBox, ExpandPlacementError> {
+    let n = circuit.block_count();
+    let mut end_dims: Vec<(Coord, Coord)> = circuit.min_dims().into_vec();
+    if !placement.is_legal(&end_dims, Some(floorplan)) {
+        return Err(ExpandPlacementError);
+    }
+    let divisor = config.step_divisor.max(1);
+    let mut steps: Vec<[Coord; 2]> = circuit
+        .blocks()
+        .iter()
+        .map(|b| {
+            let wr = (b.max_width() - b.min_width()) / divisor;
+            let hr = (b.max_height() - b.min_height()) / divisor;
+            [wr.max(1), hr.max(1)]
+        })
+        .collect();
+    let legal_for = |i: usize, end_dims: &[(Coord, Coord)]| -> bool {
+        let r = placement.rect(i, end_dims);
+        if !r.fits_inside(floorplan) {
+            return false;
+        }
+        (0..n)
+            .filter(|&j| j != i)
+            .all(|j| !r.overlaps(&placement.rect(j, end_dims)))
+    };
+    let mut any_active = true;
+    while any_active {
+        any_active = false;
+        for i in 0..n {
+            let block = &circuit.blocks()[i];
+            for (axis, max_dim) in [(0usize, block.max_width()), (1, block.max_height())] {
+                while steps[i][axis] > 0 {
+                    let current = if axis == 0 {
+                        end_dims[i].0
+                    } else {
+                        end_dims[i].1
+                    };
+                    if current >= max_dim {
+                        steps[i][axis] = 0;
+                        break;
+                    }
+                    let step = steps[i][axis].min(max_dim - current);
+                    let mut trial = end_dims.clone();
+                    if axis == 0 {
+                        trial[i].0 += step;
+                    } else {
+                        trial[i].1 += step;
+                    }
+                    if legal_for(i, &trial) {
+                        end_dims = trial;
+                        any_active = true;
+                        break;
+                    }
+                    steps[i][axis] /= 2;
+                }
+            }
+        }
+    }
+    let ranges = circuit
+        .min_dims()
+        .iter()
+        .zip(&end_dims)
+        .map(|(&(w_min, h_min), &(w_end, h_end))| {
+            BlockRanges::new(Interval::new(w_min, w_end), Interval::new(h_min, h_end))
+        })
+        .collect();
+    Ok(DimsBox::new(ranges))
+}
+
+#[test]
+fn expansion_differential_draws_reach_both_outcomes() {
+    // The differential property above is only as strong as its draws:
+    // each kind of circuit must see placements legal and illegal at the
+    // minima.
+    for which in [0, 8, 11] {
+        let circuit = differential_circuit(which);
+        let fp = circuit.suggested_floorplan(1.5);
+        let mut rng = StdRng::seed_from_u64(which as u64);
+        let (mut ok, mut err) = (0, 0);
+        for k in 0..60u8 {
+            let placement = draw_placement(&circuit, &fp, k % 3, &mut rng);
+            match expand_placement(&circuit, &placement, &fp, &ExpansionConfig::default()) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+        assert!(
+            ok >= 5 && err >= 5,
+            "circuit {which}: {ok} legal, {err} illegal"
+        );
     }
 }
 
