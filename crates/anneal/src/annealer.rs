@@ -9,12 +9,6 @@ use rand::{Rng, SeedableRng};
 /// Implementors provide the state representation, the energy (cost) to be
 /// minimized, and a neighbourhood move. The engine owns the acceptance
 /// logic, temperature schedule and statistics.
-///
-/// A problem that can cost a move faster than a whole state overrides
-/// [`Problem::neighbor_energy`] and [`Problem::accept`]: the engine
-/// announces every accepted proposal, so the problem can keep the terms of
-/// the current state's energy and update only what a move touches. The
-/// defaults cost every candidate from scratch.
 pub trait Problem {
     /// The solution representation.
     type State: Clone;
@@ -25,22 +19,11 @@ pub trait Problem {
 
     /// Cost of a state; lower is better. Must be finite for valid states
     /// (`f64::INFINITY` is acceptable for states that should never be
-    /// accepted). The engine calls it once per run, on the starting state.
+    /// accepted).
     fn energy(&self, state: &Self::State) -> f64;
 
     /// Proposes a perturbed copy of `state` (the paper's *Perturb* steps).
     fn neighbor(&self, state: &Self::State, rng: &mut StdRng) -> Self::State;
-
-    /// Cost of `candidate`, which [`Problem::neighbor`] just proposed from
-    /// the current state `current`. Must equal `self.energy(candidate)`.
-    fn neighbor_energy(&self, _current: &Self::State, candidate: &Self::State) -> f64 {
-        self.energy(candidate)
-    }
-
-    /// Called when the engine accepts `candidate`, the state last passed
-    /// to [`Problem::neighbor_energy`]; it becomes the current state.
-    /// Rejected proposals get no call.
-    fn accept(&self, _candidate: &Self::State) {}
 }
 
 /// Result of an annealing run.
@@ -154,10 +137,11 @@ impl AnnealerConfigBuilder {
 /// The Metropolis acceptance rule: always accept improvements, accept an
 /// uphill move of `delta > 0` with probability `exp(-delta / temperature)`.
 ///
-/// Exposed as a free function because the Placement Explorer in `mps-core`
-/// runs its own loop (evaluating a proposal there has heavy side effects —
-/// each proposal is expanded, optimized by the BDIO and stored into the
-/// structure) while reusing exactly this rule.
+/// Exposed as a free function because both levels of the generator in
+/// `mps-core` run their own loops while reusing exactly this rule: in the
+/// Placement Explorer evaluating a proposal has heavy side effects (each
+/// proposal is expanded, optimized by the BDIO and stored into the
+/// structure), and the BDIO changes one dimension vector in place.
 pub fn metropolis(delta: f64, temperature: f64, rng: &mut StdRng) -> bool {
     if delta <= 0.0 {
         return true;
@@ -223,7 +207,7 @@ impl Annealer {
         for k in 0..self.config.iterations {
             let temperature = schedule.temperature(k, self.config.iterations);
             let candidate = problem.neighbor(&current, &mut rng);
-            let candidate_energy = problem.neighbor_energy(&current, &candidate);
+            let candidate_energy = problem.energy(&candidate);
             stats.evaluated += 1;
             if candidate_energy.is_finite() {
                 energy_sum += candidate_energy;
@@ -236,7 +220,6 @@ impl Annealer {
                 if delta > 0.0 {
                     stats.uphill_accepted += 1;
                 }
-                problem.accept(&candidate);
                 current = candidate;
                 current_energy = candidate_energy;
                 if current_energy < best_energy {
@@ -404,54 +387,6 @@ mod tests {
         let outcome =
             Annealer::new(AnnealerConfig::builder().iterations(100).seed(7).build()).run(&Spiky);
         assert!(outcome.stats.mean_energy.is_finite());
-    }
-
-    /// [`AbsProblem`] with a cached current state: `neighbor_energy`
-    /// checks that the engine's current state is the last accepted one.
-    struct CachedAbs {
-        current: std::cell::Cell<Option<i64>>,
-        proposed: std::cell::Cell<Option<i64>>,
-    }
-    impl Problem for CachedAbs {
-        type State = i64;
-        fn initial(&self, rng: &mut StdRng) -> i64 {
-            AbsProblem.initial(rng)
-        }
-        fn energy(&self, s: &i64) -> f64 {
-            self.current.set(Some(*s));
-            AbsProblem.energy(s)
-        }
-        fn neighbor(&self, s: &i64, rng: &mut StdRng) -> i64 {
-            AbsProblem.neighbor(s, rng)
-        }
-        fn neighbor_energy(&self, current: &i64, candidate: &i64) -> f64 {
-            assert_eq!(self.current.get(), Some(*current));
-            self.proposed.set(Some(*candidate));
-            AbsProblem.energy(candidate)
-        }
-        fn accept(&self, candidate: &i64) {
-            assert_eq!(self.proposed.get(), Some(*candidate));
-            self.current.set(Some(*candidate));
-        }
-    }
-
-    #[test]
-    fn accept_hook_tracks_the_current_state_without_changing_the_run() {
-        let config = AnnealerConfig::builder()
-            .iterations(2_000)
-            .seed(8)
-            .initial_temperature(20.0)
-            .build();
-        let cached = CachedAbs {
-            current: std::cell::Cell::new(None),
-            proposed: std::cell::Cell::new(None),
-        };
-        let a = Annealer::new(config).run(&AbsProblem);
-        let b = Annealer::new(config).run(&cached);
-        assert_eq!(a.best_state, b.best_state);
-        assert_eq!(a.final_state, b.final_state);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(cached.current.get(), Some(b.final_state));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use mps_bench::cli::{arg_value, effort_from_args};
-use mps_bench::{fmt_duration, fmt_phases, markdown_table, scaled_config};
+use mps_bench::{fmt_bdio_step, fmt_duration, fmt_phases, markdown_table, scaled_config};
 use mps_core::{GenerationReport, GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use mps_netlist::benchmarks;
 use std::time::{Duration, Instant};
@@ -68,6 +68,7 @@ fn main() {
         bm.name, starts, base.explorer.outer_iterations, base.bdio.iterations
     );
 
+    let bdio_iterations = base.bdio.iterations;
     let serial = GeneratorConfig {
         num_starts: starts,
         threads: 1,
@@ -82,12 +83,14 @@ fn main() {
     let (mps_serial, report_serial, t_serial) = timed(&bm.circuit, serial);
     let (mps_parallel, report_parallel, t_parallel) = timed(&bm.circuit, parallel);
     eprintln!(
-        "  1 thread:   {}",
-        fmt_phases(&report_serial.phases, Some(report_serial.duration))
+        "  1 thread:   {}  {}",
+        fmt_phases(&report_serial.phases, Some(report_serial.duration)),
+        fmt_bdio_step(&report_serial, bdio_iterations)
     );
     eprintln!(
-        "  {threads} threads:  {}",
-        fmt_phases(&report_parallel.phases, None)
+        "  {threads} threads:  {}  {}",
+        fmt_phases(&report_parallel.phases, None),
+        fmt_bdio_step(&report_parallel, bdio_iterations)
     );
 
     assert_identical(&mps_serial, &mps_parallel);

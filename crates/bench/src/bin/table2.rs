@@ -9,7 +9,7 @@
 //! land in the same tens-to-hundreds band.
 
 use mps_bench::cli::{obtain_structure, BenchArgs, StructureSource};
-use mps_bench::{fmt_duration, fmt_phases, markdown_table, measure_instantiation};
+use mps_bench::{fmt_bdio_step, fmt_duration, fmt_phases, markdown_table, measure_instantiation};
 use mps_core::parallel::effective_threads;
 use mps_netlist::benchmarks;
 
@@ -24,6 +24,7 @@ fn main() {
     for bm in benchmarks::all() {
         let config = args.config_for(&bm.circuit, 2005);
         let one_thread = effective_threads(config.threads, config.num_starts) == 1;
+        let bdio_iterations = config.bdio.iterations;
         let (mps, source) = obtain_structure(bm.name, &bm.circuit, config, &args.persist);
         let mean_instantiation = measure_instantiation(&bm.circuit, &mps, queries, 2005 ^ 0xABCD);
         let generation = match &source {
@@ -45,7 +46,12 @@ fn main() {
                     ex.stored_annihilated,
                 );
                 let wall = one_thread.then_some(report.duration);
-                eprintln!("  {:<18} {}", "", fmt_phases(&report.phases, wall));
+                eprintln!(
+                    "  {:<18} {}  {}",
+                    "",
+                    fmt_phases(&report.phases, wall),
+                    fmt_bdio_step(report, bdio_iterations)
+                );
                 fmt_duration(report.duration)
             }
             StructureSource::Loaded(path) => {

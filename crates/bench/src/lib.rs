@@ -270,6 +270,26 @@ pub fn fmt_phases(phases: &mps_core::PhaseTimings, wall: Option<Duration>) -> St
     line
 }
 
+/// The mean BDIO time per inner step of a generation run, e.g.
+/// `bdio/step 195ns`.
+///
+/// Every legal proposal runs one BDIO call of `bdio_iterations` steps
+/// (the run's [`mps_core::BdioConfig::iterations`]), so the run made
+/// (`proposals` − `rejected_illegal`) × `bdio_iterations` steps. The
+/// counters and the BDIO phase both sum over the explorer starts.
+#[must_use]
+pub fn fmt_bdio_step(report: &mps_core::GenerationReport, bdio_iterations: usize) -> String {
+    let explorer = &report.explorer;
+    let steps = explorer.proposals.saturating_sub(explorer.rejected_illegal) * bdio_iterations;
+    if steps == 0 {
+        return "bdio/step -".to_owned();
+    }
+    format!(
+        "bdio/step {:.0}ns",
+        report.phases.bdio.as_secs_f64() * 1e9 / steps as f64
+    )
+}
+
 /// Renders a markdown table.
 #[must_use]
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -8,29 +8,38 @@
 //! Explorer's cost signal), and (3) shrinks the validity intervals around
 //! the best dimensions with Eq. 6 (*Optimize Ranges*).
 //!
-//! Each annealing step resizes one block, so the inner problem costs
-//! steps with an [`IncrementalCost`] instead of recosting the whole
-//! placement. The evaluator caches the current state's block rects, the
-//! integer HPWL of each net, the overlap of each block pair, each block's
-//! area outside the floorplan and the bounding box, and a step recomputes
-//! only what the moved block touches: its nets (plus the pad nets when the
-//! bounding box moves), its N−1 overlap pairs, its escape area and the
-//! box. The annealer's accept hook ([`Problem::accept`]) commits a step;
-//! a rejected step is dropped at the next proposal. The energies stay
-//! bit-identical to [`CostCalculator::cost`]: the integer terms update
-//! exactly, and the f64 terms are never patched by a delta — the
-//! wirelength is re-summed from the cached per-net values in net order,
-//! the symmetry term is recomputed in full, and the total goes through
-//! the same [`mps_placer::CostBreakdown::total`]. Equal energies keep the
-//! annealer's random stream and decisions, so every result equals that of
-//! costing each step with `cost` (pinned by `tests/bdio_pin.rs`).
+//! The inner anneal is its own Metropolis loop over one dimension vector,
+//! changed in place: each step resizes one block, and an
+//! [`IncrementalCost`](mps_placer::IncrementalCost) from
+//! [`CostCalculator::incremental`] recosts only what that block
+//! touches. The evaluator caches the block rects, each pin's absolute
+//! point, the integer HPWL of each net and the bounding box, so a step
+//! re-locates the moved block's pins and recomputes its nets (plus the pad
+//! nets when the bounding box moves). Every box the explorer passes is
+//! legal at its upper corner ([`mps_placer::expand_placement`] guarantees
+//! it), and blocks are anchored at their lower-left corner, so no state in
+//! the box overlaps or escapes the floorplan: the evaluator then keeps no
+//! overlap or escape terms. A box that is not legal at its upper corner
+//! keeps them, updating the moved block's N−1 overlap pairs and its escape
+//! area.
+//!
+//! The loop makes exactly the draws and decisions of
+//! [`mps_anneal::Annealer::run`] over the same problem: the same random
+//! stream, the mean over every finite energy (the starting one included)
+//! and the strict-`<` best update. The energies stay bit-identical to
+//! [`CostCalculator::cost`]: the integer terms update exactly, and the f64
+//! terms are never patched by a delta — the wirelength is re-summed from
+//! the cached per-net values in net order, the symmetry term is recomputed
+//! in full, and the total goes through the same
+//! [`mps_placer::CostBreakdown::total`]. So every result equals that of
+//! annealing with `cost` (pinned by `tests/bdio_pin.rs` and checked
+//! against such a reference by `tests/bdio_differential.rs`).
 
-use mps_anneal::{Annealer, AnnealerConfig, Problem};
+use mps_anneal::{metropolis, AdaptiveSchedule, Schedule};
 use mps_geom::{Coord, DimsBox, Interval};
-use mps_placer::{CostCalculator, IncrementalCost, Placement};
+use mps_placer::{CostCalculator, Placement};
 use rand::rngs::StdRng;
-use rand::Rng;
-use std::cell::RefCell;
+use rand::{Rng, SeedableRng};
 
 /// Tuning of the inner annealing loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,25 +144,7 @@ impl<'a> Bdio<'a> {
             placement.block_count(),
             "box/placement arity mismatch"
         );
-        let problem = DimsProblem {
-            calc: self.calc,
-            placement,
-            dims_box,
-            perturb_fraction: self.config.perturb_fraction,
-            cost: RefCell::new(None),
-        };
-        let annealer = Annealer::new(
-            AnnealerConfig::builder()
-                .iterations(self.config.iterations)
-                .seed(seed)
-                .initial_temperature(self.config.t0)
-                .final_temperature(self.config.t_end)
-                .build(),
-        );
-        let outcome = annealer.run(&problem);
-        let best_dims = outcome.best_state;
-        let avg_cost = outcome.stats.mean_energy;
-        let best_cost = outcome.best_energy;
+        let (avg_cost, best_cost, best_dims) = self.anneal(placement, dims_box, seed);
         let reduced_box = if self.config.optimize_ranges {
             optimize_ranges(dims_box, &best_dims, avg_cost, best_cost)
         } else {
@@ -166,6 +157,79 @@ impl<'a> Bdio<'a> {
             best_cost,
             best_dims,
         }
+    }
+
+    /// The inner Metropolis loop (see the module docs): the mean energy
+    /// over every finite evaluation (the starting state included), the
+    /// lowest energy and its vector. Each step jitters one block's width
+    /// and height by up to `perturb_fraction` of their intervals.
+    fn anneal(
+        &self,
+        placement: &Placement,
+        dims_box: &DimsBox,
+        seed: u64,
+    ) -> (f64, f64, Vec<(Coord, Coord)>) {
+        let config = &self.config;
+        let ranges = dims_box.ranges();
+        let mut rng = StdRng::seed_from_u64(seed);
+        // The Dimensions Selector starts from a random valid vector.
+        let mut current: Vec<(Coord, Coord)> = ranges
+            .iter()
+            .map(|r| {
+                (
+                    rng.random_range(r.w.lo()..=r.w.hi()),
+                    rng.random_range(r.h.lo()..=r.h.hi()),
+                )
+            })
+            .collect();
+        let span =
+            |iv: Interval| (((iv.len() as f64) * config.perturb_fraction).ceil() as Coord).max(1);
+        let spans: Vec<(Coord, Coord)> = ranges.iter().map(|r| (span(r.w), span(r.h))).collect();
+        let schedule = AdaptiveSchedule::new(config.t0, config.t_end);
+
+        let mut cost = self.calc.incremental(placement, &current, dims_box);
+        let mut current_energy = cost.energy();
+        let mut best_energy = current_energy;
+        let mut best_dims = current.clone();
+        let mut energy_sum = 0.0;
+        let mut finite_count = 0usize;
+        if current_energy.is_finite() {
+            energy_sum += current_energy;
+            finite_count += 1;
+        }
+
+        for k in 0..config.iterations {
+            let i = rng.random_range(0..current.len());
+            let (r, (span_w, span_h)) = (&ranges[i], spans[i]);
+            let (w, h) = current[i];
+            let w = r.w.clamp_value(w + rng.random_range(-span_w..=span_w));
+            let h = r.h.clamp_value(h + rng.random_range(-span_h..=span_h));
+            let energy = cost.propose(i, (w, h));
+            if energy.is_finite() {
+                energy_sum += energy;
+                finite_count += 1;
+            }
+            let delta = energy - current_energy;
+            // `metropolis` reads the temperature only for an uphill step.
+            if delta <= 0.0
+                || metropolis(delta, schedule.temperature(k, config.iterations), &mut rng)
+            {
+                cost.commit();
+                current[i] = (w, h);
+                current_energy = energy;
+                if current_energy < best_energy {
+                    best_energy = current_energy;
+                    best_dims.copy_from_slice(&current);
+                }
+            }
+        }
+
+        let avg_cost = if finite_count == 0 {
+            f64::INFINITY
+        } else {
+            energy_sum / finite_count as f64
+        };
+        (avg_cost, best_energy, best_dims)
     }
 }
 
@@ -206,88 +270,6 @@ fn optimize_ranges(
         .map(|(r, &(bw, bh))| mps_geom::BlockRanges::new(shrink(r.w, bw), shrink(r.h, bh)))
         .collect();
     DimsBox::new(ranges)
-}
-
-/// The inner annealing problem: state = one dimension vector inside the
-/// box. The energy of the annealer's current state lives in an
-/// [`IncrementalCost`], which each proposal updates for the one block it
-/// moved.
-struct DimsProblem<'a> {
-    calc: &'a CostCalculator<'a>,
-    placement: &'a Placement,
-    dims_box: &'a DimsBox,
-    perturb_fraction: f64,
-    /// Built at the starting state by [`Problem::energy`].
-    cost: RefCell<Option<IncrementalCost<'a>>>,
-}
-
-impl Problem for DimsProblem<'_> {
-    type State = Vec<(Coord, Coord)>;
-
-    fn initial(&self, rng: &mut StdRng) -> Self::State {
-        // The Dimensions Selector starts from a random valid vector.
-        self.dims_box
-            .ranges()
-            .iter()
-            .map(|r| {
-                (
-                    rng.random_range(r.w.lo()..=r.w.hi()),
-                    rng.random_range(r.h.lo()..=r.h.hi()),
-                )
-            })
-            .collect()
-    }
-
-    /// Costs `state` from scratch and makes it the evaluator's current
-    /// state.
-    fn energy(&self, state: &Self::State) -> f64 {
-        let cost = self.calc.incremental(self.placement, state);
-        let energy = cost.energy();
-        *self.cost.borrow_mut() = Some(cost);
-        energy
-    }
-
-    fn neighbor(&self, state: &Self::State, rng: &mut StdRng) -> Self::State {
-        let mut next = state.clone();
-        // Perturb one random block's dimensions by the configured
-        // percentage of its interval.
-        let i = rng.random_range(0..next.len());
-        let r = &self.dims_box.ranges()[i];
-        let jitter = |iv: Interval, v: Coord, rng: &mut StdRng| {
-            let span = ((iv.len() as f64) * self.perturb_fraction).ceil() as Coord;
-            let span = span.max(1);
-            iv.clamp_value(v + rng.random_range(-span..=span))
-        };
-        next[i] = (jitter(r.w, next[i].0, rng), jitter(r.h, next[i].1, rng));
-        next
-    }
-
-    fn neighbor_energy(&self, current: &Self::State, candidate: &Self::State) -> f64 {
-        // `neighbor` moves one block; an unchanged vector proposes block 0
-        // at its own dims, which costs nothing.
-        let i = current
-            .iter()
-            .zip(candidate)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        debug_assert!(
-            current[i + 1..] == candidate[i + 1..],
-            "more than one block moved"
-        );
-        self.cost
-            .borrow_mut()
-            .as_mut()
-            .expect("energy() builds the evaluator first")
-            .propose(i, candidate[i])
-    }
-
-    fn accept(&self, _candidate: &Self::State) {
-        self.cost
-            .borrow_mut()
-            .as_mut()
-            .expect("energy() builds the evaluator first")
-            .commit();
-    }
 }
 
 #[cfg(test)]

@@ -46,9 +46,10 @@ impl PinOffset {
 
     /// Absolute location of the pin for a block placed as `rect`.
     #[must_use]
+    #[inline]
     pub fn locate(&self, rect: &Rect) -> Point {
-        let x = rect.left() + ((rect.width() as f64) * f64::from(self.fx)).round() as Coord;
-        let y = rect.bottom() + ((rect.height() as f64) * f64::from(self.fy)).round() as Coord;
+        let x = rect.left() + round_to_coord((rect.width() as f64) * f64::from(self.fx));
+        let y = rect.bottom() + round_to_coord((rect.height() as f64) * f64::from(self.fy));
         Point::new(x, y)
     }
 }
@@ -137,15 +138,34 @@ impl Pad {
 
     /// Absolute pad location for the floorplan bounding box `bb`.
     #[must_use]
+    #[inline]
     pub fn locate(&self, bb: &Rect) -> Point {
-        let along_x = bb.left() + ((bb.width() as f64) * f64::from(self.frac)).round() as Coord;
-        let along_y = bb.bottom() + ((bb.height() as f64) * f64::from(self.frac)).round() as Coord;
+        let along = |origin: Coord, extent: Coord| {
+            origin + round_to_coord((extent as f64) * f64::from(self.frac))
+        };
         match self.side {
-            PadSide::Left => Point::new(bb.left(), along_y),
-            PadSide::Right => Point::new(bb.right(), along_y),
-            PadSide::Bottom => Point::new(along_x, bb.bottom()),
-            PadSide::Top => Point::new(along_x, bb.top()),
+            PadSide::Left => Point::new(bb.left(), along(bb.bottom(), bb.height())),
+            PadSide::Right => Point::new(bb.right(), along(bb.bottom(), bb.height())),
+            PadSide::Bottom => Point::new(along(bb.left(), bb.width()), bb.bottom()),
+            PadSide::Top => Point::new(along(bb.left(), bb.width()), bb.top()),
         }
+    }
+}
+
+/// `x.round() as Coord`: rounds half away from zero, saturating.
+///
+/// Pin and pad offsets are non-negative and far below 2^52, and there the
+/// integer part `t` and the fraction `x - t` are both exact, so the
+/// rounding is `t + (x - t >= 0.5)` with no call into libm. Every other
+/// input (negative, huge, NaN; fractions are public fields, so they can
+/// hold anything) goes through `f64::round`.
+#[inline]
+fn round_to_coord(x: f64) -> Coord {
+    if (0.0..4_503_599_627_370_496.0).contains(&x) {
+        let t = x as Coord;
+        t + Coord::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as Coord
     }
 }
 
@@ -381,6 +401,58 @@ serde::impl_serde_unit_enum!(PadSide {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_coord_equals_round_on_every_edge() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let two52 = 4_503_599_627_370_496.0;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            9.223_372_036_854_776e18,
+            -9.223_372_036_854_776e18,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for base in [0.5, 1.5, 2.5, 3.0, 1e6 + 0.5, two52 - 0.5, two52 - 1.0] {
+            for x in [base, below(base), above(base)] {
+                values.extend([x, -x]);
+            }
+        }
+        for x in values {
+            assert_eq!(round_to_coord(x), x.round() as Coord, "x = {x:e}");
+        }
+        // Products as the offsets form them, fractions outside [0, 1]
+        // included.
+        for extent in 0..300i64 {
+            for k in -40..=140 {
+                let x = extent as f64 * f64::from(k as f32 / 100.0);
+                assert_eq!(round_to_coord(x), x.round() as Coord, "{extent} * {k}%");
+            }
+        }
+    }
+
+    #[test]
+    fn pad_locates_on_its_side() {
+        let bb = Rect::from_xywh(-3, 7, 41, 19);
+        let at = |side| Pad::new(side, 0.3).locate(&bb);
+        assert_eq!(at(PadSide::Left), Point::new(-3, 7 + 6));
+        assert_eq!(at(PadSide::Right), Point::new(38, 7 + 6));
+        assert_eq!(at(PadSide::Bottom), Point::new(-3 + 12, 7));
+        assert_eq!(at(PadSide::Top), Point::new(-3 + 12, 26));
+    }
 
     #[test]
     fn pin_offset_locates_by_fraction() {

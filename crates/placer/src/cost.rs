@@ -7,8 +7,8 @@
 
 use crate::placement::{escape_area, pairwise_overlap_area};
 use crate::{Placement, SymmetryConstraints};
-use mps_geom::{Coord, Point, Rect};
-use mps_netlist::{BlockId, Circuit, Net};
+use mps_geom::{Coord, DimsBox, Point, Rect};
+use mps_netlist::{BlockId, Circuit, Net, Pad, PinOffset};
 use std::sync::OnceLock;
 
 /// Weights of the customizable cost function.
@@ -112,33 +112,68 @@ pub struct CostCalculator<'a> {
     adjacency: OnceLock<NetAdjacency>,
 }
 
-/// Which nets a move must recost.
+/// Which nets and pins a move must recost.
 #[derive(Debug, Clone)]
 struct NetAdjacency {
     /// Per block, the nets with a pin on it (ascending).
     block_nets: Vec<Vec<usize>>,
+    /// Per block, those of its nets without a pad.
+    block_padless_nets: Vec<Vec<usize>>,
     /// The nets with an external pad, which follow the bounding box.
     pad_nets: Vec<usize>,
+    /// Net `k`'s pins are `net_pins[k]..net_pins[k + 1]` in the flat pin
+    /// order: nets in order, each net's pins in order.
+    net_pins: Vec<usize>,
+    /// Per block, the flat index and offset of each pin on it.
+    block_pins: Vec<Vec<(usize, PinOffset)>>,
 }
 
 impl NetAdjacency {
     fn of(circuit: &Circuit) -> Self {
+        let nets = circuit.nets();
+        let block_nets: Vec<Vec<usize>> = (0..circuit.block_count())
+            .map(|b| circuit.nets_of_block(BlockId(b)))
+            .collect();
+        let mut net_pins = Vec::with_capacity(nets.len() + 1);
+        let mut block_pins = vec![Vec::new(); circuit.block_count()];
+        let mut flat = 0;
+        for net in nets {
+            net_pins.push(flat);
+            for pin in net.pins() {
+                block_pins[pin.block.index()].push((flat, pin.offset));
+                flat += 1;
+            }
+        }
+        net_pins.push(flat);
         Self {
-            block_nets: (0..circuit.block_count())
-                .map(|b| circuit.nets_of_block(BlockId(b)))
+            block_padless_nets: block_nets
+                .iter()
+                .map(|own| {
+                    own.iter()
+                        .copied()
+                        .filter(|&k| nets[k].pad().is_none())
+                        .collect()
+                })
                 .collect(),
-            pad_nets: (0..circuit.nets().len())
-                .filter(|&k| circuit.nets()[k].pad().is_some())
+            block_nets,
+            pad_nets: (0..nets.len())
+                .filter(|&k| nets[k].pad().is_some())
                 .collect(),
+            net_pins,
+            block_pins,
         }
     }
 }
 
-/// Half-perimeter wirelength of `net`: its pins on `rects` plus its pad
-/// on the bounding box `bb`, or `None` for a net with nothing to measure.
+/// Half-perimeter wirelength of a net's pin `points` plus its `pad` on
+/// the bounding box `bb`, or `None` for a net with nothing to measure.
 /// The one HPWL definition, shared by [`CostCalculator::wirelength`] and
 /// [`IncrementalCost`].
-fn net_hpwl(net: &Net, rects: &[Rect], bb: Option<&Rect>) -> Option<Coord> {
+fn hpwl(
+    points: impl Iterator<Item = Point>,
+    pad: Option<&Pad>,
+    bb: Option<&Rect>,
+) -> Option<Coord> {
     let mut min_x = Coord::MAX;
     let mut max_x = Coord::MIN;
     let mut min_y = Coord::MAX;
@@ -149,13 +184,20 @@ fn net_hpwl(net: &Net, rects: &[Rect], bb: Option<&Rect>) -> Option<Coord> {
         min_y = min_y.min(p.y);
         max_y = max_y.max(p.y);
     };
-    for pin in net.pins() {
-        visit(pin.offset.locate(&rects[pin.block.index()]));
-    }
-    if let (Some(pad), Some(bb)) = (net.pad(), bb) {
+    points.for_each(&mut visit);
+    if let (Some(pad), Some(bb)) = (pad, bb) {
         visit(pad.locate(bb));
     }
     (max_x >= min_x).then(|| (max_x - min_x) + (max_y - min_y))
+}
+
+/// [`hpwl`] of `net` with its pins located on `rects`.
+fn net_hpwl(net: &Net, rects: &[Rect], bb: Option<&Rect>) -> Option<Coord> {
+    let points = net
+        .pins()
+        .iter()
+        .map(|pin| pin.offset.locate(&rects[pin.block.index()]));
+    hpwl(points, net.pad(), bb)
 }
 
 /// Σ `weight · hpwl` over the nets, in net order. Every wirelength goes
@@ -288,34 +330,48 @@ impl<'a> CostCalculator<'a> {
         self.breakdown(placement, dims).total(&self.weights)
     }
 
-    /// An evaluator of this calculator's cost for `placement`, starting at
-    /// `dims`, that recosts one-block moves incrementally.
+    /// An evaluator of this calculator's cost for `placement` with block
+    /// dimensions inside `dims_box`, starting at `dims`, that recosts
+    /// one-block moves incrementally.
+    ///
+    /// Blocks are anchored at their lower-left corner, so a block below
+    /// its box's upper corner lies inside its rectangle at that corner. If
+    /// `placement` is legal at the upper corner, as every box from
+    /// [`crate::expand_placement`] is, then overlap and escape are 0 in
+    /// every state of the box, and the evaluator keeps neither term.
     ///
     /// # Panics
     ///
-    /// Panics if `dims.len()` differs from the circuit's block count.
+    /// Panics if `dims` is not inside `dims_box`, if the arities differ
+    /// from the circuit's block count, and at
+    /// [`IncrementalCost::propose`] if a move leaves the box.
     #[must_use]
     pub fn incremental<'s>(
         &'s self,
         placement: &'s Placement,
         dims: &[(Coord, Coord)],
+        dims_box: &'s DimsBox,
     ) -> IncrementalCost<'s> {
-        IncrementalCost::new(self, placement, dims)
+        IncrementalCost::new(self, placement, dims, dims_box)
     }
 }
 
 /// [`CostCalculator::cost`] of one placement whose block dimensions move
 /// one block at a time — the BDIO's inner anneal (§3.2).
 ///
-/// The evaluator caches the current state's terms: the block rects, the
-/// integer HPWL of each net, the overlap of each block pair, each block's
-/// area outside the floorplan, and the bounding box. A proposal that
-/// resizes block `i` recomputes only `i`'s nets (plus the pad nets when
-/// the bounding box changes), `i`'s N−1 overlap pairs, `i`'s escape area
-/// and the bounding box. [`IncrementalCost::commit`] keeps the proposal;
-/// the next [`IncrementalCost::propose`] drops an uncommitted one.
+/// The evaluator caches the current state's terms: the block rects, each
+/// pin's absolute point, the integer HPWL of each net and the bounding
+/// box, plus, where states can be illegal, the overlap of each block pair
+/// and each block's area outside the floorplan. A proposal that resizes
+/// block `i` re-locates only `i`'s pins and recomputes `i`'s nets from the
+/// cached points (plus the pad nets when the bounding box changes), and
+/// the bounding box. Where states can be illegal it also recomputes `i`'s
+/// N−1 overlap pairs and `i`'s escape area; inside a box that is legal at
+/// its upper corner it skips both, since every state of the box is legal.
+/// [`IncrementalCost::commit`] keeps the proposal; the next
+/// [`IncrementalCost::propose`] drops an uncommitted one.
 ///
-/// Every energy equals [`CostCalculator::cost`] bit for bit. HPWL,
+/// Every energy equals [`CostCalculator::cost`] bit for bit. Points, HPWL,
 /// overlap and escape are integers, so their updates are exact. No f64
 /// delta is added to a running total: the wirelength is re-summed from the
 /// cached per-net values in net order, the symmetry term is recomputed in
@@ -330,8 +386,9 @@ impl<'a> CostCalculator<'a> {
 /// let circuit = benchmarks::circ01();
 /// let mut dims = circuit.min_dims().into_vec();
 /// let placement = Template::expert_default(&circuit, 2).instantiate(&circuit.max_dims());
+/// let bounds = circuit.full_space();
 /// let calc = CostCalculator::new(&circuit);
-/// let mut eval = calc.incremental(&placement, &dims);
+/// let mut eval = calc.incremental(&placement, &dims, &bounds);
 /// dims[1].0 += 3;
 /// let proposed = eval.propose(1, dims[1]);
 /// assert_eq!(proposed.to_bits(), calc.cost(&placement, &dims).to_bits());
@@ -343,22 +400,25 @@ pub struct IncrementalCost<'a> {
     calc: &'a CostCalculator<'a>,
     adjacency: &'a NetAdjacency,
     placement: &'a Placement,
+    /// The box every state stays in.
+    dims_box: &'a DimsBox,
     dims: Vec<(Coord, Coord)>,
     rects: Vec<Rect>,
     bb: Option<Rect>,
+    /// Each pin's absolute point, in the flat pin order of
+    /// [`NetAdjacency::net_pins`].
+    points: Vec<Point>,
     hpwl: Vec<Option<Coord>>,
-    /// Row-major `n × n` pair overlaps. While a proposal is pending only
-    /// the moved block's row is current; commit mirrors it into the column.
-    overlap: Vec<u64>,
-    overlap_total: u64,
-    escape: Vec<u64>,
-    escape_total: u64,
+    /// The overlap and escape terms; `None` inside a box whose every
+    /// state is legal, where both are 0.
+    penalties: Option<Penalties>,
     energy: f64,
     pending: Option<Pending>,
     /// Net values the pending proposal overwrote, in overwrite order.
     saved_hpwl: Vec<(usize, Option<Coord>)>,
-    /// The moved block's overlap row before the pending proposal.
-    saved_row: Vec<u64>,
+    /// The moved block's pin points before the pending proposal, in
+    /// [`NetAdjacency::block_pins`] order.
+    saved_points: Vec<Point>,
 }
 
 /// What a pending proposal overwrote, and the energy it proposed.
@@ -368,20 +428,28 @@ struct Pending {
     dims: (Coord, Coord),
     rect: Rect,
     bb: Option<Rect>,
-    escape: u64,
-    overlap_total: u64,
-    escape_total: u64,
     energy: f64,
 }
 
-impl<'a> IncrementalCost<'a> {
-    fn new(
-        calc: &'a CostCalculator<'a>,
-        placement: &'a Placement,
-        dims: &[(Coord, Coord)],
-    ) -> Self {
-        let rects = placement.rects(dims);
-        let bb = Rect::bounding_box_of(&rects);
+/// The overlap and escape terms of an evaluator whose states can be
+/// illegal.
+#[derive(Debug)]
+struct Penalties {
+    /// Row-major `n × n` pair overlaps. While a proposal is pending only
+    /// the moved block's row is current; commit mirrors it into the column.
+    overlap: Vec<u64>,
+    overlap_total: u64,
+    escape: Vec<u64>,
+    escape_total: u64,
+    /// The moved block's overlap row before the pending proposal.
+    saved_row: Vec<u64>,
+    /// The moved block's escape, the overlap total and the escape total
+    /// before the pending proposal.
+    saved: (u64, u64, u64),
+}
+
+impl Penalties {
+    fn new(rects: &[Rect], floorplan: Option<Rect>) -> Self {
         let n = rects.len();
         let mut overlap = vec![0; n * n];
         let mut overlap_total = 0;
@@ -393,33 +461,108 @@ impl<'a> IncrementalCost<'a> {
                 overlap_total += area;
             }
         }
-        let escape: Vec<u64> = match calc.floorplan {
+        let escape: Vec<u64> = match floorplan {
             Some(fp) => rects.iter().map(|r| escape_area(r, &fp)).collect(),
             None => vec![0; n],
         };
-        let mut eval = Self {
-            calc,
-            adjacency: calc
-                .adjacency
-                .get_or_init(|| NetAdjacency::of(calc.circuit)),
-            placement,
-            dims: dims.to_vec(),
-            hpwl: calc
-                .circuit
-                .nets()
-                .iter()
-                .map(|net| net_hpwl(net, &rects, bb.as_ref()))
-                .collect(),
-            escape_total: escape.iter().sum(),
-            escape,
-            rects,
-            bb,
+        Self {
             overlap,
             overlap_total,
+            escape_total: escape.iter().sum(),
+            escape,
+            saved_row: Vec::with_capacity(n),
+            saved: (0, 0, 0),
+        }
+    }
+
+    /// Recosts block `block`, now at `rects[block]`.
+    fn propose(&mut self, block: usize, rects: &[Rect], floorplan: Option<Rect>) {
+        let (n, rect) = (rects.len(), rects[block]);
+        self.saved = (self.escape[block], self.overlap_total, self.escape_total);
+        let row = &mut self.overlap[block * n..(block + 1) * n];
+        self.saved_row.clear();
+        self.saved_row.extend_from_slice(row);
+        let mut overlap_total = self.overlap_total - row.iter().sum::<u64>();
+        for (j, (slot, other)) in row.iter_mut().zip(rects).enumerate() {
+            if j != block {
+                *slot = rect.overlap_area(other);
+                overlap_total += *slot;
+            }
+        }
+        self.overlap_total = overlap_total;
+        if let Some(fp) = floorplan {
+            let escape = escape_area(&rect, &fp);
+            self.escape_total = self.escape_total - self.escape[block] + escape;
+            self.escape[block] = escape;
+        }
+    }
+
+    fn commit(&mut self, block: usize) {
+        let n = self.escape.len();
+        for j in 0..n {
+            self.overlap[j * n + block] = self.overlap[block * n + j];
+        }
+    }
+
+    fn discard(&mut self, block: usize) {
+        let n = self.escape.len();
+        self.overlap[block * n..(block + 1) * n].copy_from_slice(&self.saved_row);
+        (self.escape[block], self.overlap_total, self.escape_total) = self.saved;
+    }
+}
+
+impl<'a> IncrementalCost<'a> {
+    fn new(
+        calc: &'a CostCalculator<'a>,
+        placement: &'a Placement,
+        dims: &[(Coord, Coord)],
+        dims_box: &'a DimsBox,
+    ) -> Self {
+        assert!(dims_box.contains(dims), "starting state outside the box");
+        let rects = placement.rects(dims);
+        let bb = Rect::bounding_box_of(&rects);
+        let upper: Vec<(Coord, Coord)> = dims_box
+            .ranges()
+            .iter()
+            .map(|r| (r.w.hi(), r.h.hi()))
+            .collect();
+        let penalties = (!placement.is_legal(&upper, calc.floorplan.as_ref()))
+            .then(|| Penalties::new(&rects, calc.floorplan));
+        let adjacency = calc
+            .adjacency
+            .get_or_init(|| NetAdjacency::of(calc.circuit));
+        let nets = calc.circuit.nets();
+        let points: Vec<Point> = nets
+            .iter()
+            .flat_map(|net| net.pins())
+            .map(|pin| pin.offset.locate(&rects[pin.block.index()]))
+            .collect();
+        let hpwl = nets
+            .iter()
+            .zip(adjacency.net_pins.windows(2))
+            .map(|(net, pins)| {
+                hpwl(
+                    points[pins[0]..pins[1]].iter().copied(),
+                    net.pad(),
+                    bb.as_ref(),
+                )
+            })
+            .collect();
+        let mut eval = Self {
+            calc,
+            adjacency,
+            placement,
+            dims_box,
+            dims: dims.to_vec(),
+            saved_points: Vec::with_capacity(points.len()),
+            points,
+            hpwl,
+            rects,
+            bb,
+            penalties,
             energy: 0.0,
             pending: None,
             saved_hpwl: Vec::new(),
-            saved_row: Vec::with_capacity(n),
         };
         eval.energy = eval.total();
         eval
@@ -436,13 +579,17 @@ impl<'a> IncrementalCost<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is out of range or `dims` is not positive.
+    /// Panics if `block` is out of range or `dims` is outside the block's
+    /// ranges in the box.
     pub fn propose(&mut self, block: usize, dims: (Coord, Coord)) -> f64 {
         self.discard();
+        assert!(
+            self.dims_box.ranges()[block].contains(dims.0, dims.1),
+            "block {block} resized to {dims:?}, outside the box"
+        );
         if dims == self.dims[block] {
             return self.energy;
         }
-        let calc = self.calc;
         let adjacency = self.adjacency;
         let old_rect = self.rects[block];
         let rect = Rect::new(self.placement.coords()[block], dims.0, dims.1);
@@ -451,9 +598,6 @@ impl<'a> IncrementalCost<'a> {
             dims: self.dims[block],
             rect: old_rect,
             bb: self.bb,
-            escape: self.escape[block],
-            overlap_total: self.overlap_total,
-            escape_total: self.escape_total,
             energy: 0.0,
         };
         self.dims[block] = dims;
@@ -468,38 +612,26 @@ impl<'a> IncrementalCost<'a> {
             _ => Rect::bounding_box_of(&self.rects),
         };
 
-        let nets = calc.circuit.nets();
-        let own = &adjacency.block_nets[block];
-        for &k in own {
-            self.saved_hpwl.push((k, self.hpwl[k]));
-            self.hpwl[k] = net_hpwl(&nets[k], &self.rects, self.bb.as_ref());
+        self.saved_points.clear();
+        for &(p, offset) in &adjacency.block_pins[block] {
+            self.saved_points.push(self.points[p]);
+            self.points[p] = offset.locate(&rect);
         }
-        if self.bb != pending.bb {
-            for &k in &adjacency.pad_nets {
-                if own.binary_search(&k).is_err() {
-                    self.saved_hpwl.push((k, self.hpwl[k]));
-                    self.hpwl[k] = net_hpwl(&nets[k], &self.rects, self.bb.as_ref());
-                }
+        if self.bb == pending.bb {
+            for &k in &adjacency.block_nets[block] {
+                self.recost_net(k);
+            }
+        } else {
+            for &k in adjacency.block_padless_nets[block]
+                .iter()
+                .chain(&adjacency.pad_nets)
+            {
+                self.recost_net(k);
             }
         }
 
-        let n = self.rects.len();
-        let row = &mut self.overlap[block * n..(block + 1) * n];
-        self.saved_row.clear();
-        self.saved_row.extend_from_slice(row);
-        let mut overlap_total = self.overlap_total - row.iter().sum::<u64>();
-        for (j, (slot, other)) in row.iter_mut().zip(&self.rects).enumerate() {
-            if j != block {
-                *slot = rect.overlap_area(other);
-                overlap_total += *slot;
-            }
-        }
-        self.overlap_total = overlap_total;
-
-        if let Some(fp) = calc.floorplan {
-            let escape = escape_area(&rect, &fp);
-            self.escape_total = self.escape_total - self.escape[block] + escape;
-            self.escape[block] = escape;
+        if let Some(penalties) = &mut self.penalties {
+            penalties.propose(block, &self.rects, self.calc.floorplan);
         }
 
         pending.energy = self.total();
@@ -513,12 +645,20 @@ impl<'a> IncrementalCost<'a> {
         let Some(pending) = self.pending.take() else {
             return;
         };
-        let (i, n) = (pending.block, self.rects.len());
-        for j in 0..n {
-            self.overlap[j * n + i] = self.overlap[i * n + j];
+        if let Some(penalties) = &mut self.penalties {
+            penalties.commit(pending.block);
         }
         self.saved_hpwl.clear();
         self.energy = pending.energy;
+    }
+
+    /// Recomputes net `k` from the cached pin points and bounding box,
+    /// saving its old value.
+    fn recost_net(&mut self, k: usize) {
+        let net = &self.calc.circuit.nets()[k];
+        let pins = &self.points[self.adjacency.net_pins[k]..self.adjacency.net_pins[k + 1]];
+        self.saved_hpwl.push((k, self.hpwl[k]));
+        self.hpwl[k] = hpwl(pins.iter().copied(), net.pad(), self.bb.as_ref());
     }
 
     /// Restores the state the pending proposal (if any) overwrote.
@@ -526,28 +666,34 @@ impl<'a> IncrementalCost<'a> {
         let Some(p) = self.pending.take() else {
             return;
         };
-        let (i, n) = (p.block, self.rects.len());
+        let i = p.block;
         for (k, h) in self.saved_hpwl.drain(..).rev() {
             self.hpwl[k] = h;
         }
-        self.overlap[i * n..(i + 1) * n].copy_from_slice(&self.saved_row);
+        for (&(q, _), &point) in self.adjacency.block_pins[i].iter().zip(&self.saved_points) {
+            self.points[q] = point;
+        }
+        if let Some(penalties) = &mut self.penalties {
+            penalties.discard(i);
+        }
         self.dims[i] = p.dims;
         self.rects[i] = p.rect;
         self.bb = p.bb;
-        self.escape[i] = p.escape;
-        self.overlap_total = p.overlap_total;
-        self.escape_total = p.escape_total;
     }
 
     /// The weighted total of the cached terms.
     fn total(&self) -> f64 {
         let wirelength = weighted_wirelength(self.calc.circuit.nets(), self.hpwl.iter().copied());
+        let (overlap, escape) = self
+            .penalties
+            .as_ref()
+            .map_or((0, 0), |p| (p.overlap_total, p.escape_total));
         self.calc
             .assemble(
                 wirelength,
                 self.bb,
-                self.overlap_total,
-                self.escape_total,
+                overlap,
+                escape,
                 self.placement,
                 &self.dims,
             )

@@ -9,7 +9,8 @@
 //!   optimization-based placers and an optional symmetry penalty.
 //! * [`IncrementalCost`] — the same cost, bit for bit, for a placement
 //!   whose block dimensions move one block at a time (the BDIO's inner
-//!   anneal): a move recomputes only what the moved block touches.
+//!   anneal): a move recomputes only what the moved block touches, and
+//!   inside a box legal at its upper corner no penalty term at all.
 //! * [`expand_placement`] — the *Placement Expansion* step (§3.1.2): grow
 //!   block dimensions from their minima until overlap or out-of-bounds,
 //!   producing the initial validity box of a candidate placement.

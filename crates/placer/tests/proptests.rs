@@ -2,7 +2,7 @@
 
 use mps_geom::{BlockRanges, Coord, DimsBox, Interval, Point, Rect};
 use mps_netlist::benchmarks::{self, random_circuit};
-use mps_netlist::{modgen, BlockId, Circuit, Pad, PadSide};
+use mps_netlist::{modgen, BlockId, Circuit, Net, Pad, PadSide, Pin};
 use mps_placer::{
     expand_placement, BStarTree, CostCalculator, CostWeights, ExpandPlacementError,
     ExpansionConfig, Placement, SequencePair, SymmetryConstraints, SymmetryGroup, Template,
@@ -161,7 +161,9 @@ proptest! {
     // ------------------------------------------------------------------
     // The incremental evaluator is the full cost, bit for bit, through
     // any stream of one-block moves — overlapping and escaping states,
-    // pad nets, weighted nets, with and without floorplan and symmetry.
+    // pad nets on every side, multi-pin nets at off-centre offsets,
+    // weighted nets, with and without floorplan and symmetry — and inside
+    // a box from `expand_placement`, where it keeps no penalty terms.
     // ------------------------------------------------------------------
 
     #[test]
@@ -170,21 +172,38 @@ proptest! {
         blocks in 2usize..9,
         bounded in 0u8..2,
         symmetric in 0u8..2,
+        within in 0u8..2,
         steps in 1usize..60,
     ) {
         let circuit = circuit_with_pads(blocks, blocks + 3, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1C05);
         let fp = circuit.suggested_floorplan(1.0);
-        // Coordinates reach past the floorplan's lower-left corner and are
-        // dense enough that blocks overlap.
-        let placement: Placement = (0..blocks)
-            .map(|_| {
-                Point::new(
-                    rng.random_range(-20..fp.width()),
-                    rng.random_range(-20..fp.height()),
-                )
-            })
-            .collect();
+        let (placement, dims_box) = if within == 1 {
+            // A packing at minimum dimensions, spread so blocks can grow.
+            let packed = SequencePair::random(blocks, &mut rng).pack(&circuit.min_dims());
+            let spread: Placement =
+                packed.coords().iter().map(|p| Point::new(p.x * 2, p.y * 2)).collect();
+            let Ok(dims_box) = expand_placement(&circuit, &spread, &fp, &ExpansionConfig::default())
+            else {
+                return Ok(()); // the spread escaped the floorplan
+            };
+            (spread, dims_box)
+        } else {
+            // Coordinates reach past the floorplan's lower-left corner
+            // and are dense enough that blocks overlap. Any two blocks
+            // overlap at the box's upper corner, so the evaluator tracks
+            // the penalty terms.
+            let placement: Placement = (0..blocks)
+                .map(|_| {
+                    Point::new(
+                        rng.random_range(-20..fp.width()),
+                        rng.random_range(-20..fp.height()),
+                    )
+                })
+                .collect();
+            let wide = BlockRanges::new(Interval::new(1, 1_000), Interval::new(1, 1_000));
+            (placement, DimsBox::new(vec![wide; blocks]))
+        };
         let symmetry = SymmetryConstraints::new(vec![SymmetryGroup {
             pairs: vec![(BlockId(0), BlockId(1))],
             self_symmetric: (2..blocks.min(4)).map(BlockId).collect(),
@@ -198,30 +217,46 @@ proptest! {
                 .with_weights(CostWeights { symmetry: 2.5, ..CostWeights::default() })
                 .with_symmetry(&symmetry);
         }
-        let random_dims = |rng: &mut StdRng| (rng.random_range(1..80), rng.random_range(1..80));
-        let mut dims: Vec<(Coord, Coord)> = (0..blocks).map(|_| random_dims(&mut rng)).collect();
+        // Random dimensions, clamped into the box.
+        let ranges = dims_box.ranges();
+        let random_dims = |i: usize, rng: &mut StdRng| {
+            let (w, h) = (rng.random_range(1..80), rng.random_range(1..80));
+            (ranges[i].w.clamp_value(w), ranges[i].h.clamp_value(h))
+        };
+        let mut dims: Vec<(Coord, Coord)> = (0..blocks).map(|i| random_dims(i, &mut rng)).collect();
+        let upper: Vec<(Coord, Coord)> = ranges.iter().map(|r| (r.w.hi(), r.h.hi())).collect();
+        prop_assert_eq!(placement.is_legal(&upper, Some(&fp)), within == 1);
 
-        let mut eval = calc.incremental(&placement, &dims);
+        let mut eval = calc.incremental(&placement, &dims, &dims_box);
         prop_assert_eq!(eval.energy().to_bits(), calc.cost(&placement, &dims).to_bits());
         let mut bb_moves = 0;
         for step in 0..steps {
             let (i, d) = if step == 0 {
-                // Widen the block reaching the right edge: the bounding
+                // Resize the block reaching the right edge: the bounding
                 // box moves, so every pad net must be recosted.
                 let i = (0..blocks)
                     .max_by_key(|&i| placement.rect(i, &dims).right())
                     .unwrap();
-                (i, (dims[i].0 + 7, dims[i].1))
+                let w = match within {
+                    1 if dims[i].0 == ranges[i].w.hi() => ranges[i].w.lo(),
+                    1 => ranges[i].w.hi(),
+                    _ => dims[i].0 + 7,
+                };
+                (i, (w, dims[i].1))
             } else if rng.random_bool(0.1) {
                 let i = rng.random_range(0..blocks);
                 (i, dims[i])
             } else {
-                (rng.random_range(0..blocks), random_dims(&mut rng))
+                let i = rng.random_range(0..blocks);
+                (i, random_dims(i, &mut rng))
             };
             let mut proposed = dims.clone();
             proposed[i] = d;
             if placement.bounding_box(&proposed) != placement.bounding_box(&dims) {
                 bb_moves += 1;
+            }
+            if within == 1 {
+                prop_assert!(placement.is_legal(&proposed, Some(&fp)));
             }
             let energy = eval.propose(i, d);
             prop_assert_eq!(
@@ -239,8 +274,17 @@ proptest! {
                 "step {}: current state after accept/reject", step
             );
         }
-        prop_assert!(circuit.nets().iter().any(|n| n.pad().is_some()));
-        prop_assert!(bb_moves > 0, "no move changed the bounding box");
+        let sides: Vec<PadSide> = circuit.nets().iter().filter_map(|n| n.pad().map(|p| p.side)).collect();
+        for side in [PadSide::Left, PadSide::Right, PadSide::Bottom, PadSide::Top] {
+            prop_assert!(sides.contains(&side));
+        }
+        // Inside a box the first move may leave the bounding box where it
+        // was (the block cannot resize, or another block shares its right
+        // edge); `tests/bdio_differential.rs` in mps-core covers box moves
+        // there.
+        if within == 0 {
+            prop_assert!(bb_moves > 0, "no move changed the bounding box");
+        }
     }
 
     // ------------------------------------------------------------------
@@ -468,22 +512,28 @@ fn expansion_inside_tight_floorplan_stays_inside() {
     assert!(dbox.ranges()[0].h.hi() <= b.max_height());
 }
 
-/// `random_circuit` with pads on every other net (always on net 0) and
+/// `random_circuit` with its pins moved to random off-centre offsets,
+/// pads on four nets in five (nets 0 to 3 cover the four sides) and
 /// non-unit weights on every third, so that the wirelength sum mixes
 /// weights and depends on the bounding box.
 fn circuit_with_pads(blocks: usize, nets: usize, seed: u64) -> Circuit {
     let base = random_circuit(blocks, nets, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9AD5);
     let sides = [PadSide::Left, PadSide::Right, PadSide::Bottom, PadSide::Top];
+    let fraction = |rng: &mut StdRng| rng.random_range(0..=20) as f32 / 20.0;
     let nets = base
         .nets()
         .iter()
         .enumerate()
         .map(|(k, net)| {
-            let mut net = net.clone();
-            if k % 2 == 0 {
-                let frac = rng.random_range(0..=100) as f32 / 100.0;
-                net = net.with_pad(Pad::new(sides[rng.random_range(0..4)], frac));
+            let pins = net
+                .pins()
+                .iter()
+                .map(|pin| Pin::at(pin.block, fraction(&mut rng), fraction(&mut rng)))
+                .collect();
+            let mut net = Net::new(net.name(), pins);
+            if k % 5 != 4 {
+                net = net.with_pad(Pad::new(sides[k % 4], fraction(&mut rng)));
             }
             if k % 3 == 1 {
                 net = net.with_weight(f64::from(rng.random_range(1..40)) / 7.0);
