@@ -263,7 +263,8 @@ pub struct GenerationReport {
 /// On one thread, the duration minus the four phases is the explorer's
 /// own bookkeeping, which no phase times: drawing the initial and restart
 /// placements, perturbation, the coverage check before every proposal,
-/// the Metropolis step, and, after the walks, the fallback-template pick.
+/// the Metropolis step, and, after the walks, the fallback-template pick
+/// and the one build of the interval rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Placement expansion (§3.1.2), with legalization and compaction.
@@ -404,6 +405,8 @@ impl<'a> MpsGenerator<'a> {
                 Template::expert_default(self.circuit, self.config.fallback_effort_log2)
             });
         mps.set_fallback(fallback);
+        // Build the rows here, so the reported duration covers them.
+        mps.rows();
 
         let report = GenerationReport {
             duration: start.elapsed(),

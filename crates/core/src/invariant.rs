@@ -10,34 +10,22 @@
 //! [`MultiPlacementStructure::check_invariants`]: crate::MultiPlacementStructure::check_invariants
 
 use crate::PlacementId;
-use mps_geom::{Axis, Interval};
+use mps_geom::Axis;
 use std::fmt;
 
 /// The first structural invariant a [`crate::MultiPlacementStructure`]
 /// was found to violate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvariantError {
-    /// An interval row is not sorted, non-overlapping and ascending.
+    /// A stored interval row differs from the row the live entries'
+    /// validity boxes derive.
     Row {
         /// The block whose row is corrupt.
         block: usize,
         /// Which of the block's two rows.
         axis: Axis,
-        /// The row's own description of the corruption.
+        /// Where the stored row departs from the derived one.
         detail: String,
-    },
-    /// A live entry's row registrations disagree with its validity box.
-    Registration {
-        /// The inconsistent entry.
-        id: PlacementId,
-        /// The block whose row disagrees.
-        block: usize,
-        /// Which of the block's two rows.
-        axis: Axis,
-        /// The intervals the row actually registers for the entry.
-        registered: Vec<Interval>,
-        /// The single interval the entry's box claims.
-        expected: Interval,
     },
     /// A validity box escapes the per-block coverage bounds.
     OutOfBounds {
@@ -74,17 +62,6 @@ impl fmt::Display for InvariantError {
                 axis,
                 detail,
             } => write!(f, "{}_row {block}: {detail}", axis_label(axis)),
-            InvariantError::Registration {
-                id,
-                block,
-                axis,
-                registered,
-                expected,
-            } => write!(
-                f,
-                "{id:?} {}-row {block}: registered {registered:?}, box says {expected:?}",
-                axis_label(axis)
-            ),
             InvariantError::OutOfBounds { id, detail } => write!(f, "{id:?}: {detail}"),
             InvariantError::IllegalPlacement { id } => {
                 write!(f, "{id:?}: illegal at box upper corner")

@@ -708,8 +708,12 @@ mod tests {
     #[test]
     fn save_and_load_through_a_file() {
         let mps = sample_structure();
-        let path =
-            std::env::temp_dir().join(format!("mps_persist_unit_test_{}.json", std::process::id()));
+        // Not the JSON path of `save_load_bin_and_auto_detect_through_files`,
+        // which runs beside this test and deletes its file.
+        let path = std::env::temp_dir().join(format!(
+            "mps_persist_unit_test_{}_roundtrip.json",
+            std::process::id()
+        ));
         mps.save_json(&path).unwrap();
         let back = MultiPlacementStructure::load_json(&path).unwrap();
         assert_eq!(back.to_json(), mps.to_json());

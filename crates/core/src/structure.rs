@@ -4,16 +4,26 @@ use crate::{InvariantError, PlacementId, StoredPlacement};
 use mps_geom::{Axis, BlockRanges, Coord, Dims, DimsBox, Interval, IntervalMap, Rect};
 use mps_netlist::Circuit;
 use mps_placer::{Placement, SequencePair, Template};
+use std::sync::OnceLock;
+
+/// The width row and the height row of every block, in block order.
+type Rows = (Vec<IntervalMap<u32>>, Vec<IntervalMap<u32>>);
 
 /// The generate-once, query-many placement structure: the computational
 /// implementation of the function *M* (Eqs. 1 and 4).
 ///
-/// Per block and axis the structure keeps one interval row (Fig. 3): a
-/// sorted, non-overlapping list of integer intervals, each carrying the
-/// indices of the placements valid there. A query feeds every `(w_i, h_i)`
-/// pair to its two rows and intersects the returned index arrays; the
-/// generation algorithm guarantees the intersection holds at most one
-/// index (Eq. 5: `|M(V)| = 1` inside covered space).
+/// Per block and axis the structure answers from one interval row
+/// (Fig. 3): a sorted, non-overlapping list of integer intervals, each
+/// carrying the indices of the placements valid there. A query feeds every
+/// `(w_i, h_i)` pair to its two rows and intersects the returned index
+/// arrays; the generation algorithm guarantees the intersection holds at
+/// most one index (Eq. 5: `|M(V)| = 1` inside covered space).
+///
+/// The rows are derived state: each is a pure function of the live
+/// entries' validity boxes. Store Placement and Resolve Overlaps touch
+/// only the entries, and the first read after a change (a query, a row
+/// accessor, serialization, [`Self::check_invariants`]) collects every row
+/// from the entries in one sweep each.
 ///
 /// Dimension space not covered by any stored placement is served by a
 /// fallback [`Template`] (§3.1.4: "the remaining uncovered percentage of
@@ -53,10 +63,12 @@ pub struct MultiPlacementStructure {
     /// never read.
     log_volumes: Vec<f64>,
     live_count: usize,
-    /// One width row per block (the `W_i` functions of Eq. 3).
-    w_rows: Vec<IntervalMap<u32>>,
-    /// One height row per block (the `H_i` functions).
-    h_rows: Vec<IntervalMap<u32>>,
+    /// One width row per block (the `W_i` functions of Eq. 3) and one
+    /// height row per block (the `H_i` functions), built from the live
+    /// entries on first read and emptied by every change to them. A
+    /// loaded structure holds the rows it decoded, which
+    /// [`Self::check_invariants`] compares with the derived ones.
+    rows: OnceLock<Rows>,
     /// Backup template for uncovered space.
     fallback: Option<Template>,
 }
@@ -65,15 +77,13 @@ impl MultiPlacementStructure {
     /// Creates an empty structure for a circuit and floorplan region.
     #[must_use]
     pub fn new(circuit: &Circuit, floorplan: Rect) -> Self {
-        let n = circuit.block_count();
         Self {
             bounds: circuit.dim_bounds(),
             floorplan,
             entries: Vec::new(),
             log_volumes: Vec::new(),
             live_count: 0,
-            w_rows: vec![IntervalMap::new(); n],
-            h_rows: vec![IntervalMap::new(); n],
+            rows: OnceLock::new(),
             fallback: None,
         }
     }
@@ -146,8 +156,7 @@ impl MultiPlacementStructure {
             entries,
             log_volumes,
             live_count,
-            w_rows,
-            h_rows,
+            rows: OnceLock::from((w_rows, h_rows)),
             fallback,
         })
     }
@@ -248,8 +257,9 @@ impl MultiPlacementStructure {
         if dims.len() != self.bounds.len() {
             return None;
         }
+        let (w_rows, h_rows) = self.rows();
         // Candidate set from block 0's width row, then refined.
-        scratch.extend_from_slice(self.w_rows[0].query(dims[0].0));
+        scratch.extend_from_slice(w_rows[0].query(dims[0].0));
         if scratch.is_empty() {
             return None;
         }
@@ -257,13 +267,13 @@ impl MultiPlacementStructure {
             let ids = row.query(v);
             candidates.retain(|c| ids.binary_search(c).is_ok());
         };
-        refine(&self.h_rows[0], dims[0].1, scratch);
+        refine(&h_rows[0], dims[0].1, scratch);
         for (i, &(w, h)) in dims.iter().enumerate().skip(1) {
             if scratch.is_empty() {
                 return None;
             }
-            refine(&self.w_rows[i], w, scratch);
-            refine(&self.h_rows[i], h, scratch);
+            refine(&w_rows[i], w, scratch);
+            refine(&h_rows[i], h, scratch);
         }
         debug_assert!(
             scratch.len() <= 1,
@@ -384,7 +394,8 @@ impl MultiPlacementStructure {
     // -----------------------------------------------------------------
     // Mutation API used by the generation algorithm (crate-public so the
     // explorer/resolver can drive it; exposed for integration tests via
-    // `insert_unchecked`).
+    // `insert_unchecked`). Each change touches the entries, their cached
+    // log-volumes and the live count, and empties the rows.
     // -----------------------------------------------------------------
 
     /// Stores a placement without checking disjointness against existing
@@ -399,10 +410,7 @@ impl MultiPlacementStructure {
             "entry block-count mismatch"
         );
         let id = PlacementId(self.entries.len() as u32);
-        for (i, r) in entry.dims_box.ranges().iter().enumerate() {
-            self.w_rows[i].insert(r.w, id.0);
-            self.h_rows[i].insert(r.h, id.0);
-        }
+        self.rows = OnceLock::new();
         self.log_volumes.push(entry.dims_box.log_volume());
         self.entries.push(Some(entry));
         self.live_count += 1;
@@ -411,23 +419,9 @@ impl MultiPlacementStructure {
 
     /// The structure with its annihilated slots dropped and the live
     /// entries renumbered `0..` in id order: exactly what storing those
-    /// entries one by one into an empty structure builds. A row holds the
-    /// maximal runs of equal id sets, so it depends only on the
-    /// registrations, and the renumbering keeps the ids' order.
+    /// entries one by one into an empty structure builds.
     pub(crate) fn into_compacted(mut self) -> Self {
-        let mut next = 0;
-        let new_ids: Vec<u32> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let id = next;
-                next += u32::from(e.is_some());
-                id
-            })
-            .collect();
-        for row in self.w_rows.iter_mut().chain(&mut self.h_rows) {
-            row.rename_ids(|id| new_ids[id as usize]);
-        }
+        self.rows = OnceLock::new();
         (self.entries, self.log_volumes) = self
             .entries
             .into_iter()
@@ -440,17 +434,15 @@ impl MultiPlacementStructure {
     /// Removes a stored placement entirely (annihilation during overlap
     /// resolution).
     pub(crate) fn remove(&mut self, id: PlacementId) {
-        if let Some(entry) = self.entries.get_mut(id.index()).and_then(Option::take) {
-            for (i, r) in entry.dims_box.ranges().iter().enumerate() {
-                self.w_rows[i].remove(r.w, id.0);
-                self.h_rows[i].remove(r.h, id.0);
-            }
+        if let Some(slot @ Some(_)) = self.entries.get_mut(id.index()) {
+            *slot = None;
+            self.rows = OnceLock::new();
             self.live_count -= 1;
         }
     }
 
-    /// Replaces a stored placement's validity box with a (smaller) one,
-    /// updating the rows. The new box must be contained in the old box.
+    /// Replaces a stored placement's validity box with a (smaller) one.
+    /// The new box must be contained in the old box.
     pub(crate) fn shrink(&mut self, id: PlacementId, new_box: DimsBox) {
         let Some(entry) = self.entries.get_mut(id.index()).and_then(Option::as_mut) else {
             return;
@@ -467,28 +459,18 @@ impl MultiPlacementStructure {
             "shrink must not grow the box"
         );
         self.log_volumes[id.index()] = new_box.log_volume();
-        let old_box = std::mem::replace(&mut entry.dims_box, new_box.clone());
         // Keep the recorded best dimensions inside the surviving region.
         entry.best_dims = new_box.clamp_dims(&entry.best_dims);
-        // Update only the axes that changed.
-        for (i, (old, new)) in old_box.ranges().iter().zip(new_box.ranges()).enumerate() {
-            if old.w != new.w {
-                self.w_rows[i].remove(old.w, id.0);
-                self.w_rows[i].insert(new.w, id.0);
-            }
-            if old.h != new.h {
-                self.h_rows[i].remove(old.h, id.0);
-                self.h_rows[i].insert(new.h, id.0);
-            }
-        }
+        entry.dims_box = new_box;
+        self.rows = OnceLock::new();
     }
 
     /// The smallest live id whose validity box overlaps `probe` — the
     /// retrieval step of Resolve Overlaps, which settles one stored
     /// placement at a time and then looks again. A scan in id order that
     /// stops at the first box overlap picks the same victim as intersecting
-    /// the rows' id lists over all 2N dimensions, without building them;
-    /// the rows remain the index behind [`Self::query`].
+    /// the rows' id lists over all 2N dimensions, without building the
+    /// rows; they remain the index behind [`Self::query`].
     #[must_use]
     pub(crate) fn first_overlapping(&self, probe: &DimsBox) -> Option<PlacementId> {
         self.iter()
@@ -511,7 +493,7 @@ impl MultiPlacementStructure {
     /// Panics if `block >= self.block_count()`.
     #[must_use]
     pub fn w_row(&self, block: usize) -> &IntervalMap<u32> {
-        &self.w_rows[block]
+        &self.rows().0[block]
     }
 
     /// Read access to one block's height row (the `H_i` function); see
@@ -522,55 +504,64 @@ impl MultiPlacementStructure {
     /// Panics if `block >= self.block_count()`.
     #[must_use]
     pub fn h_row(&self, block: usize) -> &IntervalMap<u32> {
-        &self.h_rows[block]
+        &self.rows().1[block]
+    }
+
+    /// The width and height rows, collected from the live entries on the
+    /// first read after a change.
+    pub(crate) fn rows(&self) -> &Rows {
+        self.rows.get_or_init(|| {
+            let n = self.block_count();
+            let derive = |axis| (0..n).map(|i| self.derived_row(i, axis)).collect();
+            (derive(Axis::Width), derive(Axis::Height))
+        })
+    }
+
+    /// `block`'s row along `axis` as the live entries' boxes define it.
+    fn derived_row(&self, block: usize, axis: Axis) -> IntervalMap<u32> {
+        self.iter()
+            .map(|(id, e)| (axis_interval(&e.dims_box, block, axis), id.0))
+            .collect()
     }
 
     /// Verifies every structural invariant; the loaders run it on every
     /// artifact, and it serves as the post-generation sanity check. Cost:
-    /// one pass over each row, the per-entry legality checks (O(P · N²)
-    /// for `P` entries of `N` blocks), and a sort-and-sweep over one
-    /// dimension for Eq. 5 (O(P log P + C · N), where `C` is the number
-    /// of entry pairs whose intervals overlap along that dimension).
+    /// one sweep per row over the live entries' intervals, the per-entry
+    /// legality checks (O(P · N²) for `P` entries of `N` blocks), and a
+    /// sort-and-sweep over one dimension for Eq. 5 (O(P log P + C · N),
+    /// where `C` is the number of entry pairs whose intervals overlap
+    /// along that dimension).
     ///
-    /// 1. every interval row is sorted, non-overlapping and ascending;
-    /// 2. each live entry's row registrations equal its box exactly;
-    /// 3. live validity boxes are pairwise disjoint (Eq. 5);
-    /// 4. every live entry is legal (no block overlap, inside the
+    /// 1. every row the structure holds (decoded rows, on a loaded one)
+    ///    equals the row derived from the live entries' boxes;
+    /// 2. live validity boxes are pairwise disjoint (Eq. 5);
+    /// 3. every live entry is legal (no block overlap, inside the
     ///    floorplan) with all blocks at the box's upper corner;
-    /// 5. every box lies within the coverage bounds.
+    /// 4. every box lies within the coverage bounds.
     ///
     /// # Errors
     ///
     /// Returns a typed [`InvariantError`] naming the first violated
     /// invariant (its `Display` form is the old prose description).
     pub fn check_invariants(&self) -> Result<(), InvariantError> {
-        for (i, (wr, hr)) in self.w_rows.iter().zip(&self.h_rows).enumerate() {
-            for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
-                row.check_invariants().map_err(|e| InvariantError::Row {
-                    block: i,
-                    axis,
-                    detail: e,
-                })?;
+        if let Some((w_rows, h_rows)) = self.rows.get() {
+            for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
+                for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
+                    let derived = self.derived_row(i, axis);
+                    if *row != derived {
+                        return Err(InvariantError::Row {
+                            block: i,
+                            axis,
+                            detail: row_mismatch(row, &derived),
+                        });
+                    }
+                }
             }
         }
-        let misregistered = misregistrations(&self.entries, &self.w_rows, &self.h_rows);
         let live: Vec<(PlacementId, &StoredPlacement)> = self.iter().collect();
         // Every block at its box's upper corner, one entry at a time.
         let mut top: Vec<(Coord, Coord)> = Vec::with_capacity(self.bounds.len());
         for &(id, entry) in &live {
-            if let Some((axis, block)) = misregistered[id.index()] {
-                let row = match axis {
-                    Axis::Width => &self.w_rows[block],
-                    Axis::Height => &self.h_rows[block],
-                };
-                return Err(InvariantError::Registration {
-                    id,
-                    block,
-                    axis,
-                    registered: row.ranges_of(id.0),
-                    expected: axis_interval(&entry.dims_box, block, axis),
-                });
-            }
             entry
                 .dims_box
                 .check_within_bounds(&self.bounds)
@@ -592,11 +583,12 @@ impl MultiPlacementStructure {
     /// against their span, so the fewest pairs overlap along them. The
     /// Eq. 5 sweep runs along the first and tests the rest in this order.
     fn dimensions_by_segments(&self) -> Vec<(usize, Axis)> {
+        let (w_rows, h_rows) = self.rows();
         let mut dims: Vec<(usize, Axis, usize)> = (0..self.bounds.len())
             .flat_map(|i| {
                 [
-                    (i, Axis::Width, self.w_rows[i].segment_count()),
-                    (i, Axis::Height, self.h_rows[i].segment_count()),
+                    (i, Axis::Width, w_rows[i].segment_count()),
+                    (i, Axis::Height, h_rows[i].segment_count()),
                 ]
             })
             .collect();
@@ -614,76 +606,21 @@ fn axis_interval(dims_box: &DimsBox, block: usize, axis: Axis) -> Interval {
     }
 }
 
-/// Where the walk of one row last saw an entry: the row (`stamp`) and
-/// the run of adjacent segments holding the entry there.
-#[derive(Clone, Copy, Default)]
-struct Run {
-    /// `2 · block + axis + 1` of the row; 0 before any row.
-    stamp: usize,
-    lo: Coord,
-    hi: Coord,
-    /// The row holds the entry in more than one run.
-    split: bool,
-}
-
-/// Per entry index, the first row, as `(axis, block)` in block order
-/// with width before height, that does not register the live entry over
-/// exactly its box's interval as one run of adjacent segments (what
-/// `IntervalMap::ranges_of` would return as `[interval]`); `None` for
-/// dead entries and consistent ones.
-///
-/// One pass over each row keeps, per entry, the hull of the segments
-/// holding it and whether they form a single run, and compares it with
-/// the entry's box once the row ends: linear in the registrations plus
-/// one comparison per entry and row. The verdicts assume sorted,
-/// disjoint rows, which `check_invariants` verifies first. Ids of dead
-/// or missing entries are skipped: they have no box to compare with.
-fn misregistrations(
-    entries: &[Option<StoredPlacement>],
-    w_rows: &[IntervalMap<u32>],
-    h_rows: &[IntervalMap<u32>],
-) -> Vec<Option<(Axis, usize)>> {
-    let mut misregistered = vec![None; entries.len()];
-    let mut runs = vec![Run::default(); entries.len()];
-    for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
-        for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
-            let stamp = 2 * i + usize::from(axis == Axis::Height) + 1;
-            for (iv, ids) in row.iter() {
-                for &id in ids {
-                    let Some(run) = runs.get_mut(id as usize) else {
-                        continue;
-                    };
-                    if run.stamp != stamp {
-                        *run = Run {
-                            stamp,
-                            lo: iv.lo(),
-                            hi: iv.hi(),
-                            split: false,
-                        };
-                    } else if run.hi.checked_add(1) == Some(iv.lo()) {
-                        run.hi = iv.hi();
-                    } else {
-                        run.split = true;
-                    }
-                }
-            }
-            for (k, entry) in entries.iter().enumerate() {
-                let Some(entry) = entry else { continue };
-                if misregistered[k].is_some() {
-                    continue;
-                }
-                let run = runs[k];
-                let expected = axis_interval(&entry.dims_box, i, axis);
-                if run.stamp != stamp
-                    || run.split
-                    || (run.lo, run.hi) != (expected.lo(), expected.hi())
-                {
-                    misregistered[k] = Some((axis, i));
-                }
-            }
-        }
-    }
-    misregistered
+/// Where a stored row first departs from the row the entries derive: the
+/// index of the first segment that differs, with both sides' segment
+/// there.
+fn row_mismatch(stored: &IntervalMap<u32>, derived: &IntervalMap<u32>) -> String {
+    let (stored, derived) = (stored.as_segments(), derived.as_segments());
+    let k = stored
+        .iter()
+        .zip(derived)
+        .take_while(|(a, b)| a == b)
+        .count();
+    format!(
+        "segment {k} is {:?}, the live entries give {:?}",
+        stored.get(k),
+        derived.get(k)
+    )
 }
 
 /// The first pair of live entries, in the order `(a, b)` with `a`
@@ -743,8 +680,9 @@ mod serde_impls {
             map.insert("floorplan", self.floorplan.to_value());
             // live_count is derived from `entries` and recomputed on load.
             map.insert("entries", self.entries.to_value());
-            map.insert("w_rows", self.w_rows.to_value());
-            map.insert("h_rows", self.h_rows.to_value());
+            let (w_rows, h_rows) = self.rows();
+            map.insert("w_rows", w_rows.to_value());
+            map.insert("h_rows", h_rows.to_value());
             map.insert("fallback", self.fallback.to_value());
             Value::Object(map)
         }
@@ -810,8 +748,9 @@ mod binfmt_impls {
             for entry in &self.entries {
                 enc.option(entry.as_ref())?;
             }
-            enc.seq(&self.w_rows)?;
-            enc.seq(&self.h_rows)?;
+            let (w_rows, h_rows) = self.rows();
+            enc.seq(w_rows)?;
+            enc.seq(h_rows)?;
             enc.option(self.fallback.as_ref())
         }
     }
@@ -1058,8 +997,7 @@ mod tests {
         let compacted = mps.into_compacted();
         assert_eq!(compacted.entries, fresh.entries);
         assert_eq!(compacted.live_count, fresh.live_count);
-        assert_eq!(compacted.w_rows, fresh.w_rows);
-        assert_eq!(compacted.h_rows, fresh.h_rows);
+        assert_eq!(compacted.rows(), fresh.rows());
         let bits = |m: &MultiPlacementStructure| -> Vec<u64> {
             m.log_volumes.iter().map(|v| v.to_bits()).collect()
         };

@@ -1,6 +1,7 @@
 //! Differential test of `check_invariants` against reference checks
-//! done the direct way: a per-entry `IntervalMap::ranges_of` scan for
-//! the registrations and an all-pairs loop for Eq. 5. On generated
+//! done the direct way: every row rebuilt by inserting the live entries'
+//! intervals one at a time (`IntervalMap::insert`, the paper's Store
+//! Placement update) and an all-pairs loop for Eq. 5. On generated
 //! structures, and on copies corrupted the ways a damaged artifact can
 //! be, both must return the same `Result`: the same first violation with
 //! the same identifiers.
@@ -11,37 +12,29 @@ use mps_netlist::benchmarks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The invariant battery done the direct way: `ranges_of` for every live
-/// entry and row, and every pair of boxes for Eq. 5.
+/// The invariant battery done the direct way: each held row against the
+/// fold of `insert` over the live entries, and every pair of boxes for
+/// Eq. 5.
 fn reference_check(mps: &MultiPlacementStructure) -> Result<(), InvariantError> {
-    for (i, (wr, hr)) in mps.w_rows.iter().zip(&mps.h_rows).enumerate() {
-        for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
-            row.check_invariants().map_err(|e| InvariantError::Row {
-                block: i,
-                axis,
-                detail: e,
-            })?;
-        }
-    }
     let live: Vec<(PlacementId, &StoredPlacement)> = mps.iter().collect();
-    for &(id, entry) in &live {
-        for (i, r) in entry.dims_box.ranges().iter().enumerate() {
-            for (row, iv, axis) in [
-                (&mps.w_rows[i], r.w, Axis::Width),
-                (&mps.h_rows[i], r.h, Axis::Height),
-            ] {
-                let ranges = row.ranges_of(id.0);
-                if ranges != vec![iv] {
-                    return Err(InvariantError::Registration {
-                        id,
+    if let Some((w_rows, h_rows)) = mps.rows.get() {
+        for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
+            for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
+                let mut inserted = IntervalMap::new();
+                for &(id, entry) in &live {
+                    inserted.insert(axis_interval(&entry.dims_box, i, axis), id.0);
+                }
+                if *row != inserted {
+                    return Err(InvariantError::Row {
                         block: i,
                         axis,
-                        registered: ranges,
-                        expected: iv,
+                        detail: row_mismatch(row, &inserted),
                     });
                 }
             }
         }
+    }
+    for &(id, entry) in &live {
         entry
             .dims_box
             .check_within_bounds(&mps.bounds)
@@ -89,14 +82,15 @@ fn generated() -> Vec<MultiPlacementStructure> {
 /// The ways a corrupted artifact can break the rows or the boxes.
 #[derive(Debug, Clone, Copy)]
 enum Corruption {
-    /// One segment of a row loses one of its entry ids.
+    /// One segment of a held row loses one of its entry ids.
     DropId,
-    /// An entry's registration gets a hole, splitting it in two ranges.
+    /// An entry's registration in a held row gets a hole, splitting it in
+    /// two ranges.
     Split,
-    /// An entry's registration in one row moves by one unit.
+    /// An entry's registration in one held row moves by one unit.
     Shift,
-    /// A live entry is stored twice; the copy is registered in the rows
-    /// or not.
+    /// A live entry is stored twice; the held rows are rebuilt with the
+    /// copy or kept without it.
     DuplicateBox,
 }
 
@@ -118,10 +112,13 @@ fn pick(mps: &MultiPlacementStructure, rng: &mut StdRng) -> (u32, usize, Axis, I
     )
 }
 
+/// One row held in the structure's cell, filled first if it is empty.
 fn row_mut(mps: &mut MultiPlacementStructure, block: usize, axis: Axis) -> &mut IntervalMap<u32> {
+    mps.rows();
+    let (w_rows, h_rows) = mps.rows.get_mut().expect("just filled");
     match axis {
-        Axis::Width => &mut mps.w_rows[block],
-        Axis::Height => &mut mps.h_rows[block],
+        Axis::Width => &mut w_rows[block],
+        Axis::Height => &mut h_rows[block],
     }
 }
 

@@ -15,8 +15,12 @@ use std::fmt;
 /// The paper's *Store Placement* routine "adds interval objects and splits
 /// others into two in order to keep the non-overlapping and ascending
 /// characteristics of the linked list of interval objects" — that is exactly
-/// what [`IntervalMap::insert`] does. [`IntervalMap::remove`] is the inverse
-/// used when Resolve Overlaps shrinks or forks an already-stored placement.
+/// what [`IntervalMap::insert`] does, and [`IntervalMap::remove`] is its
+/// inverse. A row is a pure function of the `(interval, index)` pairs
+/// registered in it, so the multi-placement structure does not update rows
+/// as it stores: it collects each row once from its stored placements
+/// (the one-sweep [`FromIterator`] impl), which builds the same row the
+/// inserts would. `insert` and `remove` stay as the incremental reference.
 ///
 /// Adjacent intervals holding identical index sets are coalesced, so the row
 /// stays minimal.
@@ -33,6 +37,8 @@ use std::fmt;
 /// assert_eq!(row.query(12), &[8]);
 /// row.remove(Interval::new(0, 9), 7);
 /// assert!(row.query(3).is_empty());
+/// let swept: IntervalMap<u32> = [(Interval::new(5, 14), 8)].into_iter().collect();
+/// assert_eq!(swept, row);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct IntervalMap<T = u32> {
@@ -216,29 +222,6 @@ impl<T: Copy + Ord> IntervalMap<T> {
         debug_assert!(self.check_invariants().is_ok());
     }
 
-    /// Renames every id through `rename`, which must preserve their order
-    /// (`a < b` implies `rename(a) < rename(b)`), so each segment's ids stay
-    /// sorted and adjacent segments stay distinct.
-    pub fn rename_ids(&mut self, mut rename: impl FnMut(T) -> T) {
-        for (_, ids) in &mut self.segments {
-            for id in ids.iter_mut() {
-                *id = rename(*id);
-            }
-        }
-        debug_assert!(self.check_invariants().is_ok());
-    }
-
-    /// Removes `id` everywhere it appears.
-    pub fn remove_everywhere(&mut self, id: T) {
-        for (_, ids) in &mut self.segments {
-            if let Ok(pos) = ids.binary_search(&id) {
-                ids.remove(pos);
-            }
-        }
-        self.segments.retain(|(_, ids)| !ids.is_empty());
-        self.coalesce();
-    }
-
     /// The full interval set over which `id` is registered, as a sorted
     /// vector of maximal disjoint intervals.
     #[must_use]
@@ -338,12 +321,70 @@ impl<T: fmt::Debug> fmt::Debug for IntervalMap<T> {
     }
 }
 
+/// Builds the row that inserting every pair in turn builds, in one sweep:
+/// each interval opens its id at `lo` and closes it at `hi + 1`, all events
+/// at one coordinate are applied before the segment starting there is
+/// emitted, and a segment carrying the same ids as its left neighbour
+/// extends it. The open ids are a multiset in id order: an id may repeat,
+/// over overlapping intervals too, and a segment holds it once. Each id is
+/// named by its rank among the distinct ids, so an event updates one count
+/// and one bit, and a segment reads its ids off the set bits.
 impl<T: Copy + Ord> FromIterator<(Interval, T)> for IntervalMap<T> {
     fn from_iter<I: IntoIterator<Item = (Interval, T)>>(iter: I) -> Self {
-        let mut map = IntervalMap::new();
-        for (iv, id) in iter {
-            map.insert(iv, id);
+        let mut pairs: Vec<(Interval, T)> = iter.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(_, id)| id);
+        // The distinct ids in order, indexed by rank.
+        let mut ids: Vec<T> = Vec::new();
+        let mut events: Vec<(Coord, bool, usize)> = Vec::with_capacity(2 * pairs.len());
+        for (iv, id) in pairs {
+            if ids.last() != Some(&id) {
+                ids.push(id);
+            }
+            events.push((iv.lo(), true, ids.len() - 1));
+            // An interval reaching `Coord::MAX` stays open to the end.
+            if let Some(end) = iv.hi().checked_add(1) {
+                events.push((end, false, ids.len() - 1));
+            }
         }
+        events.sort_unstable_by_key(|&(at, _, _)| at);
+        // How often each rank is open, and one bit per rank open at all.
+        let mut counts = vec![0_usize; ids.len()];
+        let mut open = vec![0_u64; ids.len().div_ceil(64)];
+        let mut segments: Vec<(Interval, Vec<T>)> = Vec::new();
+        let mut k = 0;
+        while k < events.len() {
+            let at = events[k].0;
+            while let Some(&(_, opens, rank)) = events.get(k).filter(|e| e.0 == at) {
+                let count = &mut counts[rank];
+                let was_open = *count > 0;
+                *count = if opens { *count + 1 } else { *count - 1 };
+                if was_open != (*count > 0) {
+                    open[rank / 64] ^= 1 << (rank % 64);
+                }
+                k += 1;
+            }
+            let len: usize = open.iter().map(|w| w.count_ones() as usize).sum();
+            if len == 0 {
+                continue;
+            }
+            let mut segment_ids = Vec::with_capacity(len);
+            for (w, &word) in open.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    segment_ids.push(ids[64 * w + word.trailing_zeros() as usize]);
+                    word &= word - 1;
+                }
+            }
+            let span = Interval::new(at, events.get(k).map_or(Coord::MAX, |e| e.0 - 1));
+            match segments.last_mut() {
+                Some((last, last_ids)) if last.hi() + 1 == at && *last_ids == segment_ids => {
+                    *last = last.hull(&span);
+                }
+                _ => segments.push((span, segment_ids)),
+            }
+        }
+        let map = IntervalMap { segments };
+        debug_assert!(map.check_invariants().is_ok());
         map
     }
 }
@@ -584,18 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_everywhere_clears_id() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 4), 1u32);
-        row.insert(iv(10, 14), 1);
-        row.insert(iv(2, 12), 2);
-        row.remove_everywhere(1);
-        assert!(row.ranges_of(1).is_empty());
-        assert_eq!(row.ranges_of(2), vec![iv(2, 12)]);
-        row.check_invariants().unwrap();
-    }
-
-    #[test]
     fn ids_overlapping_collects_union() {
         let mut row = IntervalMap::new();
         row.insert(iv(0, 4), 1u32);
@@ -613,6 +642,16 @@ mod tests {
         row.extend([(iv(10, 11), 3)]);
         assert_eq!(row.query(4), &[1, 2]);
         assert_eq!(row.query(10), &[3]);
+        // An interval up to `Coord::MAX` has no end event.
+        let open_ended: IntervalMap<u32> = [(iv(5, Coord::MAX), 1), (iv(0, 9), 2)]
+            .into_iter()
+            .collect();
+        let segments = [
+            (iv(0, 4), vec![2]),
+            (iv(5, 9), vec![1, 2]),
+            (iv(10, Coord::MAX), vec![1]),
+        ];
+        assert_eq!(open_ended.as_segments(), segments);
     }
 
     #[test]

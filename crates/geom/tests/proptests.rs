@@ -150,13 +150,30 @@ proptest! {
 
     #[test]
     fn interval_map_covered_len_matches_query(
-        ops in prop::collection::vec((0i64..50, 0i64..20, 0u32..4), 1..20),
+        // `(lo, len, id, chained)`: about half the intervals are points
+        // (`len` 0), and a chained one starts right after the previous one.
+        ops in prop::collection::vec(
+            (-30i64..50, (0i64..40).prop_map(|l| (l - 20).max(0)), 0u32..4, prop::bool::ANY),
+            1..20,
+        ),
     ) {
-        let mut map: IntervalMap<u32> = IntervalMap::new();
-        for &(lo, len, id) in &ops {
-            map.insert(Interval::new(lo, lo + len), id);
+        let mut intervals: Vec<(Interval, u32)> = Vec::new();
+        for &(lo, len, id, chained) in &ops {
+            let lo = match intervals.last() {
+                Some((prev, _)) if chained => prev.hi() + 1,
+                _ => lo,
+            };
+            intervals.push((Interval::new(lo, lo + len), id));
         }
-        let by_query = (-5i64..90).filter(|&v| !map.query(v).is_empty()).count() as u64;
+        let mut map: IntervalMap<u32> = IntervalMap::new();
+        for &(iv, id) in &intervals {
+            map.insert(iv, id);
+        }
+        // The one-sweep builder equals the fold of `insert`.
+        let swept: IntervalMap<u32> = intervals.iter().copied().collect();
+        prop_assert_eq!(&swept, &map);
+        let hi = intervals.iter().map(|(iv, _)| iv.hi()).max().unwrap_or(0);
+        let by_query = (-35..hi + 5).filter(|&v| !map.query(v).is_empty()).count() as u64;
         prop_assert_eq!(map.covered_len(), by_query);
     }
 }

@@ -48,7 +48,10 @@ impl SymmetryGroup {
     /// misalignment (`|y_a − y_b|` of their centers).
     #[must_use]
     pub fn deviation(&self, placement: &Placement, dims: &[(Coord, Coord)]) -> f64 {
-        let mut axis_samples: Vec<f64> = Vec::new();
+        let samples = self.pairs.len() + self.self_symmetric.len();
+        if samples == 0 {
+            return 0.0;
+        }
         let center_x = |b: BlockId| {
             let (w, _) = dims[b.index()];
             placement.coords()[b.index()].x as f64 + w as f64 / 2.0
@@ -57,19 +60,17 @@ impl SymmetryGroup {
             let (_, h) = dims[b.index()];
             placement.coords()[b.index()].y as f64 + h as f64 / 2.0
         };
-        for &(a, b) in &self.pairs {
-            axis_samples.push((center_x(a) + center_x(b)) / 2.0);
-        }
-        for &s in &self.self_symmetric {
-            axis_samples.push(center_x(s));
-        }
-        if axis_samples.is_empty() {
-            return 0.0;
-        }
-        let axis = axis_samples.iter().sum::<f64>() / axis_samples.len() as f64;
+        let midline = |&(a, b): &(BlockId, BlockId)| (center_x(a) + center_x(b)) / 2.0;
+        let axis = self
+            .pairs
+            .iter()
+            .map(midline)
+            .chain(self.self_symmetric.iter().map(|&s| center_x(s)))
+            .sum::<f64>()
+            / samples as f64;
         let mut dev = 0.0;
-        for &(a, b) in &self.pairs {
-            dev += ((center_x(a) + center_x(b)) / 2.0 - axis).abs();
+        for pair @ &(a, b) in &self.pairs {
+            dev += (midline(pair) - axis).abs();
             dev += (center_y(a) - center_y(b)).abs();
         }
         for &s in &self.self_symmetric {

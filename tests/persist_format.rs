@@ -208,6 +208,16 @@ fn structural_corruption_is_rejected_not_panicked() {
             "bad member type",
             Box::new(|s: &str| s.replacen("\"entries\": [", "\"entries\": 3, \"x\": [", 1)),
         ),
+        (
+            // Block 0's first width segment, [18, 18], moves down one unit:
+            // still a well-formed row, but not the one the entries derive.
+            "row registration shifted",
+            Box::new(|s: &str| {
+                let (head, rows) = s.split_at(s.find("\"w_rows\"").expect("fixture has rows"));
+                let point = |v: i32| format!("\"lo\": {v},\n              \"hi\": {v}");
+                format!("{head}{}", rows.replacen(&point(18), &point(17), 1))
+            }),
+        ),
     ];
     for (label, mutate) in mutations {
         let mutant = mutate(FIXTURE);
