@@ -1,9 +1,11 @@
-//! Artifact-format benchmark: `mps-v2` binary versus `mps-v1` JSON over
-//! a whole structures directory. Converts every `.json` artifact to
-//! `.mpsb`, measures total on-disk size and cold-load wall-clock for
-//! both formats, differentially verifies that both loads answer
-//! identically, and writes `out/BENCH_format.json` — the artifact CI
-//! gates on.
+//! Artifact-format benchmark: the binary versus the JSON encoding of
+//! `mps-v3` over a whole structures directory. Converts every `.json`
+//! artifact to `.mpsb`, measures total on-disk size and cold-load
+//! wall-clock for both encodings, differentially verifies that both
+//! loads answer identically, and writes `out/BENCH_format.json` — the
+//! artifact CI gates on. The `.json` files are timed as they are, so a
+//! directory saved by a build that wrote the legacy `mps-v1` layout
+//! compares that layout against `mps-v3` binary.
 //!
 //! ```sh
 //! cargo run --release -p mps-bench --bin format_bench -- \
@@ -159,13 +161,13 @@ fn main() {
             &["Format", "Total bytes", "Cold load (best of N)", "vs JSON"],
             &[
                 vec![
-                    "mps-v1 JSON".to_owned(),
+                    "mps-v3 JSON".to_owned(),
                     json_bytes.to_string(),
                     format!("{:.2}ms", json_secs * 1e3),
                     "1.00x".to_owned(),
                 ],
                 vec![
-                    "mps-v2 binary".to_owned(),
+                    "mps-v3 binary".to_owned(),
                     bin_bytes.to_string(),
                     format!("{:.2}ms", bin_secs * 1e3),
                     format!("{size_ratio:.2}x smaller, {load_speedup:.2}x faster"),

@@ -147,7 +147,7 @@ pub enum StructureSource {
 /// Generates the structure for `name`/`circuit` under `config`, honoring
 /// the [`PersistArgs`] knobs through the [`analog_mps::api::Workspace`]
 /// facade: with `--load` the structure is read from disk (validated
-/// against the `mps-v1` envelope, the Eq.-5 invariants, the compiled
+/// against the artifact envelope, the Eq.-5 invariants, the compiled
 /// query index, *and* the circuit's dimension bounds); with `--save` the
 /// generated structure is persisted for future `--load` runs.
 ///

@@ -1,9 +1,8 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
-//! The binaries in `src/bin/` print the tables/figures; the Criterion
-//! benches in `benches/` measure the hot paths. Both build on the helpers
-//! here so the workload definitions (budgets, query streams, sweeps) are
-//! identical everywhere.
+//! The binaries in `src/bin/` print the tables/figures and measure the
+//! hot paths. They build on the helpers here so the workload definitions
+//! (budgets, query streams, sweeps) are identical everywhere.
 //!
 //! | Paper artefact | Regenerator |
 //! |----------------|-------------|

@@ -3,34 +3,56 @@
 //! The paper's economic argument (Fig. 1) is *generate once, use
 //! everywhere*: the expensive nested-annealing generation amortizes only
 //! if the resulting [`MultiPlacementStructure`] survives the process that
-//! built it. This module wraps the structure in a versioned JSON envelope
+//! built it. This module writes the structure in one layout, **mps-v3**,
+//! with four members: `bounds`, `floorplan`, `entries` (the stored
+//! placements with their validity boxes and costs) and `fallback`. The
+//! interval rows (Fig. 3) are not stored: each is a pure function of the
+//! live entries' boxes, and loading builds them. The layout comes in two
+//! encodings, a JSON envelope
 //!
 //! ```json
-//! {"format": "mps-v1", "structure": { ... }}
+//! {"format": "mps-v3", "structure": {"bounds": ..., "floorplan": ..., "entries": ..., "fallback": ...}}
 //! ```
 //!
-//! and loads it back through [`MultiPlacementStructure::from_json`], which
-//! follows a validate-don't-trust discipline: the format tag must match,
-//! every field-level invariant is re-checked during decoding, and the full
-//! Eq.-5 invariant battery ([`MultiPlacementStructure::check_invariants`])
-//! re-runs before the structure is handed to the caller. Malformed,
-//! wrong-version, wrong-arity or overlap-violating input yields a typed
-//! [`PersistError`] — never a panic and never a silently corrupt
-//! structure.
+//! and a compact length-prefixed binary one: the `MPSB` magic, the
+//! version ([`BIN_VERSION`], 3), then the same members with
+//! little-endian fixed-width floats and varint-prefixed sections (see
+//! the vendored `binfmt` codec). [`MultiPlacementStructure::to_json`] /
+//! [`MultiPlacementStructure::save_json`] and
+//! [`MultiPlacementStructure::to_bin`] /
+//! [`MultiPlacementStructure::save_bin`] write them.
 //!
-//! Loading reads the text once, left to right, with the vendored pull
-//! reader: every `[w, h]` pair, interval and row id list goes straight
-//! into the structure's own vectors, with no intermediate JSON tree.
-//! Members may come in any order, the last of a repeated member wins
-//! and unknown members are skipped (still validated). Errors keep one
-//! precedence whatever the member order:
+//! The loaders also read the two legacy layouts, which stored every row
+//! after the entries: `mps-v1` JSON and binary version 2. Their rows are
+//! required, and validated, not trusted: a row index pointing at a dead
+//! entry is a decode error, and a row that differs from the row the
+//! entries derive is [`InvariantError::Row`]. Re-saving a legacy artifact
+//! writes mps-v3.
+//!
+//! Every load follows a validate-don't-trust discipline: the format tag
+//! or version must be one of the accepted ones, every field-level
+//! invariant is re-checked during decoding, and the full Eq.-5 invariant
+//! battery ([`MultiPlacementStructure::check_invariants`]) re-runs before
+//! the structure is handed to the caller. Malformed, wrong-version,
+//! wrong-arity or overlap-violating input yields a typed
+//! [`PersistError`] — never a panic and never a silently corrupt
+//! structure. Both encodings run the same funnel, so they accept exactly
+//! the same structures and answer queries identically.
+//!
+//! JSON loading reads the text once, left to right, with the vendored
+//! pull reader: every `[w, h]` pair and interval goes straight into the
+//! structure's own vectors, with no intermediate JSON tree. Members may
+//! come in any order, the last of a repeated member wins and unknown
+//! members are skipped (still validated). Errors keep one precedence
+//! whatever the member order:
 //!
 //! 1. a syntax error anywhere in the text: [`PersistError::Decode`];
 //! 2. an envelope that is not an object, lacks a string `format` tag or
-//!    a `structure` member: [`PersistError::Envelope`]; a foreign tag:
-//!    [`PersistError::WrongFormat`];
-//! 3. a structure field that does not decode or a structural frame that
-//!    does not hold together: [`PersistError::Decode`];
+//!    a `structure` member: [`PersistError::Envelope`]; a tag that is
+//!    neither [`FORMAT`] nor `mps-v1`: [`PersistError::WrongFormat`];
+//! 3. a structure field that does not decode, a member the tag's layout
+//!    requires that is missing, or a structural frame that does not hold
+//!    together: [`PersistError::Decode`];
 //! 4. a violated placement invariant: [`PersistError::Invariant`].
 //!
 //! A field's error waits until the reader has reached the end of the
@@ -38,38 +60,37 @@
 //! this error path reads part of the text twice: the value that failed
 //! is rescanned from its start to find where it ends.
 //!
-//! Next to the JSON envelope lives **mps-v2**, a compact length-prefixed
-//! binary encoding of the same payload (`MPSB` magic + version header,
-//! little-endian fixed-width floats, varint-prefixed sections — see the
-//! vendored `binfmt` codec). [`MultiPlacementStructure::save_bin`] /
-//! [`MultiPlacementStructure::load_bin`] are the binary siblings of
-//! `save_json` / `load_json`; loading runs the *same* validation funnel
-//! (per-field invariants, shared structural constructor, full
-//! `check_invariants` battery), so the two formats accept exactly the
-//! same structures and answer queries identically.
 //! [`MultiPlacementStructure::load_auto`] sniffs the magic bytes and
 //! dispatches, which is what lets a serving directory mix `.json` and
-//! `.mpsb` artifacts freely.
+//! `.mpsb` artifacts, of any accepted version, freely.
 
+use crate::structure::{Layout, Members};
 use crate::{InvariantError, MultiPlacementStructure};
-use binfmt::{Decode, Decoder, Encode, Encoder};
+use binfmt::{Decoder, Encode, Encoder};
 use serde_json::{Kind, Reader};
 use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
-/// The on-disk format identifier this build writes and accepts.
+/// The JSON format tag this build writes.
 ///
-/// Bump only with a migration path: structures saved under other tags are
-/// rejected by [`MultiPlacementStructure::from_json`] with
+/// Bump only with a migration path: the loaders read this tag and the
+/// legacy `mps-v1`, and reject any other with
 /// [`PersistError::WrongFormat`].
-pub const FORMAT: &str = "mps-v1";
+pub const FORMAT: &str = "mps-v3";
 
-/// Magic bytes opening every mps-v2 binary artifact.
+/// The tag of the legacy JSON layout, which stores the rows too.
+const LEGACY_FORMAT: &str = "mps-v1";
+
+/// Magic bytes opening every binary artifact.
 pub const BIN_MAGIC: [u8; 4] = *b"MPSB";
 
-/// The mps-v2 binary format version this build writes and accepts.
-pub const BIN_VERSION: u16 = 2;
+/// The binary version this build writes: the mps-v3 layout.
+pub const BIN_VERSION: u16 = 3;
+
+/// The legacy binary version, which stores the rows too (the format once
+/// called mps-v2).
+const LEGACY_BIN_VERSION: u16 = 2;
 
 /// Why loading a persisted structure failed.
 #[derive(Debug)]
@@ -80,13 +101,14 @@ pub enum PersistError {
     /// The envelope is valid JSON but not an `{"format": ..., "structure":
     /// ...}` object.
     Envelope(String),
-    /// The envelope carries a format tag other than [`FORMAT`].
+    /// The envelope carries a format tag other than [`FORMAT`] and the
+    /// legacy `mps-v1`.
     WrongFormat {
         /// The tag found in the input.
         found: String,
     },
-    /// The input claims to be an mps-v2 binary artifact but fails to
-    /// decode: truncated, malformed, version skew, or a violated
+    /// The input claims to be a binary artifact but fails to decode:
+    /// truncated, malformed, an unknown version, or a violated
     /// field-level invariant.
     BinDecode(binfmt::Error),
     /// The structure decoded but violates the Eq.-5 invariants (overlap,
@@ -103,9 +125,10 @@ impl fmt::Display for PersistError {
             PersistError::Envelope(e) => write!(f, "invalid persistence envelope: {e}"),
             PersistError::WrongFormat { found } => write!(
                 f,
-                "unsupported structure format `{found}` (this build reads `{FORMAT}`)"
+                "unsupported structure format `{found}` \
+                 (this build reads `{FORMAT}` and `{LEGACY_FORMAT}`)"
             ),
-            PersistError::BinDecode(e) => write!(f, "malformed mps-v2 binary structure: {e}"),
+            PersistError::BinDecode(e) => write!(f, "malformed binary structure: {e}"),
             PersistError::Invariant(e) => {
                 write!(f, "loaded structure violates invariants: {e}")
             }
@@ -216,31 +239,32 @@ impl MultiPlacementStructure {
         serde_json::Value::Object(map)
     }
 
-    /// Serializes the structure into the compact versioned `mps-v1`
-    /// envelope.
+    /// Serializes the structure into the compact `mps-v3` JSON envelope.
     #[must_use]
     pub fn to_json(&self) -> String {
         serde_json::to_string(&self.envelope()).expect("value trees always serialize")
     }
 
     /// Serializes the structure into the human-readable (2-space-indented)
-    /// versioned `mps-v1` envelope. This is the committed golden-fixture
+    /// `mps-v3` JSON envelope. This is the committed golden-fixture
     /// format: deterministic field order, shortest-round-trip floats.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(&self.envelope()).expect("value trees always serialize")
     }
 
-    /// Loads a structure from its versioned JSON envelope, re-validating
-    /// everything: syntax, format tag, field invariants, and the full
-    /// Eq.-5 battery of [`MultiPlacementStructure::check_invariants`].
+    /// Loads a structure from an `mps-v3` or legacy `mps-v1` JSON
+    /// envelope, re-validating everything: syntax, format tag, field
+    /// invariants, and the full Eq.-5 battery of
+    /// [`MultiPlacementStructure::check_invariants`].
     ///
     /// # Errors
     ///
     /// Returns [`PersistError`] on malformed JSON, a missing or foreign
-    /// format tag, structurally incoherent fields (wrong arity, dead row
-    /// references, inverted intervals, …) or violated placement
-    /// invariants (overlapping validity boxes, illegal placements).
+    /// format tag, structurally incoherent fields (wrong arity, missing
+    /// members, dead row references, inverted intervals, …) or violated
+    /// placement invariants (overlapping validity boxes, stored rows the
+    /// entries do not derive, illegal placements).
     pub fn from_json(json: &str) -> Result<Self, PersistError> {
         let mps = Self::read_envelope(json)?;
         mps.check_invariants().map_err(PersistError::Invariant)?;
@@ -266,7 +290,7 @@ impl MultiPlacementStructure {
         }
         // `Some(None)`: a `format` member that is not a string.
         let mut format: Option<Option<Cow<'_, str>>> = None;
-        let mut structure: Option<Result<Self, serde_json::Error>> = None;
+        let mut structure: Option<Members> = None;
         serde::read_object(&mut r, |key, r| {
             match key {
                 "format" if r.peek()? == Kind::String => format = Some(Some(r.string()?)),
@@ -274,7 +298,7 @@ impl MultiPlacementStructure {
                     format = Some(None);
                     r.skip_value()?;
                 }
-                "structure" => structure = Some(serde::read_deferred(r)?),
+                "structure" => structure = Some(Members::read(r)?),
                 _ => r.skip_value()?,
             }
             Ok(())
@@ -289,14 +313,18 @@ impl MultiPlacementStructure {
             }
             Some(Some(format)) => format,
         };
-        if format != FORMAT {
-            return Err(PersistError::WrongFormat {
-                found: format.into_owned(),
-            });
-        }
+        let layout = match &*format {
+            FORMAT => Layout::Entries,
+            LEGACY_FORMAT => Layout::WithRows,
+            _ => {
+                return Err(PersistError::WrongFormat {
+                    found: format.into_owned(),
+                })
+            }
+        };
         let structure = structure
             .ok_or_else(|| PersistError::Envelope("missing `structure` member".to_owned()))?;
-        Ok(structure?)
+        Ok(structure.into_structure(layout)?)
     }
 
     /// Writes the compact envelope to a file **atomically** (temp file +
@@ -313,8 +341,8 @@ impl MultiPlacementStructure {
     }
 
     /// Reads and validates a structure from a file written by
-    /// [`MultiPlacementStructure::save_json`] (or any valid `mps-v1`
-    /// envelope).
+    /// [`MultiPlacementStructure::save_json`] (or any valid `mps-v3` or
+    /// `mps-v1` envelope).
     ///
     /// # Errors
     ///
@@ -325,9 +353,9 @@ impl MultiPlacementStructure {
         Self::from_json(&json)
     }
 
-    /// Serializes the structure into the mps-v2 binary artifact: the
+    /// Serializes the structure into the binary `mps-v3` artifact: the
     /// [`BIN_MAGIC`] + [`BIN_VERSION`] header followed by the
-    /// length-prefixed binary encoding of the same payload the JSON
+    /// length-prefixed binary encoding of the same members the JSON
     /// envelope carries.
     #[must_use]
     pub fn to_bin(&self) -> Vec<u8> {
@@ -339,11 +367,11 @@ impl MultiPlacementStructure {
         buf
     }
 
-    /// Loads a structure from an mps-v2 binary artifact, re-validating
-    /// everything exactly like [`MultiPlacementStructure::from_json`]:
-    /// magic and version, every field-level invariant, the shared
-    /// structural constructor, and the full Eq.-5 battery of
-    /// [`MultiPlacementStructure::check_invariants`].
+    /// Loads a structure from a binary artifact of version 3 or of the
+    /// legacy version 2, re-validating everything exactly like
+    /// [`MultiPlacementStructure::from_json`]: magic and version, every
+    /// field-level invariant, the shared structural constructor, and the
+    /// full Eq.-5 battery of [`MultiPlacementStructure::check_invariants`].
     ///
     /// # Errors
     ///
@@ -353,19 +381,23 @@ impl MultiPlacementStructure {
     /// structure fails the placement-level battery.
     pub fn from_bin(bytes: &[u8]) -> Result<Self, PersistError> {
         let mut dec = Decoder::new(bytes);
-        let version = dec.magic(BIN_MAGIC)?;
-        if version != BIN_VERSION {
-            return Err(PersistError::BinDecode(binfmt::malformed(format!(
-                "unsupported mps binary version {version} (this build reads {BIN_VERSION})"
-            ))));
-        }
-        let mps = MultiPlacementStructure::decode(&mut dec)?;
+        let layout = match dec.magic(BIN_MAGIC)? {
+            BIN_VERSION => Layout::Entries,
+            LEGACY_BIN_VERSION => Layout::WithRows,
+            version => {
+                return Err(PersistError::BinDecode(binfmt::malformed(format!(
+                    "unsupported mps binary version {version} \
+                     (this build reads {BIN_VERSION} and {LEGACY_BIN_VERSION})"
+                ))))
+            }
+        };
+        let mps = MultiPlacementStructure::decode_layout(&mut dec, layout)?;
         dec.finish()?;
         mps.check_invariants().map_err(PersistError::Invariant)?;
         Ok(mps)
     }
 
-    /// Writes the mps-v2 binary artifact to a file (conventionally
+    /// Writes the binary `mps-v3` artifact to a file (conventionally
     /// `<name>.mpsb`) **atomically** (temp file + fsync + rename), with
     /// the same crash-safety guarantee as
     /// [`MultiPlacementStructure::save_json`].
@@ -379,7 +411,8 @@ impl MultiPlacementStructure {
     }
 
     /// Reads and validates a structure from a file written by
-    /// [`MultiPlacementStructure::save_bin`].
+    /// [`MultiPlacementStructure::save_bin`] (or any valid binary
+    /// artifact of an accepted version).
     ///
     /// # Errors
     ///
@@ -391,10 +424,10 @@ impl MultiPlacementStructure {
     }
 
     /// Reads a structure from a file in either format, deciding by
-    /// content: a file opening with [`BIN_MAGIC`] is decoded as mps-v2
-    /// binary, anything else as the `mps-v1` JSON envelope. Both paths
-    /// run the full validation funnel, so a mixed artifact directory
-    /// needs no per-file configuration.
+    /// content: a file opening with [`BIN_MAGIC`] is decoded as a binary
+    /// artifact, anything else as a JSON envelope. Both paths run the
+    /// full validation funnel, so a mixed artifact directory needs no
+    /// per-file configuration.
     ///
     /// # Errors
     ///
@@ -406,7 +439,7 @@ impl MultiPlacementStructure {
             Self::from_bin(&bytes)
         } else {
             let json = std::str::from_utf8(&bytes).map_err(|e| {
-                PersistError::Envelope(format!("structure file is neither mps-v2 nor UTF-8: {e}"))
+                PersistError::Envelope(format!("structure file is neither binary nor UTF-8: {e}"))
             })?;
             Self::from_json(json)
         }
@@ -446,7 +479,7 @@ mod tests {
     fn envelope_roundtrips() {
         let mps = sample_structure();
         let json = mps.to_json();
-        assert!(json.starts_with("{\"format\":\"mps-v1\""));
+        assert!(json.starts_with("{\"format\":\"mps-v3\""));
         let back = MultiPlacementStructure::from_json(&json).unwrap();
         assert_eq!(back.placement_count(), 1);
         assert_eq!(back.floorplan(), mps.floorplan());
@@ -467,7 +500,7 @@ mod tests {
     #[test]
     fn wrong_format_is_rejected() {
         let mps = sample_structure();
-        let json = mps.to_json().replace("mps-v1", "mps-v0");
+        let json = mps.to_json().replace("mps-v3", "mps-v0");
         match MultiPlacementStructure::from_json(&json) {
             Err(PersistError::WrongFormat { found }) => assert_eq!(found, "mps-v0"),
             other => panic!("expected WrongFormat, got {other:?}"),
@@ -485,7 +518,7 @@ mod tests {
             Err(PersistError::Envelope(_))
         ));
         assert!(matches!(
-            MultiPlacementStructure::from_json("{\"format\":\"mps-v1\"}"),
+            MultiPlacementStructure::from_json("{\"format\":\"mps-v3\"}"),
             Err(PersistError::Envelope(_))
         ));
         assert!(matches!(
@@ -729,19 +762,19 @@ mod tests {
         let structure = serde_json::to_string(&mps).unwrap();
         let load = |json: String| MultiPlacementStructure::from_json(&json);
         let reordered = load(format!(
-            r#"{{"extra":[1,{{"x":null}}],"structure":{structure},"format":"mps-v1"}}"#
+            r#"{{"extra":[1,{{"x":null}}],"structure":{structure},"format":"mps-v3"}}"#
         ))
         .unwrap();
         assert_eq!(reordered.to_json(), mps.to_json());
         // A bad first `structure` or `format` is replaced by a good one.
         let replaced = load(format!(
-            r#"{{"format":7,"structure":{{"bounds":true}},"format":"mps-v1","structure":{structure}}}"#
+            r#"{{"format":7,"structure":{{"bounds":true}},"format":"mps-v3","structure":{structure}}}"#
         ))
         .unwrap();
         assert_eq!(replaced.to_json(), mps.to_json());
         // ... and a good first one by a bad one.
         let err = load(format!(
-            r#"{{"format":"mps-v1","structure":{structure},"structure":{{"bounds":true}}}}"#
+            r#"{{"format":"mps-v3","structure":{structure},"structure":{{"bounds":true}}}}"#
         ))
         .unwrap_err();
         assert!(matches!(err, PersistError::Decode(_)), "{err}");

@@ -9,6 +9,18 @@ use std::sync::OnceLock;
 /// The width row and the height row of every block, in block order.
 type Rows = (Vec<IntervalMap<u32>>, Vec<IntervalMap<u32>>);
 
+/// The artifact layouts a structure is read from.
+#[derive(Clone, Copy)]
+pub(crate) enum Layout {
+    /// `mps-v3`, in JSON and in binary version 3: bounds, floorplan,
+    /// entries and fallback. The rows are built from the entries.
+    Entries,
+    /// Legacy `mps-v1` JSON and binary version 2: the same members
+    /// followed by every row. The rows are required, kept, and compared
+    /// with the rows the entries derive.
+    WithRows,
+}
+
 /// The generate-once, query-many placement structure: the computational
 /// implementation of the function *M* (Eqs. 1 and 4).
 ///
@@ -66,8 +78,8 @@ pub struct MultiPlacementStructure {
     /// One width row per block (the `W_i` functions of Eq. 3) and one
     /// height row per block (the `H_i` functions), built from the live
     /// entries on first read and emptied by every change to them. A
-    /// loaded structure holds the rows it decoded, which
-    /// [`Self::check_invariants`] compares with the derived ones.
+    /// structure loaded from a legacy artifact holds the rows it decoded,
+    /// which [`Self::check_invariants`] compares with the derived ones.
     rows: OnceLock<Rows>,
     /// Backup template for uncovered space.
     fallback: Option<Template>,
@@ -90,30 +102,32 @@ impl MultiPlacementStructure {
 
     /// Reassembles a structure from decoded parts, re-validating the
     /// structural frame the decoders cannot express field-by-field:
-    /// non-empty bounds, one row pair per block, per-entry arity
-    /// agreement, and no row index pointing at a dead or missing entry.
-    /// Both deserializers (JSON and mps-v2 binary) funnel through here,
-    /// so the two load paths accept exactly the same structures. The
-    /// full Eq.-5 / legality battery is `check_invariants()`, which the
-    /// envelope loaders run on top of this.
+    /// non-empty bounds, per-entry arity agreement and, for the decoded
+    /// rows of a legacy artifact, one row pair per block and no row index
+    /// pointing at a dead or missing entry. Both deserializers (JSON and
+    /// binary) funnel through here, so the two load paths accept exactly
+    /// the same structures. The full Eq.-5 / legality battery is
+    /// `check_invariants()`, which the envelope loaders run on top of
+    /// this.
     pub(crate) fn from_parts(
         bounds: Vec<BlockRanges>,
         floorplan: Rect,
         entries: Vec<Option<StoredPlacement>>,
-        w_rows: Vec<IntervalMap<u32>>,
-        h_rows: Vec<IntervalMap<u32>>,
+        rows: Option<Rows>,
         fallback: Option<Template>,
     ) -> Result<Self, String> {
         let n = bounds.len();
         if n == 0 {
             return Err("structure must cover at least one block".to_owned());
         }
-        if w_rows.len() != n || h_rows.len() != n {
-            return Err(format!(
-                "row count mismatch: {n} blocks but {} width rows and {} height rows",
-                w_rows.len(),
-                h_rows.len()
-            ));
+        if let Some((w_rows, h_rows)) = &rows {
+            if w_rows.len() != n || h_rows.len() != n {
+                return Err(format!(
+                    "row count mismatch: {n} blocks but {} width rows and {} height rows",
+                    w_rows.len(),
+                    h_rows.len()
+                ));
+            }
         }
         for (i, entry) in entries.iter().enumerate() {
             if let Some(e) = entry {
@@ -126,7 +140,7 @@ impl MultiPlacementStructure {
             }
         }
         let is_live = |id: u32| entries.get(id as usize).is_some_and(|e| e.is_some());
-        for (rows, label) in [(&w_rows, "w"), (&h_rows, "h")] {
+        for (rows, label) in rows.iter().flat_map(|(w, h)| [(w, "w"), (h, "h")]) {
             for (i, row) in rows.iter().enumerate() {
                 for (_, ids) in row.iter() {
                     if let Some(&dead) = ids.iter().find(|&&id| !is_live(id)) {
@@ -156,7 +170,7 @@ impl MultiPlacementStructure {
             entries,
             log_volumes,
             live_count,
-            rows: OnceLock::from((w_rows, h_rows)),
+            rows: rows.map_or_else(OnceLock::new, OnceLock::from),
             fallback,
         })
     }
@@ -532,8 +546,9 @@ impl MultiPlacementStructure {
     /// where `C` is the number of entry pairs whose intervals overlap
     /// along that dimension).
     ///
-    /// 1. every row the structure holds (decoded rows, on a loaded one)
-    ///    equals the row derived from the live entries' boxes;
+    /// 1. every row the structure holds (decoded rows, on a structure
+    ///    loaded from a legacy artifact) equals the row derived from the
+    ///    live entries' boxes; a structure holding none builds them here;
     /// 2. live validity boxes are pairwise disjoint (Eq. 5);
     /// 3. every live entry is legal (no block overlap, inside the
     ///    floorplan) with all blocks at the box's upper corner;
@@ -673,58 +688,101 @@ mod serde_impls {
     use super::*;
     use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
 
+    // The `mps-v3` layout: the rows are derived from the entries, so they
+    // are not written. `live_count` is derived from `entries` too and
+    // recomputed on load.
     impl Serialize for MultiPlacementStructure {
         fn to_value(&self) -> Value {
             let mut map = Map::new();
             map.insert("bounds", self.bounds.to_value());
             map.insert("floorplan", self.floorplan.to_value());
-            // live_count is derived from `entries` and recomputed on load.
             map.insert("entries", self.entries.to_value());
-            let (w_rows, h_rows) = self.rows();
-            map.insert("w_rows", w_rows.to_value());
-            map.insert("h_rows", h_rows.to_value());
             map.insert("fallback", self.fallback.to_value());
             Value::Object(map)
         }
     }
 
-    // Hand-written: beyond field decoding, the structural frame must be
-    // coherent before any method can safely run — the shared
-    // `from_parts` constructor re-validates it (non-empty bounds, one
-    // row pair per block, per-entry arity agreement, no row index
-    // pointing at a dead or missing entry). The full Eq.-5 / legality
-    // check is `check_invariants()`, which the `mps-v1` envelope loader
-    // (`MultiPlacementStructure::from_json`) runs on top of this.
-    impl Deserialize for MultiPlacementStructure {
-        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-            let mut bounds = Field::new("bounds");
-            let mut floorplan = Field::new("floorplan");
-            let mut entries = Field::new("entries");
-            let mut w_rows = Field::new("w_rows");
-            let mut h_rows = Field::new("h_rows");
-            let mut fallback = Field::new("fallback");
+    /// A structure object's members as read, each decoded or holding its
+    /// data error. The envelope reads them before it may know its format
+    /// tag (members come in any order), and then assembles the layout the
+    /// tag names: the row members are required by [`Layout::WithRows`]
+    /// and ignored, like any unknown member, by [`Layout::Entries`].
+    pub(crate) struct Members {
+        bounds: Field<Vec<BlockRanges>>,
+        floorplan: Field<Rect>,
+        entries: Field<Vec<Option<StoredPlacement>>>,
+        w_rows: Field<Vec<IntervalMap<u32>>>,
+        h_rows: Field<Vec<IntervalMap<u32>>>,
+        fallback: Field<Option<Template>>,
+    }
+
+    impl Members {
+        /// Reads the next value's members.
+        ///
+        /// # Errors
+        ///
+        /// A syntax error anywhere in the value; data errors wait for
+        /// [`Members::into_structure`].
+        pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, Error> {
+            let mut members = Members {
+                bounds: Field::new("bounds"),
+                floorplan: Field::new("floorplan"),
+                entries: Field::new("entries"),
+                w_rows: Field::new("w_rows"),
+                h_rows: Field::new("h_rows"),
+                fallback: Field::new("fallback"),
+            };
             serde::read_object(r, |key, r| match key {
-                "bounds" => bounds.read(r),
-                "floorplan" => floorplan.read(r),
-                "entries" => entries.read(r),
-                "w_rows" => w_rows.read(r),
-                "h_rows" => h_rows.read(r),
-                "fallback" => fallback.read(r),
+                "bounds" => members.bounds.read(r),
+                "floorplan" => members.floorplan.read(r),
+                "entries" => members.entries.read(r),
+                "w_rows" => members.w_rows.read(r),
+                "h_rows" => members.h_rows.read(r),
+                "fallback" => members.fallback.read(r),
                 _ => r.skip_value(),
             })?;
+            Ok(members)
+        }
+
+        /// The structure these members form in `layout`. Beyond field
+        /// decoding, the structural frame must be coherent before any
+        /// method can safely run, so the shared `from_parts` constructor
+        /// re-validates it. The full Eq.-5 / legality check is
+        /// `check_invariants()`, which the envelope loader
+        /// (`MultiPlacementStructure::from_json`) runs on top of this.
+        ///
+        /// # Errors
+        ///
+        /// The first member's data error in layout order, a member the
+        /// layout requires that never appeared, or an incoherent frame.
+        pub(crate) fn into_structure(
+            self,
+            layout: Layout,
+        ) -> Result<MultiPlacementStructure, Error> {
             let owner = "MultiPlacementStructure";
-            MultiPlacementStructure::from_parts(
-                bounds.take(owner)?,
-                floorplan.take(owner)?,
-                entries.take(owner)?,
-                w_rows.take(owner)?,
-                h_rows.take(owner)?,
-                fallback.take(owner)?,
-            )
-            .map_err(Error::custom)
+            let bounds = self.bounds.take(owner)?;
+            let floorplan = self.floorplan.take(owner)?;
+            let entries = self.entries.take(owner)?;
+            let rows = match layout {
+                Layout::Entries => None,
+                Layout::WithRows => Some((self.w_rows.take(owner)?, self.h_rows.take(owner)?)),
+            };
+            let fallback = self.fallback.take(owner)?;
+            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows, fallback)
+                .map_err(Error::custom)
+        }
+    }
+
+    /// Reads the `mps-v3` layout.
+    impl Deserialize for MultiPlacementStructure {
+        fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+            Members::read(r)?.into_structure(Layout::Entries)
         }
     }
 }
+
+#[cfg(feature = "serde")]
+pub(crate) use serde_impls::Members;
 
 mod binfmt_impls {
     use super::*;
@@ -737,9 +795,8 @@ mod binfmt_impls {
     const MAX_BLOCKS: usize = 1 << 20;
     const MAX_ENTRIES: usize = 1 << 24;
 
-    // Field order mirrors the JSON key order; `live_count` is derived
-    // from `entries` and recomputed on decode, exactly like the JSON
-    // path.
+    // The `mps-v3` layout, in the JSON key order. `live_count` and the
+    // rows are derived from `entries`, exactly like the JSON path.
     impl Encode for MultiPlacementStructure {
         fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
             enc.seq(&self.bounds)?;
@@ -748,19 +805,21 @@ mod binfmt_impls {
             for entry in &self.entries {
                 enc.option(entry.as_ref())?;
             }
-            let (w_rows, h_rows) = self.rows();
-            enc.seq(w_rows)?;
-            enc.seq(h_rows)?;
             enc.option(self.fallback.as_ref())
         }
     }
 
-    // Validate-don't-trust: every per-type decoder re-runs its own
-    // invariants, and the shared `from_parts` constructor re-validates
-    // the structural frame — the same funnel the JSON deserializer goes
-    // through, so both formats accept exactly the same structures.
-    impl Decode for MultiPlacementStructure {
-        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
+    impl MultiPlacementStructure {
+        /// Decodes a binary artifact's payload in `layout`: the legacy
+        /// version-2 layout carries every row between the entries and the
+        /// fallback.
+        ///
+        /// Validate-don't-trust: every per-type decoder re-runs its own
+        /// invariants, and the shared `from_parts` constructor
+        /// re-validates the structural frame — the same funnel the JSON
+        /// deserializer goes through, so both encodings accept exactly
+        /// the same structures.
+        pub(crate) fn decode_layout(dec: &mut Decoder<'_>, layout: Layout) -> Result<Self, Error> {
             let bounds: Vec<BlockRanges> = dec.seq(MAX_BLOCKS, "structure bounds")?;
             let floorplan = Rect::decode(dec)?;
             let n_entries = dec.len(MAX_ENTRIES, "structure entries")?;
@@ -768,13 +827,23 @@ mod binfmt_impls {
             for _ in 0..n_entries {
                 entries.push(dec.option::<StoredPlacement>()?);
             }
-            let w_rows: Vec<IntervalMap<u32>> = dec.seq(MAX_BLOCKS, "structure w_rows")?;
-            let h_rows: Vec<IntervalMap<u32>> = dec.seq(MAX_BLOCKS, "structure h_rows")?;
+            let rows = match layout {
+                Layout::Entries => None,
+                Layout::WithRows => Some((
+                    dec.seq(MAX_BLOCKS, "structure w_rows")?,
+                    dec.seq(MAX_BLOCKS, "structure h_rows")?,
+                )),
+            };
             let fallback: Option<Template> = dec.option()?;
-            MultiPlacementStructure::from_parts(
-                bounds, floorplan, entries, w_rows, h_rows, fallback,
-            )
-            .map_err(malformed)
+            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows, fallback)
+                .map_err(malformed)
+        }
+    }
+
+    /// Reads the `mps-v3` layout.
+    impl Decode for MultiPlacementStructure {
+        fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
+            Self::decode_layout(dec, Layout::Entries)
         }
     }
 }

@@ -79,7 +79,9 @@ fn generated() -> Vec<MultiPlacementStructure> {
     out
 }
 
-/// The ways a corrupted artifact can break the rows or the boxes.
+/// The ways a corrupted artifact can break the rows or the boxes. A row
+/// corruption rebuilds the held row from the live entries with one
+/// entry's registration changed.
 #[derive(Debug, Clone, Copy)]
 enum Corruption {
     /// One segment of a held row loses one of its entry ids.
@@ -112,40 +114,69 @@ fn pick(mps: &MultiPlacementStructure, rng: &mut StdRng) -> (u32, usize, Axis, I
     )
 }
 
-/// One row held in the structure's cell, filled first if it is empty.
-fn row_mut(mps: &mut MultiPlacementStructure, block: usize, axis: Axis) -> &mut IntervalMap<u32> {
+/// Replaces one held row with the fold of `insert` over the live
+/// entries, entry `id` registered over `ranges` instead of its own
+/// interval: the row a damaged artifact would carry.
+fn misregister(
+    mps: &mut MultiPlacementStructure,
+    block: usize,
+    axis: Axis,
+    id: u32,
+    ranges: &[Interval],
+) {
+    let mut row = IntervalMap::new();
+    for (other, entry) in mps.iter() {
+        if other.0 == id {
+            for &range in ranges {
+                row.insert(range, id);
+            }
+        } else {
+            row.insert(axis_interval(&entry.dims_box, block, axis), other.0);
+        }
+    }
     mps.rows();
     let (w_rows, h_rows) = mps.rows.get_mut().expect("just filled");
     match axis {
-        Axis::Width => &mut w_rows[block],
-        Axis::Height => &mut h_rows[block],
+        Axis::Width => w_rows[block] = row,
+        Axis::Height => h_rows[block] = row,
     }
+}
+
+/// `iv` without `hole`, as the intervals left on either side.
+fn without(iv: Interval, hole: Interval) -> Vec<Interval> {
+    [(iv.lo(), hole.lo() - 1), (hole.hi() + 1, iv.hi())]
+        .into_iter()
+        .filter(|(lo, hi)| lo <= hi)
+        .map(|(lo, hi)| Interval::new(lo, hi))
+        .collect()
 }
 
 fn corrupt(mps: &mut MultiPlacementStructure, how: Corruption, rng: &mut StdRng) {
     let (id, block, axis, iv) = pick(mps, rng);
     match how {
         Corruption::DropId => {
-            let row = row_mut(mps, block, axis);
+            let row = match axis {
+                Axis::Width => mps.w_row(block),
+                Axis::Height => mps.h_row(block),
+            };
             let holding: Vec<Interval> = row
                 .iter()
                 .filter(|(_, ids)| ids.contains(&id))
                 .map(|(seg, _)| *seg)
                 .collect();
             let seg = holding[rng.random_range(0..holding.len())];
-            row.remove(seg, id);
+            misregister(mps, block, axis, id, &without(iv, seg));
         }
         Corruption::Split => {
             if iv.len() >= 3 {
                 let hole = rng.random_range(iv.lo() + 1..iv.hi());
-                row_mut(mps, block, axis).remove(Interval::new(hole, hole), id);
+                misregister(mps, block, axis, id, &without(iv, Interval::point(hole)));
             }
         }
         Corruption::Shift => {
             let by = if rng.random_bool(0.5) { 1 } else { -1 };
-            let row = row_mut(mps, block, axis);
-            row.remove(iv, id);
-            row.insert(Interval::new(iv.lo() + by, iv.hi() + by), id);
+            let shifted = Interval::new(iv.lo() + by, iv.hi() + by);
+            misregister(mps, block, axis, id, &[shifted]);
         }
         Corruption::DuplicateBox => {
             let copy = mps.entries[id as usize].clone().expect("picked a live id");

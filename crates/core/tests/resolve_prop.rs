@@ -90,7 +90,7 @@ fn reference_coverage(mps: &MultiPlacementStructure) -> f64 {
 }
 
 /// `coverage()` equals the recomputed sum to the bit, on the structure
-/// and on its JSON and mps-v2 round trips.
+/// and on its JSON and binary round trips.
 fn assert_cached_coverage_exact(mps: &MultiPlacementStructure) -> Result<(), TestCaseError> {
     let expected = reference_coverage(mps).to_bits();
     prop_assert_eq!(mps.coverage().to_bits(), expected);

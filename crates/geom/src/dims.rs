@@ -13,7 +13,7 @@
 //! shape.
 //!
 //! On the wire a `Dims` is indistinguishable from the raw vector: it
-//! serializes as the same `[[w, h], ...]` nested-array form the `mps-v1`
+//! serializes as the same `[[w, h], ...]` nested-array form the artifact
 //! envelope and the serve protocol have always used, so persisted
 //! artifacts and protocol clients are unaffected by the typed API.
 
@@ -294,7 +294,7 @@ mod serde_impls {
 
     // Wire-format transparent: a `Dims` is the same `[[w, h], ...]`
     // nested array a `Vec<(Coord, Coord)>` has always been, so the
-    // mps-v1 envelope and the serve protocol are unchanged by the typed
+    // artifact envelope and the serve protocol are unchanged by the typed
     // API.
     impl Serialize for Dims {
         fn to_value(&self) -> Value {

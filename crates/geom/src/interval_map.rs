@@ -15,12 +15,12 @@ use std::fmt;
 /// The paper's *Store Placement* routine "adds interval objects and splits
 /// others into two in order to keep the non-overlapping and ascending
 /// characteristics of the linked list of interval objects" — that is exactly
-/// what [`IntervalMap::insert`] does, and [`IntervalMap::remove`] is its
-/// inverse. A row is a pure function of the `(interval, index)` pairs
-/// registered in it, so the multi-placement structure does not update rows
-/// as it stores: it collects each row once from its stored placements
-/// (the one-sweep [`FromIterator`] impl), which builds the same row the
-/// inserts would. `insert` and `remove` stay as the incremental reference.
+/// what [`IntervalMap::insert`] does. A row is a pure function of the
+/// `(interval, index)` pairs registered in it, so the multi-placement
+/// structure does not update rows as it stores: it collects each row once
+/// from its stored placements (the one-sweep [`FromIterator`] impl), which
+/// builds the same row the inserts would. `insert` stays as the
+/// incremental reference.
 ///
 /// Adjacent intervals holding identical index sets are coalesced, so the row
 /// stays minimal.
@@ -35,9 +35,9 @@ use std::fmt;
 /// assert_eq!(row.query(3), &[7]);
 /// assert_eq!(row.query(7), &[7, 8]);
 /// assert_eq!(row.query(12), &[8]);
-/// row.remove(Interval::new(0, 9), 7);
-/// assert!(row.query(3).is_empty());
-/// let swept: IntervalMap<u32> = [(Interval::new(5, 14), 8)].into_iter().collect();
+/// let swept: IntervalMap<u32> = [(Interval::new(0, 9), 7), (Interval::new(5, 14), 8)]
+///     .into_iter()
+///     .collect();
 /// assert_eq!(swept, row);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
@@ -102,38 +102,18 @@ impl<T: Copy + Ord> IntervalMap<T> {
     /// stored placements whose validity boxes overlap a probe box.
     #[must_use]
     pub fn ids_overlapping(&self, range: Interval) -> Vec<T> {
-        let mut out: Vec<T> = Vec::new();
-        for (iv, ids) in self.overlapping_segments(range) {
-            debug_assert!(iv.overlaps(&range));
-            out.extend_from_slice(ids);
-        }
+        // The first segment that can overlap ends at or after `range.lo`.
+        let start = self
+            .segments
+            .partition_point(|(iv, _)| iv.hi() < range.lo());
+        let mut out: Vec<T> = self.segments[start..]
+            .iter()
+            .take_while(|(iv, _)| iv.lo() <= range.hi())
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Iterates over `(interval, indices)` segments intersecting `range`.
-    pub fn overlapping_segments(&self, range: Interval) -> impl Iterator<Item = (&Interval, &[T])> {
-        // First segment that could overlap: the one containing range.lo or
-        // the first starting after it.
-        let start = match self
-            .segments
-            .binary_search_by(|(iv, _)| iv.lo().cmp(&range.lo()))
-        {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => {
-                if self.segments[i - 1].0.contains(range.lo()) {
-                    i - 1
-                } else {
-                    i
-                }
-            }
-        };
-        self.segments[start..]
-            .iter()
-            .take_while(move |(iv, _)| iv.lo() <= range.hi())
-            .map(|(iv, ids)| (iv, ids.as_slice()))
     }
 
     /// Iterates over all `(interval, indices)` segments in ascending order
@@ -197,47 +177,6 @@ impl<T: Copy + Ord> IntervalMap<T> {
         }
         self.coalesce();
         debug_assert!(self.check_invariants().is_ok());
-    }
-
-    /// Removes `id` from every value in `range`; interval objects left with
-    /// no indices are dropped. Inverse of [`IntervalMap::insert`], used when
-    /// Resolve Overlaps shrinks a stored placement's validity interval.
-    pub fn remove(&mut self, range: Interval, id: T) {
-        self.split_boundary(range.lo());
-        self.split_boundary(range.hi() + 1);
-        let mut idx = self.first_segment_at_or_after(range.lo());
-        while idx < self.segments.len() && self.segments[idx].0.lo() <= range.hi() {
-            let (iv, ids) = &mut self.segments[idx];
-            debug_assert!(iv.hi() <= range.hi(), "boundary split failed");
-            if let Ok(pos) = ids.binary_search(&id) {
-                ids.remove(pos);
-            }
-            if ids.is_empty() {
-                self.segments.remove(idx);
-            } else {
-                idx += 1;
-            }
-        }
-        self.coalesce();
-        debug_assert!(self.check_invariants().is_ok());
-    }
-
-    /// The full interval set over which `id` is registered, as a sorted
-    /// vector of maximal disjoint intervals.
-    #[must_use]
-    pub fn ranges_of(&self, id: T) -> Vec<Interval> {
-        let mut out: Vec<Interval> = Vec::new();
-        for (iv, ids) in &self.segments {
-            if ids.binary_search(&id).is_ok() {
-                match out.last_mut() {
-                    Some(last) if last.adjacent(iv) || last.overlaps(iv) => {
-                        *last = last.hull(iv);
-                    }
-                    _ => out.push(*iv),
-                }
-            }
-        }
-        out
     }
 
     /// Total number of integer points covered by at least one interval.
@@ -400,19 +339,12 @@ impl<T: Copy + Ord> Extend<(Interval, T)> for IntervalMap<T> {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::*;
-    use serde::{Deserialize, Error, Field, Map, Reader, Serialize, Value};
+    use serde::{Deserialize, Error, Field, Reader};
 
-    impl<T: Serialize> Serialize for IntervalMap<T> {
-        fn to_value(&self) -> Value {
-            let mut map = Map::new();
-            map.insert("segments", self.segments.to_value());
-            Value::Object(map)
-        }
-    }
-
-    // Hand-written so the row invariants (ascending, non-overlapping,
-    // sorted non-empty index arrays) are re-validated on load instead of
-    // trusting the input.
+    // Read only: rows are stored by the legacy `mps-v1` artifact layout,
+    // which no writer produces any more. Hand-written so the row
+    // invariants (ascending, non-overlapping, sorted non-empty index
+    // arrays) are re-validated on load instead of trusting the input.
     impl<T: Deserialize + Copy + Ord> Deserialize for IntervalMap<T> {
         fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
             let mut segments = Field::<Vec<(Interval, Vec<T>)>>::new("segments");
@@ -432,8 +364,7 @@ mod serde_impls {
 
 mod binfmt_impls {
     use super::*;
-    use binfmt::{malformed, Decode, Decoder, Encode, Encoder, Error};
-    use std::io::Write;
+    use binfmt::{malformed, Decode, Decoder, Error};
 
     /// Allocation caps for decoded rows. A row over a coordinate range
     /// of millions of grid units cannot exceed a few thousand segments
@@ -441,23 +372,9 @@ mod binfmt_impls {
     const MAX_SEGMENTS: usize = 1 << 24;
     const MAX_IDS_PER_SEGMENT: usize = 1 << 24;
 
-    impl Encode for IntervalMap<u32> {
-        fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> std::io::Result<()> {
-            enc.varint(self.segments.len() as u64)?;
-            for (iv, ids) in &self.segments {
-                iv.encode(enc)?;
-                enc.varint(ids.len() as u64)?;
-                for &id in ids {
-                    enc.varint(u64::from(id))?;
-                }
-            }
-            Ok(())
-        }
-    }
-
-    // The row invariants (ascending, non-overlapping, sorted non-empty
-    // index arrays) are re-validated on decode, exactly like the JSON
-    // path.
+    // Read only, for the legacy version-2 binary layout. The row
+    // invariants (ascending, non-overlapping, sorted non-empty index
+    // arrays) are re-validated on decode, exactly like the JSON path.
     impl Decode for IntervalMap<u32> {
         fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
             let n = dec.len(MAX_SEGMENTS, "IntervalMap segments")?;
@@ -544,7 +461,10 @@ mod tests {
         row.insert(iv(10, 14), 1);
         assert_eq!(row.segment_count(), 2);
         assert!(row.query(7).is_empty());
-        assert_eq!(row.ranges_of(1), vec![iv(0, 4), iv(10, 14)]);
+        assert_eq!(
+            row.as_segments(),
+            [(iv(0, 4), vec![1]), (iv(10, 14), vec![1])]
+        );
     }
 
     #[test]
@@ -557,7 +477,14 @@ mod tests {
         assert_eq!(row.query(6), &[3]);
         assert_eq!(row.query(11), &[2, 3]);
         row.check_invariants().unwrap();
-        assert_eq!(row.ranges_of(3), vec![iv(2, 12)]);
+        let segments = [
+            (iv(0, 1), vec![1]),
+            (iv(2, 4), vec![1, 3]),
+            (iv(5, 9), vec![3]),
+            (iv(10, 12), vec![2, 3]),
+            (iv(13, 14), vec![2]),
+        ];
+        assert_eq!(row.as_segments(), segments);
     }
 
     #[test]
@@ -574,54 +501,7 @@ mod tests {
         let mut row = IntervalMap::new();
         row.insert(iv(0, 4), 1u32);
         row.insert(iv(5, 9), 1);
-        assert_eq!(row.segment_count(), 1);
-        assert_eq!(row.ranges_of(1), vec![iv(0, 9)]);
-    }
-
-    #[test]
-    fn remove_entire_range_drops_segment() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 9), 1u32);
-        row.remove(iv(0, 9), 1);
-        assert!(row.is_empty());
-    }
-
-    #[test]
-    fn partial_remove_shrinks() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 9), 1u32);
-        row.remove(iv(0, 4), 1);
-        assert!(row.query(3).is_empty());
-        assert_eq!(row.query(6), &[1]);
-        assert_eq!(row.ranges_of(1), vec![iv(5, 9)]);
-    }
-
-    #[test]
-    fn middle_remove_forks_range() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 20), 1u32);
-        row.remove(iv(8, 12), 1);
-        assert_eq!(row.ranges_of(1), vec![iv(0, 7), iv(13, 20)]);
-        row.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_keeps_other_ids() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 9), 1u32);
-        row.insert(iv(0, 9), 2);
-        row.remove(iv(0, 9), 1);
-        assert_eq!(row.query(5), &[2]);
-    }
-
-    #[test]
-    fn remove_nonexistent_is_noop() {
-        let mut row = IntervalMap::new();
-        row.insert(iv(0, 9), 1u32);
-        let before = row.clone();
-        row.remove(iv(0, 9), 99);
-        row.remove(iv(100, 200), 1);
-        assert_eq!(row, before);
+        assert_eq!(row.as_segments(), [(iv(0, 9), vec![1])]);
     }
 
     #[test]
@@ -654,6 +534,11 @@ mod tests {
         assert_eq!(open_ended.as_segments(), segments);
     }
 
+    /// Registrations come and go the way a structure's entries do: each
+    /// step stores a new one or drops an earlier one, and the row is
+    /// collected afresh. It must keep its invariants, equal the fold of
+    /// `insert` over the live registrations, and answer like a naive
+    /// point-wise model.
     #[test]
     fn stress_random_inserts_removals_preserve_invariants() {
         // Deterministic pseudo-random sequence without pulling in `rand`.
@@ -664,38 +549,35 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut live: Vec<(Interval, u32)> = Vec::new();
         let mut row: IntervalMap<u32> = IntervalMap::new();
-        let mut reference: Vec<(Interval, u32, bool)> = Vec::new();
         for step in 0..500 {
-            let lo = (next() % 100) as Coord;
-            let hi = lo + (next() % 30) as Coord;
-            let id = (next() % 10) as u32;
-            let range = iv(lo, hi);
-            if next() % 3 == 0 {
-                row.remove(range, id);
-                reference.push((range, id, false));
+            if !live.is_empty() && next() % 3 == 0 {
+                let k = (next() % live.len() as u64) as usize;
+                live.swap_remove(k);
             } else {
-                row.insert(range, id);
-                reference.push((range, id, true));
+                let lo = (next() % 100) as Coord;
+                let hi = lo + (next() % 30) as Coord;
+                live.push((iv(lo, hi), (next() % 10) as u32));
             }
+            row = live.iter().copied().collect();
             row.check_invariants()
                 .unwrap_or_else(|e| panic!("invariant broken at step {step}: {e}"));
+            if step % 50 == 0 {
+                let mut inserted = IntervalMap::new();
+                inserted.extend(live.iter().copied());
+                assert_eq!(row, inserted, "sweep and inserts differ at step {step}");
+            }
         }
         // Cross-check membership point-by-point against a naive model.
         for v in 0..140 {
-            let mut expect: Vec<u32> = Vec::new();
-            for &(range, id, add) in &reference {
-                if range.contains(v) {
-                    if add {
-                        if !expect.contains(&id) {
-                            expect.push(id);
-                        }
-                    } else {
-                        expect.retain(|&e| e != id);
-                    }
-                }
-            }
+            let mut expect: Vec<u32> = live
+                .iter()
+                .filter(|(range, _)| range.contains(v))
+                .map(|&(_, id)| id)
+                .collect();
             expect.sort_unstable();
+            expect.dedup();
             assert_eq!(row.query(v), expect.as_slice(), "mismatch at value {v}");
         }
     }

@@ -128,21 +128,22 @@ proptest! {
     // ------------------------------------------------------------------
 
     #[test]
-    fn interval_map_ranges_of_roundtrip(
+    fn interval_map_single_id_rows_are_maximal_runs(
         ranges in prop::collection::vec((0i64..60, 0i64..30), 1..10),
     ) {
         let mut map: IntervalMap<u32> = IntervalMap::new();
         for &(lo, len) in &ranges {
             map.insert(Interval::new(lo, lo + len), 1);
         }
-        // ranges_of(1) is a minimal disjoint cover of all inserted points.
-        let merged = map.ranges_of(1);
-        for w in merged.windows(2) {
-            prop_assert!(w[0].hi() + 1 < w[1].lo(), "not maximal/disjoint: {:?}", merged);
+        // With one id, the segments are a minimal disjoint cover of all
+        // inserted points: no two of them touch.
+        let segments = map.as_segments();
+        for w in segments.windows(2) {
+            prop_assert!(w[0].0.hi() + 1 < w[1].0.lo(), "not maximal/disjoint: {:?}", map);
         }
         for &(lo, len) in &ranges {
             for v in lo..=(lo + len) {
-                prop_assert!(merged.iter().any(|m| m.contains(v)));
+                prop_assert_eq!(map.query(v), &[1]);
             }
         }
         map.check_invariants().unwrap();

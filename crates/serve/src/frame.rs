@@ -28,14 +28,14 @@
 //!
 //! The `kind = 1` payload is a varint count followed by one varint per
 //! answer: `0` encodes a `null` (uncovered) answer, `id + 1` encodes
-//! placement id `id` — the same LEB128 varints as the `mps-v2` artifact
+//! placement id `id` — the same LEB128 varints as the binary artifact
 //! format (see `vendor/binfmt`).
 
 use binfmt::{Decoder, Encoder};
 use mps_core::PlacementId;
 
 /// First four bytes of every frame. Distinct from `{` (JSON lines) and
-/// from the `mps-v2` artifact magic `MPSB`.
+/// from the binary artifact magic `MPSB`.
 pub const MAGIC: [u8; 4] = *b"MPSF";
 
 /// The frame layout version this build speaks.

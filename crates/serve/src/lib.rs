@@ -13,7 +13,7 @@
 //!   Eq. 4), **zero heap allocation per query**, bit-identical to
 //!   [`mps_core::MultiPlacementStructure::query`] (cross-checked on every
 //!   load). Every served structure uses this one layout.
-//! * [`StructureRegistry`] — the set of persisted `mps-v1` artifacts a
+//! * [`StructureRegistry`] — the set of persisted artifacts a
 //!   server answers for, loaded from a directory and hot-swapped behind
 //!   an `Arc`: readers take lock-free snapshots; a reload swaps the whole
 //!   set atomically while in-flight queries finish on the old one.

@@ -8,15 +8,16 @@
 //! mps-serve convert <IN> <OUT>
 //! ```
 //!
-//! Loads every `*.json` (`mps-v1` JSON envelope) and `*.mpsb`
-//! (`mps-v2` binary) artifact in `ARTIFACT_DIR` — mixed freely, format
-//! detected per file — re-validating each envelope and cross-checking
+//! Loads every `*.json` (JSON envelope) and `*.mpsb` (binary) artifact
+//! in `ARTIFACT_DIR` — the `mps-v3` layout or a legacy one (`mps-v1`
+//! JSON, binary version 2), mixed freely, format detected per file —
+//! re-validating each envelope and cross-checking
 //! the compiled query index against the structure's own query path,
 //! then answers one JSON request per stdin line with one JSON response
 //! per stdout line, in request order (`batch_query` may opt into a
 //! binary response frame with `"encoding":"bin"`). `convert` re-encodes
-//! one artifact between the two formats, direction chosen by the output
-//! extension. With `--tcp PORT` the same protocol is additionally
+//! one artifact between the two encodings of `mps-v3`, direction chosen
+//! by the output extension; given a legacy artifact, it migrates it. With `--tcp PORT` the same protocol is additionally
 //! served on `127.0.0.1:PORT` with pipelining, connections owned by
 //! `--shards N` shard event loops (default: one per core). TCP needs a
 //! unix readiness backend (epoll on Linux, `poll(2)` elsewhere); without
@@ -66,8 +67,8 @@ const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] 
                      [--max-connections N] [--cache-entries N] [--cache-shards N]\n\
                      \x20                [--telemetry on|off] [--refine on|off] \
                      [--refine-interval SECS]\n\
-                     \x20      mps-serve convert <IN> <OUT>   (artifact format by extension: \
-                     .json = mps-v1, .mpsb = mps-v2)";
+                     \x20      mps-serve convert <IN> <OUT>   (writes mps-v3, encoding by \
+                     extension: .json = JSON, .mpsb = binary; reads mps-v1 and binary v2 too)";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -75,11 +76,12 @@ fn usage() -> ExitCode {
 }
 
 /// `mps-serve convert <IN> <OUT>`: re-encode one artifact between the
-/// mps-v1 JSON envelope and the mps-v2 binary format. The input format
-/// is sniffed from the file content; the output format follows the
-/// output extension (`.mpsb` = binary, anything else = JSON). Both
-/// directions run the full validation funnel on load, so a convert is
-/// also a verification pass.
+/// JSON and the binary encoding of the `mps-v3` layout. The input format
+/// is sniffed from the file content, and may be a legacy `mps-v1` JSON
+/// or binary version-2 artifact, which is thereby migrated; the output
+/// encoding follows the output extension (`.mpsb` = binary, anything
+/// else = JSON). Both directions run the full validation funnel on
+/// load, so a convert is also a verification pass.
 fn convert(input: &str, output: &str) -> ExitCode {
     let structure = match MultiPlacementStructure::load_auto(input) {
         Ok(s) => s,
@@ -103,9 +105,9 @@ fn convert(input: &str, output: &str) -> ExitCode {
     eprintln!(
         "mps-serve: converted {input} -> {output} ({})",
         if binary {
-            "mps-v2 binary"
+            "mps-v3 binary"
         } else {
-            "mps-v1 JSON"
+            "mps-v3 JSON"
         }
     );
     ExitCode::SUCCESS

@@ -1,6 +1,7 @@
-//! The structure registry: persisted artifacts (`mps-v1` JSON or
-//! `mps-v2` binary, freely mixed in one directory) loaded, compiled, and
-//! hot-swapped behind an `Arc`.
+//! The structure registry: persisted artifacts (`mps-v3` in JSON or
+//! binary, or a legacy `mps-v1` JSON or version-2 binary artifact,
+//! freely mixed in one directory) loaded, compiled, and hot-swapped
+//! behind an `Arc`.
 //!
 //! Serving follows the paper's *generate once, use everywhere* economics:
 //! structures are generated (and `--save`d) elsewhere; the serving
@@ -45,7 +46,7 @@ pub(crate) fn load_probe_budget(segments: usize) -> usize {
 pub enum ServeError {
     /// Reading the artifact directory failed.
     Io(std::io::Error),
-    /// One artifact failed to load or validate as an `mps-v1` envelope.
+    /// One artifact failed to load or validate.
     Load {
         /// The offending artifact file.
         path: PathBuf,
@@ -132,9 +133,10 @@ pub struct ServedStructure {
 }
 
 impl ServedStructure {
-    /// Loads an artifact in either persisted format (`mps-v1` JSON or
-    /// `mps-v2` binary, auto-detected by content), re-validating every
-    /// invariant, and compiles its query index, cross-checking the
+    /// Loads an artifact in either encoding (JSON or binary, of the
+    /// current or a legacy layout, auto-detected by content),
+    /// re-validating every invariant, and compiles its query index,
+    /// cross-checking the
     /// compiled plan against the interpretive path before the structure
     /// is ever served.
     ///
@@ -497,8 +499,8 @@ fn scan_dir(dir: &Path) -> Result<HashMap<String, Arc<ServedStructure>>, ServeEr
     let mut map = HashMap::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        // A directory may mix formats freely: `.json` carries the mps-v1
-        // envelope, `.mpsb` the mps-v2 binary artifact. The loader
+        // A directory may mix formats freely: `.json` carries a JSON
+        // envelope, `.mpsb` a binary artifact. The loader
         // dispatches on file *content* (magic sniff), so a mislabeled
         // file fails validation instead of being skipped silently.
         if !path.is_file() || path.extension().is_none_or(|e| e != "json" && e != "mpsb") {

@@ -1,6 +1,6 @@
 //! Process-level tests of the real `mps-serve` binary: the oversized
 //! request-line defense over actual TCP, and the `convert` subcommand
-//! round-tripping artifacts between `mps-v1` JSON and `mps-v2` binary.
+//! round-tripping artifacts between the JSON and binary encodings.
 #![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
@@ -150,7 +150,7 @@ fn convert_subcommand_roundtrips_both_directions() {
         "JSON -> binary -> JSON must re-serialize byte-identically"
     );
     let binary = std::fs::read(&bin_path).unwrap();
-    assert!(binary.starts_with(b"MPSB"), "the binary artifact is mps-v2");
+    assert!(binary.starts_with(b"MPSB"), "the artifact is binary");
     assert!(
         binary.len() * 3 <= original.len(),
         "binary should be at least 3x smaller ({} vs {} bytes)",

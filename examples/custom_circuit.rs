@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Persist and reload (generate once, use everywhere) --------
-    // The structure is written as a versioned `mps-v1` JSON envelope and
+    // The structure is written as a versioned `mps-v3` JSON envelope and
     // read back through the validating loader: `load_json` re-checks the
     // format tag and every Eq.-5 invariant, so a corrupt or stale file
     // surfaces as an error here instead of garbage floorplans later.

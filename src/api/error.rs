@@ -1,8 +1,8 @@
 //! The unified error hierarchy of the facade.
 //!
 //! Every stage of the workflow has its own precise error type —
-//! [`GenerateError`] from generation, [`PersistError`] from the `mps-v1`
-//! envelope, [`InvariantError`] from the Eq.-5 battery, [`ServeError`]
+//! [`GenerateError`] from generation, [`PersistError`] from the artifact
+//! loaders, [`InvariantError`] from the Eq.-5 battery, [`ServeError`]
 //! from the registry — and code composing the stages used to juggle all
 //! of them. [`MpsError`] is the sum type the facade speaks: every public
 //! fallible function in [`crate::api`] returns `Result<_, MpsError>`,
@@ -126,7 +126,7 @@ impl std::error::Error for QueryError {
 pub enum MpsError {
     /// One-time structure generation failed.
     Generate(GenerateError),
-    /// Loading or saving an `mps-v1` artifact failed.
+    /// Loading or saving an artifact failed.
     Persist(PersistError),
     /// A structure violates the Eq.-5 invariant battery.
     Invariant(InvariantError),

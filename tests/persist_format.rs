@@ -1,20 +1,33 @@
-//! Format-stability and rejection tests for the `mps-v1` persistence
-//! envelope.
+//! Format-stability, migration and rejection tests for the persisted
+//! artifact.
 //!
-//! The committed golden fixture (`tests/fixtures/circ02_mps.json`) pins
-//! the on-disk format: if a change to the serializers alters what the
-//! bytes mean, these tests fail in CI instead of silently orphaning every
-//! structure users have saved. The malformed-input battery asserts the
-//! validate-don't-trust contract of the loader: bad input of any kind is
-//! a typed `Err`, never a panic and never a quietly corrupt structure.
+//! The committed golden fixture (`tests/fixtures/circ02_mps.json`, the
+//! `mps-v3` JSON envelope) pins the on-disk format: if a change to the
+//! serializers alters what the bytes mean, these tests fail in CI instead
+//! of silently orphaning every structure users have saved. Beside it lie
+//! the same structure in the two legacy layouts, which also store the
+//! interval rows: `circ02_mps.v1.json` (`mps-v1` JSON) and
+//! `circ02_mps.v2.mpsb` (binary version 2). They were written by the last
+//! build that wrote those layouts and must keep loading. The
+//! malformed-input battery asserts the validate-don't-trust contract of
+//! the loader: bad input of any kind is a typed `Err`, never a panic and
+//! never a quietly corrupt structure.
 #![cfg(feature = "serde")]
 
 use analog_mps::mps::{
-    GeneratorConfig, MpsGenerator, MultiPlacementStructure, PersistError, PlacementId,
+    GeneratorConfig, InvariantError, MpsGenerator, MultiPlacementStructure, PersistError,
+    PlacementId,
 };
 use analog_mps::netlist::benchmarks;
+use analog_mps::serve::StructureRegistry;
 
 const FIXTURE: &str = include_str!("fixtures/circ02_mps.json");
+
+/// The fixture's structure as the legacy `mps-v1` JSON envelope.
+const LEGACY_JSON: &str = include_str!("fixtures/circ02_mps.v1.json");
+
+/// The fixture's structure as a legacy version-2 binary artifact.
+const LEGACY_BIN: &[u8] = include_bytes!("fixtures/circ02_mps.v2.mpsb");
 
 /// The generation recipe behind the committed fixture. Kept callable so
 /// `regenerate_golden_fixture` (ignored) can rewrite the file after an
@@ -98,11 +111,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// (benchmark, live placements, FNV-1a of `to_json()`) for the
 /// multi-start recipe in `multi_start_generation_still_matches_hashes`.
-/// Recorded before Resolve Overlaps switched to the first-overlap scan,
-/// so a match shows that the switch changed no generated structure.
+/// Re-recorded when the rows left the artifact (`mps-v3`); the
+/// structures are the ones recorded before Resolve Overlaps switched to
+/// the first-overlap scan.
 const MULTI_START_PINS: &[(&str, usize, u64)] = &[
-    ("tso-cascode", 30, 0xa773_3edc_63a3_e570),
-    ("benchmark24", 24, 0x549d_ab29_361c_b6c0),
+    ("tso-cascode", 30, 0x7044_7d07_160d_747c),
+    ("benchmark24", 24, 0x100c_1ebc_2a58_bc62),
 ];
 
 #[test]
@@ -175,7 +189,8 @@ fn truncated_json_errors_cleanly() {
 
 #[test]
 fn wrong_format_version_is_rejected() {
-    let bumped = FIXTURE.replace("\"mps-v1\"", "\"mps-v2\"");
+    // `mps-v2` named the legacy binary encoding, never a JSON tag.
+    let bumped = FIXTURE.replace("\"mps-v3\"", "\"mps-v2\"");
     match MultiPlacementStructure::from_json(&bumped) {
         Err(PersistError::WrongFormat { found }) => assert_eq!(found, "mps-v2"),
         other => panic!("expected WrongFormat, got {other:?}"),
@@ -188,30 +203,41 @@ fn wrong_format_version_is_rejected() {
 
 #[test]
 fn structural_corruption_is_rejected_not_panicked() {
-    // Field-level surgery on the (valid) fixture text. Every mutant must
+    // Field-level surgery on the (valid) fixture texts. Every mutant must
     // come back as Err — none may panic, none may load.
-    type Mutation = (&'static str, Box<dyn Fn(&str) -> String>);
+    type Mutation = (&'static str, &'static str, Box<dyn Fn(&str) -> String>);
     let mutations: Vec<Mutation> = vec![
         (
             "inverted interval",
+            FIXTURE,
             Box::new(|s: &str| s.replacen("\"lo\": 18", "\"lo\": 999999", 1)),
         ),
         (
             "negative floorplan extent",
+            FIXTURE,
             Box::new(|s: &str| s.replacen("\"w\": 231", "\"w\": -231", 1)),
         ),
         (
             "missing member",
-            Box::new(|s: &str| s.replacen("\"w_rows\"", "\"w_rows_gone\"", 1)),
+            FIXTURE,
+            Box::new(|s: &str| s.replacen("\"entries\"", "\"entries_gone\"", 1)),
         ),
         (
             "bad member type",
+            FIXTURE,
             Box::new(|s: &str| s.replacen("\"entries\": [", "\"entries\": 3, \"x\": [", 1)),
+        ),
+        (
+            // The legacy layout requires its rows.
+            "missing member",
+            LEGACY_JSON,
+            Box::new(|s: &str| s.replacen("\"w_rows\"", "\"w_rows_gone\"", 1)),
         ),
         (
             // Block 0's first width segment, [18, 18], moves down one unit:
             // still a well-formed row, but not the one the entries derive.
             "row registration shifted",
+            LEGACY_JSON,
             Box::new(|s: &str| {
                 let (head, rows) = s.split_at(s.find("\"w_rows\"").expect("fixture has rows"));
                 let point = |v: i32| format!("\"lo\": {v},\n              \"hi\": {v}");
@@ -219,14 +245,108 @@ fn structural_corruption_is_rejected_not_panicked() {
             }),
         ),
     ];
-    for (label, mutate) in mutations {
-        let mutant = mutate(FIXTURE);
-        assert_ne!(mutant, FIXTURE, "mutation `{label}` must change the text");
+    for (label, text, mutate) in mutations {
+        let mutant = mutate(text);
+        assert_ne!(mutant, text, "mutation `{label}` must change the text");
         assert!(
             MultiPlacementStructure::from_json(&mutant).is_err(),
             "mutation `{label}` must be rejected"
         );
     }
+}
+
+/// The binary twins of the legacy row mutations above.
+#[test]
+fn legacy_binary_row_corruption_is_rejected() {
+    let current = MultiPlacementStructure::from_json(FIXTURE)
+        .unwrap()
+        .to_bin();
+    // Where the rows begin: the legacy layout is the current one with the
+    // row sections between the entries and the fallback, so past the
+    // 6-byte header the two encodings agree up to there.
+    let rows = 6 + current[6..]
+        .iter()
+        .zip(&LEGACY_BIN[6..])
+        .take_while(|(a, b)| a == b)
+        .count();
+    // Missing rows: the version still says 2, but the row sections are
+    // gone, so the decoder reads the fallback as rows.
+    let mut missing = LEGACY_BIN[..rows].to_vec();
+    missing.extend_from_slice(&current[rows..]);
+    assert!(matches!(
+        MultiPlacementStructure::from_bin(&missing),
+        Err(PersistError::BinDecode(_))
+    ));
+    // Block 0's first width segment, [18, 18] (zigzag varints 36, 36),
+    // moves down to [17, 17]: after the row count (6 blocks) and the
+    // segment count, both one byte.
+    let mut shifted = LEGACY_BIN.to_vec();
+    assert_eq!(
+        &shifted[rows + 2..rows + 4],
+        &[36, 36],
+        "block 0's first segment"
+    );
+    shifted[rows + 2..rows + 4].copy_from_slice(&[34, 34]);
+    match MultiPlacementStructure::from_bin(&shifted) {
+        Err(PersistError::Invariant(InvariantError::Row { block: 0, .. })) => {}
+        other => panic!("expected a row mismatch in block 0, got {other:?}"),
+    }
+}
+
+/// Each legacy fixture loads, answers the fixed probes, and re-saves to
+/// exactly the current fixture, in both encodings.
+#[test]
+fn legacy_fixtures_load_and_resave_as_the_current_fixture() {
+    let current = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
+    let legacy = [
+        (
+            "mps-v1 JSON",
+            MultiPlacementStructure::from_json(LEGACY_JSON),
+        ),
+        (
+            "binary version 2",
+            MultiPlacementStructure::from_bin(LEGACY_BIN),
+        ),
+    ];
+    for (label, loaded) in legacy {
+        let mps = loaded.unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(mps.placement_count(), EXPECTED_PLACEMENTS, "{label}");
+        for (dims, expected) in fixed_probes() {
+            assert_eq!(mps.query(&dims), expected, "{label}: probe {dims:?}");
+        }
+        assert_eq!(mps.to_json_pretty(), FIXTURE, "{label}: JSON re-save");
+        assert_eq!(mps.to_bin(), current.to_bin(), "{label}: binary re-save");
+    }
+}
+
+/// A serving directory may hold every accepted layout at once: the
+/// registry opens all four files and serves each alike.
+#[test]
+fn a_serving_directory_mixing_every_layout_answers_alike() {
+    let dir = std::env::temp_dir().join(format!("mps-persist-layouts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let current = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
+    std::fs::write(dir.join("circ02_v1.json"), LEGACY_JSON).unwrap();
+    std::fs::write(dir.join("circ02_v2.mpsb"), LEGACY_BIN).unwrap();
+    std::fs::write(dir.join("circ02_v3.json"), FIXTURE).unwrap();
+    std::fs::write(dir.join("circ02_v3b.mpsb"), current.to_bin()).unwrap();
+
+    let registry = StructureRegistry::open(&dir).expect("every layout opens");
+    let names = ["circ02_v1", "circ02_v2", "circ02_v3", "circ02_v3b"];
+    assert_eq!(registry.names(), names);
+    for name in names {
+        let served = registry.get(name).expect("registered");
+        assert_eq!(served.structure().to_json(), current.to_json(), "{name}");
+        for (dims, expected) in fixed_probes() {
+            assert_eq!(served.index().query(&dims), expected, "{name}: {dims:?}");
+        }
+        served
+            .index()
+            .verify_against(&current, 1000, 0x1A_7075)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -255,15 +375,13 @@ fn eq5_violating_input_is_rejected() {
         }
     }
     let mut envelope = serde_json::Map::new();
-    envelope.insert("format", serde_json::Value::String("mps-v1".to_owned()));
+    envelope.insert("format", serde_json::Value::String("mps-v3".to_owned()));
     envelope.insert("structure", serde_json::Value::Object(new_structure));
     let json = serde_json::to_string(&serde_json::Value::Object(envelope)).unwrap();
 
     match MultiPlacementStructure::from_json(&json) {
-        // The duplicated entry is not registered in the rows, so either
-        // the row-consistency or the box-disjointness invariant fires —
-        // both are Invariant-class rejections.
-        Err(PersistError::Invariant(_)) => {}
+        // The duplicated entry's box overlaps its twin's.
+        Err(PersistError::Invariant(InvariantError::BoxOverlap { .. })) => {}
         other => panic!("expected Invariant error, got {other:?}"),
     }
 }
@@ -288,7 +406,7 @@ fn wrong_arity_entries_are_rejected() {
         }
     }
     let mut envelope = serde_json::Map::new();
-    envelope.insert("format", serde_json::Value::String("mps-v1".to_owned()));
+    envelope.insert("format", serde_json::Value::String("mps-v3".to_owned()));
     envelope.insert("structure", serde_json::Value::Object(new_structure));
     let json = serde_json::to_string(&serde_json::Value::Object(envelope)).unwrap();
     assert!(MultiPlacementStructure::from_json(&json).is_err());

@@ -1,15 +1,18 @@
 //! Deterministic mutation fuzz of both artifact loaders.
 //!
 //! Every mutant of the golden fixture (`tests/fixtures/circ02_mps.json`,
-//! pretty and compact) and of its mps-v2 encoding must load to `Ok` or
-//! to a typed `PersistError` of the loader's own classes — never panic.
-//! A mutant that loads must re-encode to bytes that load back to the
-//! same bytes. Mutants that only reorder or repeat object members must
-//! load to the fixture itself: members may come in any order and the
-//! last of a repeated member wins.
+//! pretty and compact) and of its binary encoding, and every mutant of
+//! the same structure in the legacy layouts (`circ02_mps.v1.json` and
+//! `circ02_mps.v2.mpsb`, which the loaders still read from outside the
+//! program), must load to `Ok` or to a typed `PersistError` of the
+//! loader's own classes — never panic. A mutant that loads must
+//! re-encode to bytes that load back to the same bytes. Mutants that
+//! only reorder or repeat object members must load to the fixture
+//! itself: members may come in any order and the last of a repeated
+//! member wins.
 //!
-//! Iteration counts scale with `MPS_FUZZ_SCALE` (default 1); CI runs
-//! the test again at 10x, optimized.
+//! Iteration counts scale with `MPS_FUZZ_SCALE` (default 1), the same
+//! budget for each fixture; CI runs the test again at 10x, optimized.
 #![cfg(feature = "serde")]
 
 use analog_mps::mps::{MultiPlacementStructure, PersistError};
@@ -19,6 +22,38 @@ use serde_json::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const FIXTURE: &str = include_str!("fixtures/circ02_mps.json");
+const LEGACY_JSON: &str = include_str!("fixtures/circ02_mps.v1.json");
+const LEGACY_BIN: &[u8] = include_bytes!("fixtures/circ02_mps.v2.mpsb");
+
+/// One layout's fixture: its label, its JSON text pretty and compact,
+/// and its binary encoding.
+struct Seed {
+    label: &'static str,
+    pretty: String,
+    compact: String,
+    bin: Vec<u8>,
+}
+
+/// The current fixture and the legacy pair. The legacy JSON is compacted
+/// from the committed text, since no writer produces that layout.
+fn seeds() -> [Seed; 2] {
+    let fixture = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
+    let legacy = serde_json::parse(LEGACY_JSON).expect("legacy fixture parses");
+    [
+        Seed {
+            label: "mps-v3",
+            pretty: FIXTURE.to_owned(),
+            compact: fixture.to_json(),
+            bin: fixture.to_bin(),
+        },
+        Seed {
+            label: "legacy",
+            pretty: LEGACY_JSON.to_owned(),
+            compact: serde_json::to_string(&legacy).unwrap(),
+            bin: LEGACY_BIN.to_vec(),
+        },
+    ]
+}
 
 /// Multiplier on the fuzz budget, read from `MPS_FUZZ_SCALE`: 1 when
 /// unset (what `cargo test` runs), larger in CI.
@@ -47,8 +82,8 @@ fn assert_reencodes_stably(mps: &MultiPlacementStructure, mutant: &str) {
     assert_eq!(back.to_json(), json, "{mutant}: JSON re-encoding drifted");
     let bin = mps.to_bin();
     let back = MultiPlacementStructure::from_bin(&bin)
-        .unwrap_or_else(|e| panic!("{mutant}: re-encoded mps-v2 refused: {e}"));
-    assert_eq!(back.to_bin(), bin, "{mutant}: mps-v2 re-encoding drifted");
+        .unwrap_or_else(|e| panic!("{mutant}: re-encoded binary refused: {e}"));
+    assert_eq!(back.to_bin(), bin, "{mutant}: binary re-encoding drifted");
 }
 
 fn check_json(text: &str, mutant: &str) {
@@ -68,7 +103,7 @@ fn check_bin(bytes: &[u8], mutant: &str) {
     match load(mutant, || MultiPlacementStructure::from_bin(bytes)) {
         Ok(mps) => assert_reencodes_stably(&mps, mutant),
         Err(PersistError::BinDecode(_) | PersistError::Invariant(_)) => {}
-        Err(other) => panic!("{mutant}: mps-v2 loader answered {other:?}"),
+        Err(other) => panic!("{mutant}: binary loader answered {other:?}"),
     }
 }
 
@@ -206,48 +241,51 @@ fn count_objects(value: &Value) -> usize {
 
 #[test]
 fn from_json_and_from_bin_survive_mutated_artifacts() {
-    let fixture = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
-    let compact = fixture.to_json();
-    let bin = fixture.to_bin();
-    let mut rng = StdRng::seed_from_u64(0xF1_7E5);
-    for round in 0..300 * fuzz_scale() {
-        let seed = if round % 4 == 0 {
-            FIXTURE
-        } else {
-            compact.as_str()
-        };
-        let (bytes, what) = damage(seed.as_bytes(), &mut rng, true);
-        let text = String::from_utf8(bytes).expect("ASCII damage keeps UTF-8");
-        check_json(&text, &format!("JSON round {round}: {what}"));
+    for seed in seeds() {
+        let label = seed.label;
+        let mut rng = StdRng::seed_from_u64(0xF1_7E5);
+        for round in 0..300 * fuzz_scale() {
+            let text = if round % 4 == 0 {
+                seed.pretty.as_str()
+            } else {
+                seed.compact.as_str()
+            };
+            let (bytes, what) = damage(text.as_bytes(), &mut rng, true);
+            let mutant = String::from_utf8(bytes).expect("ASCII damage keeps UTF-8");
+            check_json(&mutant, &format!("{label} JSON round {round}: {what}"));
 
-        let (text, what) = nudge_number(seed, &mut rng);
-        check_json(&text, &format!("JSON round {round}: {what}"));
+            let (mutant, what) = nudge_number(text, &mut rng);
+            check_json(&mutant, &format!("{label} JSON round {round}: {what}"));
 
-        let (bytes, what) = damage(&bin, &mut rng, false);
-        check_bin(&bytes, &format!("mps-v2 round {round}: {what}"));
+            let (bytes, what) = damage(&seed.bin, &mut rng, false);
+            check_bin(&bytes, &format!("{label} binary round {round}: {what}"));
+        }
     }
 }
 
 #[test]
 fn reordered_and_repeated_members_load_as_the_original_mutated() {
-    let fixture = MultiPlacementStructure::from_json(FIXTURE).expect("fixture loads");
-    let expected = fixture.to_json();
-    let tree = serde_json::parse(&expected).unwrap();
-    let objects = count_objects(&tree);
-    let mut rng = StdRng::seed_from_u64(0x5_A11);
-    for round in 0..100 * fuzz_scale() {
-        let target = rng.random_range(0..objects);
-        let (a, b) = (rng.random_range(0..8), rng.random_range(0..8));
-        let op = match round % 3 {
-            0 => Reshuffle::Swap(a, b),
-            1 => Reshuffle::Repeat(a),
-            _ => Reshuffle::ShadowWithNull(a),
-        };
-        let mut text = String::new();
-        print_reshuffled(&tree, target, op, &mut 0, &mut text);
-        let mutant = format!("object {target}: {op:?}");
-        let mps = load(&mutant, || MultiPlacementStructure::from_json(&text))
-            .unwrap_or_else(|e| panic!("{mutant}: refused: {e}"));
-        assert_eq!(mps.to_json(), expected, "{mutant}");
+    let expected = MultiPlacementStructure::from_json(FIXTURE)
+        .expect("fixture loads")
+        .to_json();
+    for seed in seeds() {
+        let tree = serde_json::parse(&seed.compact).unwrap();
+        let objects = count_objects(&tree);
+        let mut rng = StdRng::seed_from_u64(0x5_A11);
+        for round in 0..100 * fuzz_scale() {
+            let target = rng.random_range(0..objects);
+            let (a, b) = (rng.random_range(0..8), rng.random_range(0..8));
+            let op = match round % 3 {
+                0 => Reshuffle::Swap(a, b),
+                1 => Reshuffle::Repeat(a),
+                _ => Reshuffle::ShadowWithNull(a),
+            };
+            let mut text = String::new();
+            print_reshuffled(&tree, target, op, &mut 0, &mut text);
+            let mutant = format!("{} object {target}: {op:?}", seed.label);
+            let mps = load(&mutant, || MultiPlacementStructure::from_json(&text))
+                .unwrap_or_else(|e| panic!("{mutant}: refused: {e}"));
+            assert_eq!(mps.to_json(), expected, "{mutant}");
+        }
     }
 }
