@@ -19,7 +19,7 @@
 
 use mps_bench::{markdown_table, write_artifact};
 use mps_core::MultiPlacementStructure;
-use mps_serve::CompiledQueryIndex;
+use mps_geom::{Coord, Dims};
 use serde::{Map, Serialize, Value};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -59,6 +59,41 @@ fn best_round_secs(rounds: usize, formats: [Format<'_>; 2]) -> [f64; 2] {
     best
 }
 
+/// `n` deterministic probes over `mps`'s bounds (xorshift64* from
+/// `seed`): every eighth escapes them on one axis, every 64th lacks its
+/// last pair.
+fn probes(mps: &MultiPlacementStructure, n: usize, seed: u64) -> Vec<Dims> {
+    let bounds = mps.bounds();
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    (0..n)
+        .map(|k| {
+            let mut dims: Vec<(Coord, Coord)> = bounds
+                .iter()
+                .map(|b| {
+                    (
+                        b.w.lo() + (next() % b.w.len()) as Coord,
+                        b.h.lo() + (next() % b.h.len()) as Coord,
+                    )
+                })
+                .collect();
+            if k % 8 == 5 {
+                let i = k % bounds.len();
+                dims[i].0 = bounds[i].w.hi() + 1 + (next() % 64) as Coord;
+            }
+            if k % 64 == 21 {
+                dims.pop();
+            }
+            Dims::from_vec_unchecked(dims)
+        })
+        .collect()
+}
+
 fn total_bytes(paths: &[PathBuf]) -> u64 {
     paths
         .iter()
@@ -69,7 +104,7 @@ fn total_bytes(paths: &[PathBuf]) -> u64 {
 fn main() {
     let dir: String = arg_value("dir").unwrap_or_else(|| "out/structures".to_owned());
     let rounds: usize = arg_value("rounds").unwrap_or(DEFAULT_ROUNDS).max(1);
-    let probes: usize = arg_value("probes").unwrap_or(DEFAULT_PROBES);
+    let probe_count: usize = arg_value("probes").unwrap_or(DEFAULT_PROBES);
     let min_size_ratio: f64 = arg_value("min-size-ratio").unwrap_or(0.0);
     let min_load_speedup: f64 = arg_value("min-load-speedup").unwrap_or(0.0);
 
@@ -120,17 +155,19 @@ fn main() {
             "{}: binary twin must re-serialize identically",
             json_path.display()
         );
-        CompiledQueryIndex::build(&from_bin)
-            .verify_against(&from_json, probes, 0xF0F0)
-            .unwrap_or_else(|e| {
+        for (k, probe) in probes(&from_json, probe_count, 0xF0F0).iter().enumerate() {
+            let (json_answer, bin_answer) = (from_json.query(probe), from_bin.query(probe));
+            if json_answer != bin_answer {
                 fail(&format!(
-                    "{}: binary load diverges from JSON load: {e}",
+                    "{}: probe {k} ({probe:?}): JSON load answers {json_answer:?}, \
+                     binary load answers {bin_answer:?}",
                     json_path.display()
                 ));
-            });
+            }
+        }
     }
     eprintln!(
-        "differential check passed ({probes} probes x {} structure(s))",
+        "differential check passed ({probe_count} probes x {} structure(s))",
         json_paths.len()
     );
 
@@ -180,7 +217,7 @@ fn main() {
     top.insert("bench", Value::String("format".to_owned()));
     top.insert("structures", json_paths.len().to_value());
     top.insert("rounds", rounds.to_value());
-    top.insert("differential_probes_per_structure", probes.to_value());
+    top.insert("differential_probes_per_structure", probe_count.to_value());
     top.insert("json_bytes", json_bytes.to_value());
     top.insert("bin_bytes", bin_bytes.to_value());
     top.insert(

@@ -142,8 +142,8 @@ fn query_entry(name: &str, mps: &MultiPlacementStructure, dims: &Dims) -> PoolEn
     }
 }
 
-/// Mirrors the server's instantiate dispatch: one compiled/interpretive
-/// lookup decides both the id and the placement; uncovered space falls
+/// Mirrors the server's instantiate dispatch: one index lookup decides
+/// both the id and the placement; uncovered space falls
 /// through to the deterministic fallback packing.
 fn instantiate_entry(name: &str, mps: &MultiPlacementStructure, dims: &Dims) -> PoolEntry {
     let id = mps.query(dims);

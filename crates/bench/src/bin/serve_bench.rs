@@ -1,7 +1,8 @@
-//! Serving-throughput baseline: the compiled query index versus the
-//! structure's own query path, measured on uniform and hot-spot query
-//! streams over a circ02-sized structure. Writes `out/BENCH_serve.json`
-//! — the perf-trajectory artifact CI records from every run.
+//! Serving-throughput baseline: the structure's flat query index versus
+//! the paper's Fig. 3 rows queried as written, measured on uniform and
+//! hot-spot query streams over a circ02-sized structure. Writes
+//! `out/BENCH_serve.json` — the perf-trajectory artifact CI records from
+//! every run.
 //!
 //! ```sh
 //! cargo run --release -p mps-bench --bin serve_bench -- \
@@ -11,12 +12,16 @@
 //!
 //! Engines measured on each stream:
 //!
-//! * `baseline` — `MultiPlacementStructure::query` (allocates a candidate
-//!   vector per call);
-//! * `scratch`  — `query_with_scratch` (same interval-row walk, reused
-//!   candidate buffer);
-//! * `compiled` — `CompiledQueryIndex::query_with_scratch` (flattened
-//!   arrays + bitset AND, zero allocation per query).
+//! * `baseline` — a row engine local to this bench: one
+//!   `IntervalMap` per block and axis built from the entries, queried by
+//!   intersecting sorted id arrays (`retain` + binary search), with a
+//!   fresh candidate vector per call;
+//! * `scratch`  — the same row engine with one reused candidate buffer;
+//! * `compiled` — the structure's own `query_with_scratch` (flat arrays
+//!   + bitset AND, zero allocation per query).
+//!
+//! Both engines must answer every vector of both streams alike before
+//! anything is timed.
 //!
 //! With `--min-speedup S` the run fails (exit 1) unless the compiled
 //! engine beats `baseline` by at least `S`× QPS on the uniform stream —
@@ -24,10 +29,9 @@
 
 use mps_bench::cli::{arg_value, obtain_structure, BenchArgs, StructureSource};
 use mps_bench::{fmt_duration, markdown_table, random_dims, write_artifact};
-use mps_core::{MultiPlacementStructure, PlacementId};
-use mps_geom::Dims;
+use mps_core::{MultiPlacementStructure, PlacementId, QueryScratch};
+use mps_geom::{Axis, Coord, Dims, IntervalMap};
 use mps_netlist::benchmarks;
-use mps_serve::{CompiledQueryIndex, QueryScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Map, Serialize, Value};
@@ -42,6 +46,48 @@ struct EngineResult {
     qps: f64,
     p50: Duration,
     p99: Duration,
+}
+
+/// The paper's Fig. 3 rows queried as written: row `2i` is block `i`'s
+/// width row `W_i`, row `2i + 1` its height row `H_i`, each an
+/// `IntervalMap` of sorted id arrays.
+struct RowEngine {
+    rows: Vec<IntervalMap<u32>>,
+}
+
+impl RowEngine {
+    fn new(mps: &MultiPlacementStructure) -> Self {
+        let rows = (0..mps.block_count())
+            .flat_map(|i| [Axis::Width, Axis::Height].map(|axis| (i, axis)))
+            .map(|(i, axis)| {
+                IntervalMap::from_iter(
+                    mps.iter()
+                        .map(|(id, e)| (e.dims_box.ranges()[i].along(axis), id.0)),
+                )
+            })
+            .collect();
+        Self { rows }
+    }
+
+    /// Eq. 4: the candidates of the first row, refined by every other
+    /// row in turn. `scratch` holds the candidates.
+    fn query(&self, dims: &[(Coord, Coord)], scratch: &mut Vec<u32>) -> Option<PlacementId> {
+        scratch.clear();
+        if 2 * dims.len() != self.rows.len() {
+            return None;
+        }
+        let mut values = dims.iter().flat_map(|&(w, h)| [w, h]);
+        let mut rows = self.rows.iter();
+        scratch.extend_from_slice(rows.next()?.query(values.next()?));
+        for (row, v) in rows.zip(values) {
+            if scratch.is_empty() {
+                return None;
+            }
+            let ids = row.query(v);
+            scratch.retain(|c| ids.binary_search(c).is_ok());
+        }
+        scratch.first().map(|&c| PlacementId(c))
+    }
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -167,25 +213,29 @@ fn main() {
         }
     );
 
-    eprintln!("compiling query index ...");
-    let index = CompiledQueryIndex::build(&mps);
+    let index = mps.index();
     eprintln!(
-        "  {} segments, {} bitset word(s), {} bytes",
+        "  index: {} segments, {} bitset word(s), {} bytes",
         index.segment_count(),
         index.bitset_words(),
         index.heap_bytes()
     );
-    // The differential contract, re-proven on this exact structure before
-    // anything is timed: 10,000 probes, bit-identical answers.
-    index
-        .verify_against(&mps, 10_000, 0xBE9C)
-        .expect("compiled index must answer bit-identically to query");
+    let row_engine = RowEngine::new(&mps);
 
     let mut rng = StdRng::seed_from_u64(0x5EED ^ 20050307);
     let uniform: Vec<Dims> = (0..queries.max(1))
         .map(|_| random_dims(&bm.circuit, &mut rng))
         .collect();
     let hotspot = hotspot_stream(&uniform, &mps, hot_fraction, 0x1407);
+    // The engines must agree on every vector before anything is timed.
+    let mut candidates = Vec::new();
+    for dims in uniform.iter().chain(&hotspot) {
+        assert_eq!(
+            row_engine.query(dims, &mut candidates),
+            index.query(dims),
+            "the row engine and the index diverge at {dims:?}"
+        );
+    }
 
     let mut streams = Map::new();
     let mut rows = Vec::new();
@@ -194,10 +244,8 @@ fn main() {
         let mut scratch_u32 = Vec::new();
         let mut scratch_bits = QueryScratch::new();
         let results = [
-            measure("baseline", stream, |d| mps.query(d)),
-            measure("scratch", stream, |d| {
-                mps.query_with_scratch(d, &mut scratch_u32)
-            }),
+            measure("baseline", stream, |d| row_engine.query(d, &mut Vec::new())),
+            measure("scratch", stream, |d| row_engine.query(d, &mut scratch_u32)),
             measure("compiled", stream, |d| {
                 index.query_with_scratch(d, &mut scratch_bits)
             }),
@@ -248,7 +296,10 @@ fn main() {
     top.insert("coverage", mps.coverage().to_value());
     top.insert("compiled_segments", index.segment_count().to_value());
     top.insert("compiled_heap_bytes", index.heap_bytes().to_value());
-    top.insert("equivalence_probes", 10_000usize.to_value());
+    top.insert(
+        "equivalence_probes",
+        (uniform.len() + hotspot.len()).to_value(),
+    );
     top.insert("streams", Value::Object(streams));
     let path = write_artifact(
         "BENCH_serve.json",

@@ -21,6 +21,7 @@
 //!   template).
 
 use crate::MultiPlacementStructure;
+use mps_geom::Axis;
 
 /// Fraction of the dimension-space volume covered by live validity boxes,
 /// in `[0, 1]`.
@@ -60,20 +61,15 @@ pub fn row_coverage(mps: &MultiPlacementStructure) -> f64 {
     if n == 0 {
         return 0.0;
     }
+    let index = mps.index();
     let mut total = 0.0;
-    for i in 0..n {
-        let bounds = &mps.bounds()[i];
-        total += covered_fraction(mps.w_row(i), bounds.w.len());
-        total += covered_fraction(mps.h_row(i), bounds.h.len());
+    for (i, bounds) in mps.bounds().iter().enumerate() {
+        for axis in [Axis::Width, Axis::Height] {
+            let range_len = bounds.along(axis).len() as f64;
+            total += (index.covered_len(i, axis) as f64 / range_len).min(1.0);
+        }
     }
     total / (2 * n) as f64
-}
-
-fn covered_fraction(row: &mps_geom::IntervalMap<u32>, range_len: u64) -> f64 {
-    if range_len == 0 {
-        return 1.0;
-    }
-    (row.covered_len() as f64 / range_len as f64).min(1.0)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!   a set Π of placements, each valid over a disjoint hyper-rectangular
 //!   region of block-dimension space, looked up through per-block interval
 //!   rows (the function *M* of Eqs. 1/4, with the uniqueness guarantee of
-//!   Eq. 5).
+//!   Eq. 5), held in one flat [`CompiledQueryIndex`].
 //! * [`MpsGenerator`] — the one-time nested simulated-annealing generation
 //!   algorithm (§3): the outer *Placement Explorer* walks placement space;
 //!   the inner *Block Dimensions-Interval Optimizer* shrinks each
@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod bdio;
+mod compiled;
 mod coverage;
 mod entry;
 mod explorer;
@@ -64,6 +65,9 @@ mod synthesis;
 mod synthetic;
 
 pub use bdio::{Bdio, BdioConfig, BdioResult};
+#[doc(hidden)]
+pub use compiled::IndexPlan;
+pub use compiled::{CompiledQueryIndex, QueryScratch};
 pub use coverage::{row_coverage, volume_coverage};
 pub use entry::{PlacementId, StoredPlacement};
 pub use explorer::{ExplorerConfig, ExplorerStats};

@@ -64,7 +64,7 @@
 //! dispatches, which is what lets a serving directory mix `.json` and
 //! `.mpsb` artifacts, of any accepted version, freely.
 
-use crate::structure::{Layout, Members};
+use crate::structure::{Layout, Members, Rows};
 use crate::{InvariantError, MultiPlacementStructure};
 use binfmt::{Decoder, Encode, Encoder};
 use serde_json::{Kind, Reader};
@@ -266,8 +266,8 @@ impl MultiPlacementStructure {
     /// placement invariants (overlapping validity boxes, stored rows the
     /// entries do not derive, illegal placements).
     pub fn from_json(json: &str) -> Result<Self, PersistError> {
-        let mps = Self::read_envelope(json)?;
-        mps.check_invariants().map_err(PersistError::Invariant)?;
+        let (mps, rows) = Self::read_envelope(json)?;
+        mps.check_loaded(rows.as_ref())?;
         Ok(mps)
     }
 
@@ -276,8 +276,8 @@ impl MultiPlacementStructure {
     /// repeated member wins; every data error waits until the reader
     /// has reached the end of the text, so a syntax error anywhere is
     /// reported first, then the envelope's own errors, then the
-    /// structure's.
-    fn read_envelope(json: &str) -> Result<Self, PersistError> {
+    /// structure's. A legacy envelope's rows come with the structure.
+    fn read_envelope(json: &str) -> Result<(Self, Option<Rows>), PersistError> {
         let mut r = Reader::new(json);
         let found = r.peek()?;
         if found != Kind::Object {
@@ -391,9 +391,9 @@ impl MultiPlacementStructure {
                 ))))
             }
         };
-        let mps = MultiPlacementStructure::decode_layout(&mut dec, layout)?;
+        let (mps, rows) = MultiPlacementStructure::decode_layout(&mut dec, layout)?;
         dec.finish()?;
-        mps.check_invariants().map_err(PersistError::Invariant)?;
+        mps.check_loaded(rows.as_ref())?;
         Ok(mps)
     }
 

@@ -185,7 +185,7 @@ fn keep_larger(pieces: &mut Vec<DimsBox>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_geom::{BlockRanges, Coord, Dims, Interval, Point, Rect};
+    use mps_geom::{Axis, BlockRanges, Coord, Dims, Interval, IntervalMap, Point, Rect};
     use mps_netlist::{Block, Circuit};
     use mps_placer::Placement;
     use rand::rngs::StdRng;
@@ -360,10 +360,12 @@ mod tests {
             .find(|&id| m.entry(id).is_some_and(|e| e.dims_box.overlaps(probe)));
         let mut via_rows: Option<Vec<u32>> = None;
         for (i, r) in probe.ranges().iter().enumerate() {
-            for ids in [
-                m.w_row(i).ids_overlapping(r.w),
-                m.h_row(i).ids_overlapping(r.h),
-            ] {
+            for axis in [Axis::Width, Axis::Height] {
+                let row: IntervalMap<u32> = m
+                    .iter()
+                    .map(|(id, e)| (e.dims_box.ranges()[i].along(axis), id.0))
+                    .collect();
+                let ids = row.ids_overlapping(r.along(axis));
                 via_rows = Some(match via_rows {
                     None => ids,
                     Some(mut prev) => {

@@ -1,13 +1,14 @@
 //! The multi-placement structure itself (§2).
 
-use crate::{InvariantError, PlacementId, StoredPlacement};
+use crate::{CompiledQueryIndex, InvariantError, PlacementId, QueryScratch, StoredPlacement};
 use mps_geom::{Axis, BlockRanges, Coord, Dims, DimsBox, Interval, IntervalMap, Rect};
 use mps_netlist::Circuit;
 use mps_placer::{Placement, SequencePair, Template};
 use std::sync::OnceLock;
 
-/// The width row and the height row of every block, in block order.
-type Rows = (Vec<IntervalMap<u32>>, Vec<IntervalMap<u32>>);
+/// The width row and the height row of every block, in block order, as a
+/// legacy artifact stores them.
+pub(crate) type Rows = (Vec<IntervalMap<u32>>, Vec<IntervalMap<u32>>);
 
 /// The artifact layouts a structure is read from.
 #[derive(Clone, Copy)]
@@ -16,8 +17,8 @@ pub(crate) enum Layout {
     /// entries and fallback. The rows are built from the entries.
     Entries,
     /// Legacy `mps-v1` JSON and binary version 2: the same members
-    /// followed by every row. The rows are required, kept, and compared
-    /// with the rows the entries derive.
+    /// followed by every row. The rows are required, and the loader
+    /// compares them with the rows the entries derive.
     WithRows,
 }
 
@@ -26,16 +27,17 @@ pub(crate) enum Layout {
 ///
 /// Per block and axis the structure answers from one interval row
 /// (Fig. 3): a sorted, non-overlapping list of integer intervals, each
-/// carrying the indices of the placements valid there. A query feeds every
-/// `(w_i, h_i)` pair to its two rows and intersects the returned index
-/// arrays; the generation algorithm guarantees the intersection holds at
-/// most one index (Eq. 5: `|M(V)| = 1` inside covered space).
+/// carrying the placements valid there. A query feeds every `(w_i, h_i)`
+/// pair to its two rows and intersects the returned placement sets; the
+/// generation algorithm guarantees the intersection holds at most one
+/// placement (Eq. 5: `|M(V)| = 1` inside covered space).
 ///
 /// The rows are derived state: each is a pure function of the live
 /// entries' validity boxes. Store Placement and Resolve Overlaps touch
-/// only the entries, and the first read after a change (a query, a row
-/// accessor, serialization, [`Self::check_invariants`]) collects every row
-/// from the entries in one sweep each.
+/// only the entries, and the first read after a change (a query,
+/// [`Self::index`], [`Self::check_invariants`]) builds every row from the
+/// entries straight into one flat [`CompiledQueryIndex`], the only form
+/// the rows take.
 ///
 /// Dimension space not covered by any stored placement is served by a
 /// fallback [`Template`] (§3.1.4: "the remaining uncovered percentage of
@@ -76,11 +78,10 @@ pub struct MultiPlacementStructure {
     log_volumes: Vec<f64>,
     live_count: usize,
     /// One width row per block (the `W_i` functions of Eq. 3) and one
-    /// height row per block (the `H_i` functions), built from the live
-    /// entries on first read and emptied by every change to them. A
-    /// structure loaded from a legacy artifact holds the rows it decoded,
-    /// which [`Self::check_invariants`] compares with the derived ones.
-    rows: OnceLock<Rows>,
+    /// height row per block (the `H_i` functions) in one flat index,
+    /// built from the live entries on first read and emptied by every
+    /// change to them.
+    index: OnceLock<CompiledQueryIndex>,
     /// Backup template for uncovered space.
     fallback: Option<Template>,
 }
@@ -95,7 +96,7 @@ impl MultiPlacementStructure {
             entries: Vec::new(),
             log_volumes: Vec::new(),
             live_count: 0,
-            rows: OnceLock::new(),
+            index: OnceLock::new(),
             fallback: None,
         }
     }
@@ -113,14 +114,14 @@ impl MultiPlacementStructure {
         bounds: Vec<BlockRanges>,
         floorplan: Rect,
         entries: Vec<Option<StoredPlacement>>,
-        rows: Option<Rows>,
+        rows: Option<&Rows>,
         fallback: Option<Template>,
     ) -> Result<Self, String> {
         let n = bounds.len();
         if n == 0 {
             return Err("structure must cover at least one block".to_owned());
         }
-        if let Some((w_rows, h_rows)) = &rows {
+        if let Some((w_rows, h_rows)) = rows {
             if w_rows.len() != n || h_rows.len() != n {
                 return Err(format!(
                     "row count mismatch: {n} blocks but {} width rows and {} height rows",
@@ -140,7 +141,7 @@ impl MultiPlacementStructure {
             }
         }
         let is_live = |id: u32| entries.get(id as usize).is_some_and(|e| e.is_some());
-        for (rows, label) in rows.iter().flat_map(|(w, h)| [(w, "w"), (h, "h")]) {
+        for (rows, label) in rows.into_iter().flat_map(|(w, h)| [(w, "w"), (h, "h")]) {
             for (i, row) in rows.iter().enumerate() {
                 for (_, ids) in row.iter() {
                     if let Some(&dead) = ids.iter().find(|&&id| !is_live(id)) {
@@ -170,7 +171,7 @@ impl MultiPlacementStructure {
             entries,
             log_volumes,
             live_count,
-            rows: rows.map_or_else(OnceLock::new, OnceLock::from),
+            index: OnceLock::new(),
             fallback,
         })
     }
@@ -235,79 +236,48 @@ impl MultiPlacementStructure {
     }
 
     /// The function *M* of Eq. 4: feeds every `(w_i, h_i)` to its rows and
-    /// intersects the returned index arrays.
+    /// intersects the returned placement sets.
     ///
     /// Returns `None` when the vector has the wrong arity, escapes the
     /// coverage bounds, or falls in uncovered space. By construction the
-    /// intersection never holds more than one live index.
+    /// intersection never holds more than one live id.
     ///
-    /// This is a thin wrapper over [`Self::query_with_scratch`] that pays
-    /// one candidate-buffer allocation per call; query loops should hold a
-    /// scratch buffer (or use [`Self::query_batch`]) instead.
+    /// This pays one scratch allocation per call; query loops should hold
+    /// a [`QueryScratch`] (or use [`Self::query_batch`]) instead.
     #[must_use]
     pub fn query(&self, dims: &Dims) -> Option<PlacementId> {
-        let mut scratch = Vec::new();
-        self.query_slice(dims, &mut scratch)
+        self.index().query(dims)
     }
 
     /// [`Self::query`] without the per-call allocation: the candidate set
-    /// is intersected in place inside `scratch`, which is cleared and
-    /// refilled on every call. Reusing one buffer across a query stream
-    /// makes the hot path allocation-free after the first call (the buffer
-    /// only ever needs to hold block 0's width-row candidate array).
-    ///
-    /// `scratch` holds the surviving candidate (if any) on return; its
-    /// contents are otherwise unspecified.
+    /// is intersected in place inside `scratch`, so reusing one scratch
+    /// across a query stream makes the hot path allocation-free after the
+    /// first call.
     #[must_use]
-    pub fn query_with_scratch(&self, dims: &Dims, scratch: &mut Vec<u32>) -> Option<PlacementId> {
-        self.query_slice(dims, scratch)
-    }
-
-    /// The query walk behind [`Self::query`], [`Self::query_with_scratch`]
-    /// and [`Self::query_batch`] — one implementation, so the three are
-    /// bit-identical by construction.
-    fn query_slice(&self, dims: &[(Coord, Coord)], scratch: &mut Vec<u32>) -> Option<PlacementId> {
-        scratch.clear();
-        if dims.len() != self.bounds.len() {
-            return None;
-        }
-        let (w_rows, h_rows) = self.rows();
-        // Candidate set from block 0's width row, then refined.
-        scratch.extend_from_slice(w_rows[0].query(dims[0].0));
-        if scratch.is_empty() {
-            return None;
-        }
-        let refine = |row: &IntervalMap<u32>, v: Coord, candidates: &mut Vec<u32>| {
-            let ids = row.query(v);
-            candidates.retain(|c| ids.binary_search(c).is_ok());
-        };
-        refine(&h_rows[0], dims[0].1, scratch);
-        for (i, &(w, h)) in dims.iter().enumerate().skip(1) {
-            if scratch.is_empty() {
-                return None;
-            }
-            refine(&w_rows[i], w, scratch);
-            refine(&h_rows[i], h, scratch);
-        }
-        debug_assert!(
-            scratch.len() <= 1,
-            "Eq. 5 violated: {} placements returned for one dimension vector",
-            scratch.len()
-        );
-        scratch.first().map(|&c| PlacementId(c))
+    pub fn query_with_scratch(
+        &self,
+        dims: &Dims,
+        scratch: &mut QueryScratch,
+    ) -> Option<PlacementId> {
+        self.index().query_with_scratch(dims, scratch)
     }
 
     /// Answers a whole stream of dimension vectors through one reused
     /// scratch buffer: element `k` of the result is exactly
-    /// `self.query(&queries[k])`, with a single candidate-buffer
-    /// allocation for the entire batch.
+    /// `self.query(&queries[k])`.
     #[must_use]
     pub fn query_batch(&self, queries: &[Dims]) -> Vec<Option<PlacementId>> {
-        let mut scratch = Vec::new();
-        queries
-            .iter()
-            .map(|dims| self.query_slice(dims, &mut scratch))
-            .collect()
+        self.index().query_batch(queries)
+    }
+
+    /// The rows of the structure in one flat index, which every query
+    /// answers from; built from the live entries on the first read after
+    /// a change.
+    #[inline]
+    #[must_use]
+    pub fn index(&self) -> &CompiledQueryIndex {
+        self.index
+            .get_or_init(|| CompiledQueryIndex::build(self.block_count(), &self.entries))
     }
 
     /// Instantiates the placement for `dims`, or `None` in uncovered space.
@@ -409,7 +379,7 @@ impl MultiPlacementStructure {
     // Mutation API used by the generation algorithm (crate-public so the
     // explorer/resolver can drive it; exposed for integration tests via
     // `insert_unchecked`). Each change touches the entries, their cached
-    // log-volumes and the live count, and empties the rows.
+    // log-volumes and the live count, and empties the index.
     // -----------------------------------------------------------------
 
     /// Stores a placement without checking disjointness against existing
@@ -424,7 +394,7 @@ impl MultiPlacementStructure {
             "entry block-count mismatch"
         );
         let id = PlacementId(self.entries.len() as u32);
-        self.rows = OnceLock::new();
+        self.index = OnceLock::new();
         self.log_volumes.push(entry.dims_box.log_volume());
         self.entries.push(Some(entry));
         self.live_count += 1;
@@ -435,7 +405,7 @@ impl MultiPlacementStructure {
     /// entries renumbered `0..` in id order: exactly what storing those
     /// entries one by one into an empty structure builds.
     pub(crate) fn into_compacted(mut self) -> Self {
-        self.rows = OnceLock::new();
+        self.index = OnceLock::new();
         (self.entries, self.log_volumes) = self
             .entries
             .into_iter()
@@ -450,7 +420,7 @@ impl MultiPlacementStructure {
     pub(crate) fn remove(&mut self, id: PlacementId) {
         if let Some(slot @ Some(_)) = self.entries.get_mut(id.index()) {
             *slot = None;
-            self.rows = OnceLock::new();
+            self.index = OnceLock::new();
             self.live_count -= 1;
         }
     }
@@ -476,7 +446,7 @@ impl MultiPlacementStructure {
         // Keep the recorded best dimensions inside the surviving region.
         entry.best_dims = new_box.clamp_dims(&entry.best_dims);
         entry.dims_box = new_box;
-        self.rows = OnceLock::new();
+        self.index = OnceLock::new();
     }
 
     /// The smallest live id whose validity box overlaps `probe` — the
@@ -492,87 +462,24 @@ impl MultiPlacementStructure {
             .map(|(id, _)| id)
     }
 
-    /// Read access to one block's width row (the `W_i` function of Eq. 3):
-    /// the sorted disjoint intervals of width values, each carrying the
-    /// raw indices of the placements valid there.
-    ///
-    /// Public so downstream consumers can *compile* the rows into
-    /// alternative physical layouts (mps-serve's `CompiledQueryIndex`
-    /// flattens them into contiguous arrays plus bitsets). The raw `u32`
-    /// indices in a row are exactly the [`PlacementId`] values
-    /// [`Self::query`] returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    #[must_use]
-    pub fn w_row(&self, block: usize) -> &IntervalMap<u32> {
-        &self.rows().0[block]
-    }
-
-    /// Read access to one block's height row (the `H_i` function); see
-    /// [`Self::w_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    #[must_use]
-    pub fn h_row(&self, block: usize) -> &IntervalMap<u32> {
-        &self.rows().1[block]
-    }
-
-    /// The width and height rows, collected from the live entries on the
-    /// first read after a change.
-    pub(crate) fn rows(&self) -> &Rows {
-        self.rows.get_or_init(|| {
-            let n = self.block_count();
-            let derive = |axis| (0..n).map(|i| self.derived_row(i, axis)).collect();
-            (derive(Axis::Width), derive(Axis::Height))
-        })
-    }
-
-    /// `block`'s row along `axis` as the live entries' boxes define it.
-    fn derived_row(&self, block: usize, axis: Axis) -> IntervalMap<u32> {
-        self.iter()
-            .map(|(id, e)| (axis_interval(&e.dims_box, block, axis), id.0))
-            .collect()
-    }
-
     /// Verifies every structural invariant; the loaders run it on every
     /// artifact, and it serves as the post-generation sanity check. Cost:
-    /// one sweep per row over the live entries' intervals, the per-entry
-    /// legality checks (O(P · N²) for `P` entries of `N` blocks), and a
-    /// sort-and-sweep over one dimension for Eq. 5 (O(P log P + C · N),
-    /// where `C` is the number of entry pairs whose intervals overlap
-    /// along that dimension).
+    /// the index build if none is held (one sweep per row over the live
+    /// entries' intervals), the per-entry legality checks (O(P · N²) for
+    /// `P` entries of `N` blocks), and a sort-and-sweep over one dimension
+    /// for Eq. 5 (O(P log P + C · N), where `C` is the number of entry
+    /// pairs whose intervals overlap along that dimension).
     ///
-    /// 1. every row the structure holds (decoded rows, on a structure
-    ///    loaded from a legacy artifact) equals the row derived from the
-    ///    live entries' boxes; a structure holding none builds them here;
-    /// 2. live validity boxes are pairwise disjoint (Eq. 5);
-    /// 3. every live entry is legal (no block overlap, inside the
+    /// 1. live validity boxes are pairwise disjoint (Eq. 5);
+    /// 2. every live entry is legal (no block overlap, inside the
     ///    floorplan) with all blocks at the box's upper corner;
-    /// 4. every box lies within the coverage bounds.
+    /// 3. every box lies within the coverage bounds.
     ///
     /// # Errors
     ///
     /// Returns a typed [`InvariantError`] naming the first violated
     /// invariant (its `Display` form is the old prose description).
     pub fn check_invariants(&self) -> Result<(), InvariantError> {
-        if let Some((w_rows, h_rows)) = self.rows.get() {
-            for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
-                for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
-                    let derived = self.derived_row(i, axis);
-                    if *row != derived {
-                        return Err(InvariantError::Row {
-                            block: i,
-                            axis,
-                            detail: row_mismatch(row, &derived),
-                        });
-                    }
-                }
-            }
-        }
         let live: Vec<(PlacementId, &StoredPlacement)> = self.iter().collect();
         // Every block at its box's upper corner, one entry at a time.
         let mut top: Vec<(Coord, Coord)> = Vec::with_capacity(self.bounds.len());
@@ -593,49 +500,56 @@ impl MultiPlacementStructure {
         }
     }
 
+    /// [`Self::check_invariants`] for a structure read from an artifact.
+    /// A legacy artifact's stored `rows` come first: each must equal,
+    /// segment by segment, the row the live entries derive.
+    ///
+    /// # Errors
+    ///
+    /// [`InvariantError::Row`] naming the first stored row that differs
+    /// and the first segment where it does, or the first violation
+    /// [`Self::check_invariants`] finds.
+    pub(crate) fn check_loaded(&self, rows: Option<&Rows>) -> Result<(), InvariantError> {
+        if let Some((w_rows, h_rows)) = rows {
+            for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
+                for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
+                    let stored = row.as_segments();
+                    let derived: Vec<_> = self.index().row_segments(i, axis).collect();
+                    if stored != derived {
+                        let k = stored
+                            .iter()
+                            .zip(&derived)
+                            .take_while(|(a, b)| a == b)
+                            .count();
+                        return Err(InvariantError::Row {
+                            block: i,
+                            axis,
+                            detail: format!(
+                                "segment {k} is {:?}, the live entries give {:?}",
+                                stored.get(k),
+                                derived.get(k)
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        self.check_invariants()
+    }
+
     /// Every dimension `(block, axis)`, the rows cut into the most
     /// segments first: their entries' intervals tend to be the narrowest
     /// against their span, so the fewest pairs overlap along them. The
     /// Eq. 5 sweep runs along the first and tests the rest in this order.
     fn dimensions_by_segments(&self) -> Vec<(usize, Axis)> {
-        let (w_rows, h_rows) = self.rows();
+        let index = self.index();
         let mut dims: Vec<(usize, Axis, usize)> = (0..self.bounds.len())
-            .flat_map(|i| {
-                [
-                    (i, Axis::Width, w_rows[i].segment_count()),
-                    (i, Axis::Height, h_rows[i].segment_count()),
-                ]
-            })
+            .flat_map(|i| [Axis::Width, Axis::Height].map(|axis| (i, axis)))
+            .map(|(i, axis)| (i, axis, index.row_segment_count(i, axis)))
             .collect();
         dims.sort_by_key(|&(_, _, segments)| std::cmp::Reverse(segments));
         dims.into_iter().map(|(i, axis, _)| (i, axis)).collect()
     }
-}
-
-/// `block`'s interval along `axis` in `dims_box`.
-fn axis_interval(dims_box: &DimsBox, block: usize, axis: Axis) -> Interval {
-    let r = &dims_box.ranges()[block];
-    match axis {
-        Axis::Width => r.w,
-        Axis::Height => r.h,
-    }
-}
-
-/// Where a stored row first departs from the row the entries derive: the
-/// index of the first segment that differs, with both sides' segment
-/// there.
-fn row_mismatch(stored: &IntervalMap<u32>, derived: &IntervalMap<u32>) -> String {
-    let (stored, derived) = (stored.as_segments(), derived.as_segments());
-    let k = stored
-        .iter()
-        .zip(derived)
-        .take_while(|(a, b)| a == b)
-        .count();
-    format!(
-        "segment {k} is {:?}, the live entries give {:?}",
-        stored.get(k),
-        derived.get(k)
-    )
 }
 
 /// The first pair of live entries, in the order `(a, b)` with `a`
@@ -655,7 +569,7 @@ fn first_box_overlap(
         .iter()
         .flat_map(|(_, e)| {
             dims.iter()
-                .map(|&(i, axis)| axis_interval(&e.dims_box, i, axis))
+                .map(|&(i, axis)| e.dims_box.ranges()[i].along(axis))
         })
         .collect();
     let intervals = |k: usize| &flat[k * dims.len()..(k + 1) * dims.len()];
@@ -744,12 +658,13 @@ mod serde_impls {
             Ok(members)
         }
 
-        /// The structure these members form in `layout`. Beyond field
-        /// decoding, the structural frame must be coherent before any
-        /// method can safely run, so the shared `from_parts` constructor
-        /// re-validates it. The full Eq.-5 / legality check is
-        /// `check_invariants()`, which the envelope loader
-        /// (`MultiPlacementStructure::from_json`) runs on top of this.
+        /// The structure these members form in `layout`, with the rows
+        /// a legacy layout stores. Beyond field decoding, the structural
+        /// frame must be coherent before any method can safely run, so
+        /// the shared `from_parts` constructor re-validates it. The full
+        /// row / Eq.-5 / legality check is `check_loaded()`, which the
+        /// envelope loader (`MultiPlacementStructure::from_json`) runs on
+        /// top of this.
         ///
         /// # Errors
         ///
@@ -758,7 +673,7 @@ mod serde_impls {
         pub(crate) fn into_structure(
             self,
             layout: Layout,
-        ) -> Result<MultiPlacementStructure, Error> {
+        ) -> Result<(MultiPlacementStructure, Option<Rows>), Error> {
             let owner = "MultiPlacementStructure";
             let bounds = self.bounds.take(owner)?;
             let floorplan = self.floorplan.take(owner)?;
@@ -768,7 +683,8 @@ mod serde_impls {
                 Layout::WithRows => Some((self.w_rows.take(owner)?, self.h_rows.take(owner)?)),
             };
             let fallback = self.fallback.take(owner)?;
-            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows, fallback)
+            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows.as_ref(), fallback)
+                .map(|mps| (mps, rows))
                 .map_err(Error::custom)
         }
     }
@@ -776,7 +692,8 @@ mod serde_impls {
     /// Reads the `mps-v3` layout.
     impl Deserialize for MultiPlacementStructure {
         fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-            Members::read(r)?.into_structure(Layout::Entries)
+            let (mps, _) = Members::read(r)?.into_structure(Layout::Entries)?;
+            Ok(mps)
         }
     }
 }
@@ -810,8 +727,8 @@ mod binfmt_impls {
     }
 
     impl MultiPlacementStructure {
-        /// Decodes a binary artifact's payload in `layout`: the legacy
-        /// version-2 layout carries every row between the entries and the
+        /// Decodes a binary artifact's payload in `layout`, with the rows
+        /// the legacy version-2 layout carries between the entries and the
         /// fallback.
         ///
         /// Validate-don't-trust: every per-type decoder re-runs its own
@@ -819,7 +736,10 @@ mod binfmt_impls {
         /// re-validates the structural frame — the same funnel the JSON
         /// deserializer goes through, so both encodings accept exactly
         /// the same structures.
-        pub(crate) fn decode_layout(dec: &mut Decoder<'_>, layout: Layout) -> Result<Self, Error> {
+        pub(crate) fn decode_layout(
+            dec: &mut Decoder<'_>,
+            layout: Layout,
+        ) -> Result<(Self, Option<Rows>), Error> {
             let bounds: Vec<BlockRanges> = dec.seq(MAX_BLOCKS, "structure bounds")?;
             let floorplan = Rect::decode(dec)?;
             let n_entries = dec.len(MAX_ENTRIES, "structure entries")?;
@@ -835,7 +755,8 @@ mod binfmt_impls {
                 )),
             };
             let fallback: Option<Template> = dec.option()?;
-            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows, fallback)
+            MultiPlacementStructure::from_parts(bounds, floorplan, entries, rows.as_ref(), fallback)
+                .map(|mps| (mps, rows))
                 .map_err(malformed)
         }
     }
@@ -843,7 +764,7 @@ mod binfmt_impls {
     /// Reads the `mps-v3` layout.
     impl Decode for MultiPlacementStructure {
         fn decode(dec: &mut Decoder<'_>) -> Result<Self, Error> {
-            Self::decode_layout(dec, Layout::Entries)
+            Ok(Self::decode_layout(dec, Layout::Entries)?.0)
         }
     }
 }
@@ -1066,7 +987,7 @@ mod tests {
         let compacted = mps.into_compacted();
         assert_eq!(compacted.entries, fresh.entries);
         assert_eq!(compacted.live_count, fresh.live_count);
-        assert_eq!(compacted.rows(), fresh.rows());
+        assert_eq!(compacted.index(), fresh.index());
         let bits = |m: &MultiPlacementStructure| -> Vec<u64> {
             m.log_volumes.iter().map(|v| v.to_bits()).collect()
         };

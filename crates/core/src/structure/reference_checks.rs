@@ -1,10 +1,11 @@
-//! Differential test of `check_invariants` against reference checks
-//! done the direct way: every row rebuilt by inserting the live entries'
-//! intervals one at a time (`IntervalMap::insert`, the paper's Store
-//! Placement update) and an all-pairs loop for Eq. 5. On generated
-//! structures, and on copies corrupted the ways a damaged artifact can
-//! be, both must return the same `Result`: the same first violation with
-//! the same identifiers.
+//! Differential test of `check_loaded` against reference checks done
+//! the direct way: every stored row compared with the row built by
+//! inserting the live entries' intervals one at a time
+//! (`IntervalMap::insert`, the paper's Store Placement update) and an
+//! all-pairs loop for Eq. 5. On generated structures, and on copies
+//! whose stored rows or entries are corrupted the ways a damaged legacy
+//! artifact can be, both must return the same `Result`: the same first
+//! violation with the same identifiers.
 
 use super::*;
 use crate::{GeneratorConfig, MpsGenerator};
@@ -12,23 +13,52 @@ use mps_netlist::benchmarks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The invariant battery done the direct way: each held row against the
-/// fold of `insert` over the live entries, and every pair of boxes for
-/// Eq. 5.
-fn reference_check(mps: &MultiPlacementStructure) -> Result<(), InvariantError> {
+/// A structure as a legacy artifact holds it: the entries and, when
+/// stored, the rows.
+type Loaded = (MultiPlacementStructure, Option<Rows>);
+
+/// `block`'s row along `axis` built by inserting the live entries'
+/// intervals one at a time.
+fn inserted_row(mps: &MultiPlacementStructure, block: usize, axis: Axis) -> IntervalMap<u32> {
+    let mut row = IntervalMap::new();
+    for (id, entry) in mps.iter() {
+        row.insert(entry.dims_box.ranges()[block].along(axis), id.0);
+    }
+    row
+}
+
+/// Every row, built by [`inserted_row`]: the rows an intact legacy
+/// artifact stores.
+fn inserted_rows(mps: &MultiPlacementStructure) -> Rows {
+    let n = mps.block_count();
+    let rows = |axis| (0..n).map(|i| inserted_row(mps, i, axis)).collect();
+    (rows(Axis::Width), rows(Axis::Height))
+}
+
+/// The invariant battery done the direct way: each stored row against
+/// the fold of `insert` over the live entries, and every pair of boxes
+/// for Eq. 5.
+fn reference_check((mps, rows): &Loaded) -> Result<(), InvariantError> {
     let live: Vec<(PlacementId, &StoredPlacement)> = mps.iter().collect();
-    if let Some((w_rows, h_rows)) = mps.rows.get() {
+    if let Some((w_rows, h_rows)) = rows {
         for (i, (wr, hr)) in w_rows.iter().zip(h_rows).enumerate() {
             for (row, axis) in [(wr, Axis::Width), (hr, Axis::Height)] {
-                let mut inserted = IntervalMap::new();
-                for &(id, entry) in &live {
-                    inserted.insert(axis_interval(&entry.dims_box, i, axis), id.0);
-                }
+                let inserted = inserted_row(mps, i, axis);
                 if *row != inserted {
+                    let (stored, derived) = (row.as_segments(), inserted.as_segments());
+                    let k = stored
+                        .iter()
+                        .zip(derived)
+                        .take_while(|(a, b)| a == b)
+                        .count();
                     return Err(InvariantError::Row {
                         block: i,
                         axis,
-                        detail: row_mismatch(row, &inserted),
+                        detail: format!(
+                            "segment {k} is {:?}, the live entries give {:?}",
+                            stored.get(k),
+                            derived.get(k)
+                        ),
                     });
                 }
             }
@@ -80,18 +110,18 @@ fn generated() -> Vec<MultiPlacementStructure> {
 }
 
 /// The ways a corrupted artifact can break the rows or the boxes. A row
-/// corruption rebuilds the held row from the live entries with one
+/// corruption rebuilds the stored row from the live entries with one
 /// entry's registration changed.
 #[derive(Debug, Clone, Copy)]
 enum Corruption {
-    /// One segment of a held row loses one of its entry ids.
+    /// One segment of a stored row loses one of its entry ids.
     DropId,
-    /// An entry's registration in a held row gets a hole, splitting it in
-    /// two ranges.
+    /// An entry's registration in a stored row gets a hole, splitting it
+    /// in two ranges.
     Split,
-    /// An entry's registration in one held row moves by one unit.
+    /// An entry's registration in one stored row moves by one unit.
     Shift,
-    /// A live entry is stored twice; the held rows are rebuilt with the
+    /// A live entry is stored twice; the stored rows are rebuilt with the
     /// copy or kept without it.
     DuplicateBox,
 }
@@ -110,20 +140,14 @@ fn pick(mps: &MultiPlacementStructure, rng: &mut StdRng) -> (u32, usize, Axis, I
         id.0,
         block,
         axis,
-        axis_interval(&entry.dims_box, block, axis),
+        entry.dims_box.ranges()[block].along(axis),
     )
 }
 
-/// Replaces one held row with the fold of `insert` over the live
+/// Replaces one stored row with the fold of `insert` over the live
 /// entries, entry `id` registered over `ranges` instead of its own
 /// interval: the row a damaged artifact would carry.
-fn misregister(
-    mps: &mut MultiPlacementStructure,
-    block: usize,
-    axis: Axis,
-    id: u32,
-    ranges: &[Interval],
-) {
+fn misregister((mps, rows): &mut Loaded, block: usize, axis: Axis, id: u32, ranges: &[Interval]) {
     let mut row = IntervalMap::new();
     for (other, entry) in mps.iter() {
         if other.0 == id {
@@ -131,11 +155,10 @@ fn misregister(
                 row.insert(range, id);
             }
         } else {
-            row.insert(axis_interval(&entry.dims_box, block, axis), other.0);
+            row.insert(entry.dims_box.ranges()[block].along(axis), other.0);
         }
     }
-    mps.rows();
-    let (w_rows, h_rows) = mps.rows.get_mut().expect("just filled");
+    let (w_rows, h_rows) = rows.get_or_insert_with(|| inserted_rows(mps));
     match axis {
         Axis::Width => w_rows[block] = row,
         Axis::Height => h_rows[block] = row,
@@ -151,41 +174,37 @@ fn without(iv: Interval, hole: Interval) -> Vec<Interval> {
         .collect()
 }
 
-fn corrupt(mps: &mut MultiPlacementStructure, how: Corruption, rng: &mut StdRng) {
-    let (id, block, axis, iv) = pick(mps, rng);
+fn corrupt(loaded: &mut Loaded, how: Corruption, rng: &mut StdRng) {
+    let (id, block, axis, iv) = pick(&loaded.0, rng);
     match how {
         Corruption::DropId => {
-            let row = match axis {
-                Axis::Width => mps.w_row(block),
-                Axis::Height => mps.h_row(block),
-            };
-            let holding: Vec<Interval> = row
-                .iter()
+            let holding: Vec<Interval> = loaded
+                .0
+                .index()
+                .row_segments(block, axis)
                 .filter(|(_, ids)| ids.contains(&id))
-                .map(|(seg, _)| *seg)
+                .map(|(seg, _)| seg)
                 .collect();
             let seg = holding[rng.random_range(0..holding.len())];
-            misregister(mps, block, axis, id, &without(iv, seg));
+            misregister(loaded, block, axis, id, &without(iv, seg));
         }
         Corruption::Split => {
             if iv.len() >= 3 {
                 let hole = rng.random_range(iv.lo() + 1..iv.hi());
-                misregister(mps, block, axis, id, &without(iv, Interval::point(hole)));
+                misregister(loaded, block, axis, id, &without(iv, Interval::point(hole)));
             }
         }
         Corruption::Shift => {
             let by = if rng.random_bool(0.5) { 1 } else { -1 };
             let shifted = Interval::new(iv.lo() + by, iv.hi() + by);
-            misregister(mps, block, axis, id, &[shifted]);
+            misregister(loaded, block, axis, id, &[shifted]);
         }
         Corruption::DuplicateBox => {
+            let (mps, rows) = loaded;
             let copy = mps.entries[id as usize].clone().expect("picked a live id");
+            mps.insert_unchecked(copy);
             if rng.random_bool(0.5) {
-                mps.insert_unchecked(copy);
-            } else {
-                mps.log_volumes.push(copy.dims_box.log_volume());
-                mps.entries.push(Some(copy));
-                mps.live_count += 1;
+                *rows = Some(inserted_rows(mps));
             }
         }
     }
@@ -193,11 +212,18 @@ fn corrupt(mps: &mut MultiPlacementStructure, how: Corruption, rng: &mut StdRng)
 
 #[test]
 fn check_invariants_matches_the_reference_scans() {
-    let structures = generated();
-    for mps in &structures {
+    let structures: Vec<Loaded> = generated()
+        .into_iter()
+        .map(|mps| {
+            let rows = inserted_rows(&mps);
+            (mps, Some(rows))
+        })
+        .collect();
+    for loaded @ (mps, rows) in &structures {
         assert!(mps.placement_count() >= 2, "too few entries to corrupt");
         assert_eq!(mps.check_invariants(), Ok(()));
-        assert_eq!(reference_check(mps), Ok(()));
+        assert_eq!(mps.check_loaded(rows.as_ref()), Ok(()));
+        assert_eq!(reference_check(loaded), Ok(()));
     }
     let kinds = [
         Corruption::DropId,
@@ -209,16 +235,21 @@ fn check_invariants_matches_the_reference_scans() {
     for how in kinds {
         let mut rejected = 0;
         for case in 0..60 {
-            let mut mps = structures[case % structures.len()].clone();
+            let mut loaded = structures[case % structures.len()].clone();
             // Sometimes a second corruption of another kind, so the two
             // checks must also agree on which violation comes first.
-            corrupt(&mut mps, how, &mut rng);
+            corrupt(&mut loaded, how, &mut rng);
             if case % 3 == 0 {
                 let other = kinds[rng.random_range(0..kinds.len())];
-                corrupt(&mut mps, other, &mut rng);
+                corrupt(&mut loaded, other, &mut rng);
             }
-            let expected = reference_check(&mps);
-            assert_eq!(mps.check_invariants(), expected, "{how:?}, case {case}");
+            let expected = reference_check(&loaded);
+            let (mps, rows) = &loaded;
+            assert_eq!(
+                mps.check_loaded(rows.as_ref()),
+                expected,
+                "{how:?}, case {case}"
+            );
             rejected += usize::from(expected.is_err());
         }
         assert!(rejected >= 30, "{how:?} corrupted only {rejected} of 60");

@@ -4,7 +4,7 @@
 //! answer element-for-element identically on any probe stream, including
 //! out-of-bounds values and wrong-arity vectors.
 
-use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
+use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure, QueryScratch};
 use mps_geom::{Coord, Dims};
 use mps_netlist::benchmarks::{self, random_circuit};
 use mps_netlist::Circuit;
@@ -57,7 +57,7 @@ fn probe_stream(circuit: &Circuit, n: usize, seed: u64) -> Vec<Dims> {
 fn assert_all_paths_agree(mps: &MultiPlacementStructure, queries: &[Dims]) {
     let batch = mps.query_batch(queries);
     assert_eq!(batch.len(), queries.len());
-    let mut scratch = Vec::new();
+    let mut scratch = QueryScratch::new();
     for (k, (dims, batched)) in queries.iter().zip(&batch).enumerate() {
         let reference = mps.query(dims);
         assert_eq!(reference, *batched, "query_batch diverges at probe {k}");
@@ -88,15 +88,21 @@ fn empty_batch_yields_empty_answers() {
 }
 
 #[test]
-fn scratch_holds_the_winning_candidate() {
+fn stale_scratch_state_never_leaks_into_answers() {
     let bm = benchmarks::by_name("circ01").unwrap();
     let mps = generate(&bm.circuit, 2);
-    let mut scratch = vec![99, 98, 97]; // stale garbage must not leak through
-    for dims in probe_stream(&bm.circuit, 500, 3) {
-        match mps.query_with_scratch(&dims, &mut scratch) {
-            Some(id) => assert_eq!(scratch.as_slice(), &[id.0]),
-            None => assert!(scratch.len() <= 1, "dead candidates retained"),
-        }
+    let wide = benchmarks::by_name("circ02").unwrap();
+    let other = generate(&wide.circuit, 2);
+    // One scratch alternates between two structures: whatever the last
+    // query left in it must not change the next answer.
+    let mut scratch = QueryScratch::new();
+    let others = probe_stream(&wide.circuit, 500, 4);
+    for (dims, other_dims) in probe_stream(&bm.circuit, 500, 3).iter().zip(&others) {
+        assert_eq!(mps.query_with_scratch(dims, &mut scratch), mps.query(dims));
+        assert_eq!(
+            other.query_with_scratch(other_dims, &mut scratch),
+            other.query(other_dims)
+        );
     }
 }
 
@@ -116,7 +122,7 @@ proptest! {
         let mps = generate(&circuit, seed);
         let queries = probe_stream(&circuit, 300, seed ^ 0x5EED);
         let batch = mps.query_batch(&queries);
-        let mut scratch = Vec::new();
+        let mut scratch = QueryScratch::new();
         for (dims, batched) in queries.iter().zip(&batch) {
             let reference = mps.query(dims);
             prop_assert_eq!(reference, *batched);

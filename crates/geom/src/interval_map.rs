@@ -16,11 +16,14 @@ use std::fmt;
 /// others into two in order to keep the non-overlapping and ascending
 /// characteristics of the linked list of interval objects" — that is exactly
 /// what [`IntervalMap::insert`] does. A row is a pure function of the
-/// `(interval, index)` pairs registered in it, so the multi-placement
-/// structure does not update rows as it stores: it collects each row once
-/// from its stored placements (the one-sweep [`FromIterator`] impl), which
-/// builds the same row the inserts would. `insert` stays as the
-/// incremental reference.
+/// `(interval, index)` pairs registered in it, and the one-sweep
+/// [`FromIterator`] impl builds the same row the inserts would.
+///
+/// The multi-placement structure does not hold rows in this form: it
+/// builds all of them from its stored placements into one flat index of
+/// segment bounds and bitsets. This type is the row as the paper draws it
+/// and as the legacy artifact layouts store it: the legacy readers decode
+/// into it, and tests and benches use it as the reference.
 ///
 /// Adjacent intervals holding identical index sets are coalesced, so the row
 /// stays minimal.
@@ -125,13 +128,9 @@ impl<T: Copy + Ord> IntervalMap<T> {
     }
 
     /// Direct read access to the underlying segment storage: the sorted,
-    /// pairwise-disjoint `(interval, sorted indices)` pairs.
-    ///
-    /// This exists for consumers that *compile* a row into a different
-    /// physical layout (e.g. the flattened arrays + bitsets of
-    /// `mps-serve`'s `CompiledQueryIndex`) and need the invariant-bearing
-    /// representation without per-segment iterator indirection. The slice
-    /// upholds every invariant of [`IntervalMap::check_invariants`].
+    /// pairwise-disjoint `(interval, sorted indices)` pairs, upholding
+    /// every invariant of [`IntervalMap::check_invariants`]. A decoded
+    /// legacy row is compared with the structure's own rows in this form.
     #[must_use]
     pub fn as_segments(&self) -> &[(Interval, Vec<T>)] {
         &self.segments

@@ -7,12 +7,13 @@
 //! side — the serving subsystem the ROADMAP's north star ("heavy traffic
 //! from millions of users") needs:
 //!
-//! * [`CompiledQueryIndex`] — a structure's interval rows compiled once
-//!   into flat sorted arrays plus fixed-width candidate bitsets: one
+//! * [`CompiledQueryIndex`] — a structure's own query index, its
+//!   interval rows in flat sorted arrays plus fixed-width candidate
+//!   bitsets, built from the entries when the structure loads: one
 //!   binary search and one bitset `AND` per block dimension (the paper's
-//!   Eq. 4), **zero heap allocation per query**, bit-identical to
-//!   [`mps_core::MultiPlacementStructure::query`] (cross-checked on every
-//!   load). Every served structure uses this one layout.
+//!   Eq. 4), **zero heap allocation per query**. It is the structure's
+//!   only row form, so [`mps_core::MultiPlacementStructure::query`]
+//!   answers from it too. Re-exported from `mps-core`.
 //! * [`StructureRegistry`] — the set of persisted artifacts a
 //!   server answers for, loaded from a directory and hot-swapped behind
 //!   an `Arc`: readers take lock-free snapshots; a reload swaps the whole
@@ -55,7 +56,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod compiled;
 #[cfg(feature = "serde")]
 pub mod frame;
 mod pool;
@@ -84,7 +84,9 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 pub use cache::{AnswerCache, CacheClass, CacheLookup, CacheStats, MissToken};
-pub use compiled::{CompiledQueryIndex, IndexPlan, QueryScratch};
+#[doc(hidden)]
+pub use mps_core::IndexPlan;
+pub use mps_core::{CompiledQueryIndex, QueryScratch};
 pub use pool::{PoolError, WorkerPool};
 #[cfg(feature = "serde")]
 pub use protocol::{

@@ -11,8 +11,7 @@
 //! Loads every `*.json` (JSON envelope) and `*.mpsb` (binary) artifact
 //! in `ARTIFACT_DIR` — the `mps-v3` layout or a legacy one (`mps-v1`
 //! JSON, binary version 2), mixed freely, format detected per file —
-//! re-validating each envelope and cross-checking
-//! the compiled query index against the structure's own query path,
+//! re-validating each envelope and building its query index,
 //! then answers one JSON request per stdin line with one JSON response
 //! per stdout line, in request order (`batch_query` may opt into a
 //! binary response frame with `"encoding":"bin"`). `convert` re-encodes

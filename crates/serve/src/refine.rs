@@ -20,12 +20,10 @@
 //!    the region only* and merges into a copy of the live structure
 //!    under the same Resolve Overlaps discipline generation uses.
 //! 3. **Verify + compare** — the candidate must pass the full
-//!    invariant battery (`check_invariants` inside `refine_region`,
-//!    `CompiledQueryIndex::verify_against` via
-//!    [`ServedStructure::try_from_structure`]) and must *strictly
-//!    improve* the instantiated-placement cost (bounding-box area of
-//!    the served placement) over a deterministic probe set drawn from
-//!    the hot region. No improvement, no publish.
+//!    invariant battery (`check_invariants` inside `refine_region`)
+//!    and must *strictly improve* the instantiated-placement cost
+//!    (bounding-box area of the served placement) over a deterministic
+//!    probe set drawn from the hot region. No improvement, no publish.
 //! 4. **Commit** — generation check, artifact persist (atomic — temp
 //!    file + fsync + rename), and registry swap run as one unit under
 //!    the registry commit lock shared with `reload`
@@ -367,12 +365,7 @@ pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
             "no hot-set gain (cost {cost_after} vs {cost_before} over {COST_PROBES} probes)"
         ));
     }
-    // try_from_structure runs the compiled/interpretive cross-check
-    // (`verify_against`) — the same battery a reload would apply.
-    let rebuilt = match ServedStructure::try_from_structure(name.clone(), candidate) {
-        Ok(rebuilt) => rebuilt,
-        Err(e) => return reject(format!("candidate failed index verification: {e}")),
-    };
+    let rebuilt = ServedStructure::from_structure(name.clone(), candidate);
     let rebuilt = match served.path() {
         Some(path) => rebuilt.with_path(path.to_path_buf()),
         None => rebuilt,

@@ -1,11 +1,11 @@
 //! The structure registry: persisted artifacts (`mps-v3` in JSON or
 //! binary, or a legacy `mps-v1` JSON or version-2 binary artifact,
-//! freely mixed in one directory) loaded, compiled, and hot-swapped
+//! freely mixed in one directory) loaded, validated, and hot-swapped
 //! behind an `Arc`.
 //!
 //! Serving follows the paper's *generate once, use everywhere* economics:
 //! structures are generated (and `--save`d) elsewhere; the serving
-//! process only ever loads, validates, compiles and answers. The registry
+//! process only ever loads, validates and answers. The registry
 //! keeps one immutable [`ServedStructure`] per artifact and publishes the
 //! whole directory as an `Arc<HashMap<..>>` snapshot:
 //!
@@ -17,29 +17,14 @@
 //!   the published `Arc` — in-flight queries keep their old snapshot
 //!   alive until they finish (no torn state, no serving pause).
 
-use crate::compiled::CompiledQueryIndex;
-use mps_core::{MultiPlacementStructure, PersistError};
+use mps_core::{CompiledQueryIndex, MultiPlacementStructure, PersistError};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-
-/// Probes `verify_against` runs per artifact load, scaled to the
-/// structure's compiled segment population.
-///
-/// A fixed budget serves both extremes badly: a directory of thousands
-/// of small artifacts pays 128 probes each on cold start for structures
-/// a couple dozen probes would cover, while a 10x-scale structure gets
-/// the same 128 probes spread over vastly more segments and is
-/// effectively under-verified. One probe per 16 segments keeps coverage
-/// roughly proportional to what there is to check, clamped so tiny
-/// artifacts still get a meaningful battery and huge ones cannot stall
-/// a reload.
-pub(crate) fn load_probe_budget(segments: usize) -> usize {
-    (segments / 16).clamp(32, 1024)
-}
 
 /// Why the registry could not load or reload artifacts.
 #[derive(Debug)]
@@ -52,14 +37,6 @@ pub enum ServeError {
         path: PathBuf,
         /// The loader's rejection.
         source: PersistError,
-    },
-    /// The compiled index disagreed with the structure's own query path —
-    /// a compiler bug; the artifact is refused rather than served wrong.
-    Equivalence {
-        /// The offending artifact file.
-        path: PathBuf,
-        /// The first diverging probe.
-        detail: String,
     },
     /// Two artifact files normalize to the same registry name (e.g.
     /// `circ02.mps.json` and `circ02.json`). Serving either one silently
@@ -79,12 +56,6 @@ impl fmt::Display for ServeError {
             ServeError::Load { path, source } => {
                 write!(f, "cannot serve {}: {source}", path.display())
             }
-            ServeError::Equivalence { path, detail } => write!(
-                f,
-                "refusing to serve {}: compiled index diverges from the \
-                 structure's query path ({detail})",
-                path.display()
-            ),
             ServeError::DuplicateName { name, paths } => write!(
                 f,
                 "artifacts {} and {} both claim the name `{name}`; \
@@ -101,7 +72,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Load { source, .. } => Some(source),
-            ServeError::Equivalence { .. } | ServeError::DuplicateName { .. } => None,
+            ServeError::DuplicateName { .. } => None,
         }
     }
 }
@@ -112,40 +83,25 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// The error for a compiled index that diverges from `name`'s query
-/// path, naming the artifact file it was loaded from, or
-/// `<in-memory:name>` for a structure that never was a file.
-fn equivalence_error(name: &str, path: Option<PathBuf>, detail: String) -> ServeError {
-    ServeError::Equivalence {
-        path: path.unwrap_or_else(|| PathBuf::from(format!("<in-memory:{name}>"))),
-        detail,
-    }
-}
-
-/// One loaded artifact: the validated structure plus its compiled index,
+/// One loaded artifact: the validated structure with its query index,
 /// immutable for its whole serving life.
 #[derive(Debug)]
 pub struct ServedStructure {
     name: String,
     path: Option<PathBuf>,
     structure: MultiPlacementStructure,
-    index: CompiledQueryIndex,
 }
 
 impl ServedStructure {
     /// Loads an artifact in either encoding (JSON or binary, of the
     /// current or a legacy layout, auto-detected by content),
-    /// re-validating every invariant, and compiles its query index,
-    /// cross-checking the
-    /// compiled plan against the interpretive path before the structure
-    /// is ever served.
+    /// re-validating every invariant; the load builds the structure's
+    /// query index.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Load`] when the artifact is missing,
-    /// malformed, wrong-format or invariant-violating, and
-    /// [`ServeError::Equivalence`], naming the artifact file, when the
-    /// compiled index diverges.
+    /// malformed, wrong-format or invariant-violating.
     pub fn open(name: impl Into<String>, path: impl Into<PathBuf>) -> Result<Self, ServeError> {
         let path = path.into();
         let structure =
@@ -153,65 +109,35 @@ impl ServedStructure {
                 path: path.clone(),
                 source,
             })?;
-        Self::compile(name.into(), Some(path), structure)
+        Ok(Self::from_structure(name, structure).with_path(path))
     }
 
     /// Wraps an in-memory structure (tests, examples, freshly generated
-    /// structures served without a save/load cycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the compiled index diverges from the structure's own
-    /// query path — that is a compiler bug, never valid input. Fallible
-    /// callers (the `Workspace` facade) use
-    /// [`ServedStructure::try_from_structure`] instead.
+    /// or refined structures served without a save/load cycle), building
+    /// its query index before the first query needs it.
     #[must_use]
     pub fn from_structure(name: impl Into<String>, structure: MultiPlacementStructure) -> Self {
-        let name = name.into();
-        Self::try_from_structure(name.clone(), structure)
-            .unwrap_or_else(|e| panic!("compiled index diverges for structure `{name}`: {e}"))
+        let _ = structure.index();
+        Self {
+            name: name.into(),
+            path: None,
+            structure,
+        }
     }
 
-    /// [`ServedStructure::from_structure`] with the compiled/interpretive
-    /// cross-check surfaced as an error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Equivalence`] when the compiled index
-    /// diverges from the structure's own query path.
+    /// [`ServedStructure::from_structure`] under the fallible name the
+    /// repository benchmark calls; it cannot fail.
+    #[doc(hidden)]
     pub fn try_from_structure(
         name: impl Into<String>,
         structure: MultiPlacementStructure,
-    ) -> Result<Self, ServeError> {
-        Self::compile(name.into(), None, structure)
-    }
-
-    /// Compiles the query index, which must pass the bit-identity battery
-    /// before the structure is ever served.
-    fn compile(
-        name: String,
-        path: Option<PathBuf>,
-        structure: MultiPlacementStructure,
-    ) -> Result<Self, ServeError> {
-        let index = CompiledQueryIndex::build(&structure);
-        if let Err(detail) = index.verify_against(
-            &structure,
-            load_probe_budget(index.segment_count()),
-            0x5EED_C0DE,
-        ) {
-            return Err(equivalence_error(&name, path, detail));
-        }
-        Ok(Self {
-            name,
-            path,
-            structure,
-            index,
-        })
+    ) -> Result<Self, Infallible> {
+        Ok(Self::from_structure(name, structure))
     }
 
     /// Attaches (or replaces) the backing artifact path. The refinement
     /// worker rebuilds a served structure in memory via
-    /// [`ServedStructure::try_from_structure`] — which can't know the
+    /// [`ServedStructure::from_structure`] — which can't know the
     /// path — and then re-binds the original artifact file so the
     /// improved structure persists to the same place its predecessor
     /// was loaded from.
@@ -234,18 +160,16 @@ impl ServedStructure {
         self.path.as_deref()
     }
 
-    /// The validated structure (fallback instantiation, stats, and the
-    /// reference query path).
+    /// The validated structure (fallback instantiation and stats).
     #[must_use]
     pub fn structure(&self) -> &MultiPlacementStructure {
         &self.structure
     }
 
-    /// The compiled query index (the serving hot path), already
-    /// verified bit-identical to [`Self::structure`]'s own query path.
+    /// The structure's query index (the serving hot path).
     #[must_use]
     pub fn index(&self) -> &CompiledQueryIndex {
-        &self.index
+        self.structure.index()
     }
 }
 
@@ -755,29 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_budget_scales_with_segment_population() {
-        // Scale-aware verification: small artifacts get the floor (fast
-        // cold starts over directories of thousands), big structures get
-        // proportionally more probes, and a pathological giant cannot
-        // stall a reload past the cap.
-        assert_eq!(load_probe_budget(0), 32);
-        assert_eq!(load_probe_budget(500), 32);
-        assert_eq!(load_probe_budget(4_096), 256);
-        assert_eq!(load_probe_budget(1 << 20), 1024);
-        let budgets: Vec<usize> = (0..200_000)
-            .step_by(10_000)
-            .map(load_probe_budget)
-            .collect();
-        assert!(budgets.windows(2).all(|w| w[0] <= w[1]), "must be monotone");
-    }
-
-    #[test]
     fn cold_start_over_many_artifacts_stays_fast() {
         // Regression guard for the load wall-clock: a directory of many
-        // small artifacts must open in bounded time — the per-load probe
-        // battery is the dominant cost and must not regress back to a
-        // fixed oversized budget. The bound is generous (debug builds,
-        // loaded CI runners) but catches order-of-magnitude regressions.
+        // small artifacts must open in bounded time. The bound is
+        // generous (debug builds, loaded CI runners) but catches
+        // order-of-magnitude regressions.
         let dir = temp_dir("coldstart");
         let structure = tiny_structure(31);
         for i in 0..24 {
@@ -793,32 +699,6 @@ mod tests {
             elapsed < std::time::Duration::from_secs(20),
             "cold start over 24 artifacts took {elapsed:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // A diverging compiled index is a compiler bug that no artifact can
-    // provoke, so the error is checked where `open` and
-    // `try_from_structure` build it.
-    #[test]
-    fn equivalence_error_names_the_artifact_file() {
-        let dir = temp_dir("equivalence");
-        let path = dir.join("alpha.mps.json");
-        tiny_structure(3).save_json(&path).unwrap();
-        let served = ServedStructure::open("alpha", &path).unwrap();
-        assert_eq!(served.path(), Some(path.as_path()));
-
-        let err = equivalence_error("alpha", Some(path.clone()), "probe 7".to_owned());
-        assert!(matches!(&err, ServeError::Equivalence { path: p, .. } if *p == path));
-        let message = err.to_string();
-        assert!(message.contains(&path.display().to_string()), "{message}");
-        assert!(!message.contains("<in-memory"), "{message}");
-        assert!(message.contains("probe 7"), "{message}");
-
-        let err = equivalence_error("alpha", None, "probe 7".to_owned());
-        assert!(matches!(
-            &err,
-            ServeError::Equivalence { path: p, .. } if p.as_os_str() == "<in-memory:alpha>"
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,20 +1,24 @@
-//! The differential contract of the compiled query index: on any
-//! structure, [`CompiledQueryIndex`] must answer **bit-identically** to
-//! [`MultiPlacementStructure::query`] — here proven on ≥ 10,000 random
-//! probes against generated, synthetic-grid and hand-built degenerate
-//! structures (zero-width intervals, fully overlapping rows,
-//! single-region structures, probes landing exactly on segment
-//! boundaries), on a save/load-cycled structure, and property-based over
-//! random circuits.
+//! The differential contract of the query index a structure is served
+//! from: on any structure, [`ServedStructure::index`] (and the
+//! structure's own `query`, which answers from the same index) must
+//! answer exactly like a brute-force scan of every live entry's
+//! validity box — here proven on ≥ 10,000 random probes, salted with
+//! out-of-bounds and wrong-arity vectors, against generated,
+//! synthetic-grid and hand-built degenerate structures (zero-width
+//! intervals, fully overlapping rows, single-region structures, more
+//! than 64 regions, no region at all, probes landing exactly on segment
+//! boundaries), on save/load-cycled structures including the golden
+//! fixture, and property-based over random circuits.
 
 use mps_core::{
-    grid_structure, GeneratorConfig, MpsGenerator, MultiPlacementStructure, StoredPlacement,
+    grid_structure, GeneratorConfig, MpsGenerator, MultiPlacementStructure, PlacementId,
+    StoredPlacement,
 };
 use mps_geom::{BlockRanges, Coord, Dims, DimsBox, Interval, Rect};
 use mps_netlist::benchmarks::{self, random_circuit};
 use mps_netlist::{modgen, Block, Circuit};
 use mps_placer::SequencePair;
-use mps_serve::{CompiledQueryIndex, QueryScratch};
+use mps_serve::{QueryScratch, ServedStructure};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +34,21 @@ fn generate(circuit: &Circuit, outer: usize, inner: usize, seed: u64) -> MultiPl
         .expect("test circuits are valid")
 }
 
+/// The brute-force answer: every live entry's validity box scanned for
+/// `dims`. Eq. 5 allows at most one.
+fn scan(mps: &MultiPlacementStructure, dims: &[(Coord, Coord)]) -> Option<PlacementId> {
+    if dims.len() != mps.block_count() {
+        return None;
+    }
+    let mut hits = mps.iter().filter(|(_, e)| e.covers(dims)).map(|(id, _)| id);
+    let hit = hits.next();
+    assert_eq!(hits.next(), None, "Eq. 5 violated at {dims:?}");
+    hit
+}
+
 /// Random probes over (and slightly beyond) the circuit's dimension
-/// space: uniform in-bounds vectors salted with out-of-bounds values.
+/// space: uniform in-bounds vectors salted with out-of-bounds values and
+/// vectors one pair short.
 fn probes(circuit: &Circuit, n: usize, seed: u64) -> Vec<Dims> {
     let bounds = circuit.dim_bounds();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,8 +67,11 @@ fn probes(circuit: &Circuit, n: usize, seed: u64) -> Vec<Dims> {
                 let i = k % bounds.len();
                 dims[i].1 = bounds[i].h.hi() + 1 + rng.random_range(0..50);
             }
+            if k % 64 == 21 {
+                dims.pop();
+            }
             // Unchecked: the stream deliberately carries out-of-bounds
-            // salt both paths must answer None for.
+            // and wrong-arity salt every path must answer None for.
             Dims::from_vec_unchecked(dims)
         })
         .collect()
@@ -78,25 +98,34 @@ fn boundary_probes(mps: &MultiPlacementStructure) -> Vec<Dims> {
     out
 }
 
-fn assert_bit_identical(mps: &MultiPlacementStructure, stream: &[Dims]) {
-    let index = CompiledQueryIndex::build(mps);
+/// Every query entry point answers `stream` like [`scan`]; returns how
+/// many probes hit a stored placement.
+fn matches_scan(mps: &MultiPlacementStructure, stream: &[Dims]) -> usize {
+    let served = ServedStructure::from_structure("probe", mps.clone());
+    let index = served.index();
     let mut scratch = QueryScratch::new();
     let mut answered = 0usize;
-    for (k, dims) in stream.iter().enumerate() {
-        let reference = mps.query(dims);
-        let compiled = index.query_with_scratch(dims, &mut scratch);
+    let scanned: Vec<Option<PlacementId>> = stream.iter().map(|d| scan(mps, d)).collect();
+    for (k, (dims, &expected)) in stream.iter().zip(&scanned).enumerate() {
         assert_eq!(
-            reference, compiled,
-            "probe {k} ({dims:?}) diverges between the interpretive and compiled paths"
+            index.query_with_scratch(dims, &mut scratch),
+            expected,
+            "probe {k} ({dims:?}): the index diverges from the scan"
         );
-        answered += usize::from(reference.is_some());
+        assert_eq!(mps.query(dims), expected, "probe {k} ({dims:?})");
+        answered += usize::from(expected.is_some());
     }
+    assert_eq!(index.query_batch(stream), scanned);
+    assert_eq!(mps.query_batch(stream), scanned);
+    answered
+}
+
+/// [`matches_scan`] on a stream that must reach covered space.
+fn assert_bit_identical(mps: &MultiPlacementStructure, stream: &[Dims]) {
     assert!(
-        answered > 0,
+        matches_scan(mps, stream) > 0,
         "probe stream never hit covered space — the battery proves nothing"
     );
-    // The batch paths answer the same stream identically too.
-    assert_eq!(index.query_batch(stream), mps.query_batch(stream));
 }
 
 /// The acceptance-criteria battery: ≥ 10,000 random probes on a
@@ -176,29 +205,67 @@ fn degenerate_layouts_agree() {
     assert_bit_identical(&mps, &boundary_probes(&mps));
 }
 
-/// The compiled index must agree with the interpretive path on a
-/// structure that went through a save/load cycle (the serving scenario:
-/// artifacts come from disk, not from the generating process).
+/// More than 64 regions, so every candidate bitset spans three words.
+#[test]
+fn multi_word_slab_structure() {
+    let c = Circuit::builder("slabs")
+        .block(Block::new("A", 1, 200, 1, 64))
+        .block(Block::new("B", 1, 64, 1, 64))
+        .net_connecting("n", &[0, 1])
+        .build()
+        .unwrap();
+    let mut mps = MultiPlacementStructure::new(&c, Rect::from_xywh(0, 0, 512, 512));
+    for w in 1..=130 {
+        mps.insert_unchecked(StoredPlacement {
+            placement: SequencePair::row(2).pack(&[(w, 64), (64, 64)]),
+            dims_box: DimsBox::new(vec![
+                BlockRanges::new(Interval::new(w, w), Interval::new(1, 64)),
+                BlockRanges::new(Interval::new(1, 64), Interval::new(1, 64)),
+            ]),
+            avg_cost: 1.0,
+            best_cost: 1.0,
+            best_dims: [(w, 1), (1, 1)].into_iter().collect(),
+        });
+    }
+    mps.check_invariants().unwrap();
+    assert_eq!(mps.index().bitset_words(), 3);
+    assert_bit_identical(&mps, &probes(&c, 10_000, 0x51AB));
+    assert_bit_identical(&mps, &boundary_probes(&mps));
+}
+
+/// No region at all: every probe answers `None`.
+#[test]
+fn empty_structure_answers_nothing() {
+    let (circuit, _model) = modgen::ladder_circuit(2, 1.0);
+    let mps = MultiPlacementStructure::new(&circuit, circuit.suggested_floorplan(1.5));
+    assert_eq!(mps.index().bitset_words(), 0);
+    assert_eq!(matches_scan(&mps, &probes(&circuit, 10_000, 0xE7)), 0);
+}
+
+/// Structures that went through a save/load cycle (the serving
+/// scenario: artifacts come from disk, not from the generating
+/// process), the committed golden fixture among them.
 #[cfg(feature = "serde")]
 #[test]
 fn compiled_index_agrees_after_persistence_roundtrip() {
     let bm = benchmarks::by_name("circ01").unwrap();
     let mps = generate(&bm.circuit, 40, 30, 99);
     let reloaded = MultiPlacementStructure::from_json(&mps.to_json()).unwrap();
-    assert_bit_identical(&reloaded, &probes(&bm.circuit, 2_000, 0xBEEF));
-    // And the built-in load-time check passes on the reloaded structure.
-    CompiledQueryIndex::build(&reloaded)
-        .verify_against(&reloaded, 10_000, 0xA11CE)
-        .unwrap();
+    assert_bit_identical(&reloaded, &probes(&bm.circuit, 10_000, 0xBEEF));
+
+    let fixture = include_str!("../../../tests/fixtures/circ02_mps.json");
+    let golden = MultiPlacementStructure::from_json(fixture).unwrap();
+    let reloaded = MultiPlacementStructure::from_bin(&golden.to_bin()).unwrap();
+    let circ02 = benchmarks::by_name("circ02").unwrap();
+    assert_bit_identical(&reloaded, &probes(&circ02.circuit, 10_000, 0xA11CE));
+    assert_bit_identical(&reloaded, &boundary_probes(&reloaded));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Element-wise equivalence of the compiled index (single and batch
-    /// paths) to `query` over arbitrary generated structures — the same
-    /// contract `query_batch` proves for the interpretive path in
-    /// crates/core/tests/query_batch.rs.
+    /// Element-wise agreement of every query path (single, scratch and
+    /// batch) with the scan over arbitrary generated structures.
     #[test]
     fn compiled_matches_query_on_random_circuits(
         seed in 0u64..50_000,
@@ -207,15 +274,12 @@ proptest! {
     ) {
         let circuit = random_circuit(blocks, nets, seed);
         let mps = generate(&circuit, 30, 30, seed);
-        let index = CompiledQueryIndex::build(&mps);
         let stream = probes(&circuit, 400, seed ^ 0xC0DE);
+        let scanned: Vec<_> = stream.iter().map(|d| scan(&mps, d)).collect();
         let mut scratch = QueryScratch::new();
-        for dims in &stream {
-            prop_assert_eq!(
-                mps.query(dims),
-                index.query_with_scratch(dims, &mut scratch)
-            );
+        for (dims, &expected) in stream.iter().zip(&scanned) {
+            prop_assert_eq!(mps.index().query_with_scratch(dims, &mut scratch), expected);
         }
-        prop_assert_eq!(index.query_batch(&stream), mps.query_batch(&stream));
+        prop_assert_eq!(mps.query_batch(&stream), scanned);
     }
 }

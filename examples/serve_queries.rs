@@ -1,6 +1,6 @@
 //! Serving a persisted structure: generate once, `--save`-style persist,
 //! load it through the hot-swappable registry, and answer a query stream
-//! through the compiled query index and the line protocol — the full
+//! through the structure's query index and the line protocol — the full
 //! `mps-serve` pipeline, in-process.
 //!
 //! Run with:
@@ -36,18 +36,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mps.save_json(dir.join("circ02.mps.json"))?;
 
     // --- 2. Load through the registry (the serving side) --------------
-    // Every artifact is re-validated on load, its query index compiled
-    // and cross-checked against the structure's own query path.
+    // Every artifact is re-validated on load, which builds its query
+    // index from the stored placements.
     let registry = Arc::new(StructureRegistry::open(&dir)?);
     println!("registry serves: {:?}", registry.names());
 
-    // --- 3. The compiled query index: identical answers, faster -------
+    // --- 3. The query index: no allocation per query ------------------
     let served = registry.get("circ02").expect("just loaded");
     let index: &CompiledQueryIndex = served.index();
     println!(
-        "compiled index: {} segments, {} bitset words",
+        "query index: {} segments, {} bitset words, {} bytes",
         index.segment_count(),
-        index.bitset_words()
+        index.bitset_words(),
+        index.heap_bytes()
     );
     let queries: Vec<analog_mps::Dims> = {
         use analog_mps::geom::Coord;
@@ -67,27 +68,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect()
     };
-    let t = Instant::now();
-    let baseline: usize = queries
-        .iter()
-        .filter(|d| served.structure().query(d).is_some())
-        .count();
-    let t_baseline = t.elapsed();
     let mut scratch = QueryScratch::new();
     let t = Instant::now();
-    let compiled: usize = queries
+    let answers: Vec<_> = queries
         .iter()
-        .filter(|d| index.query_with_scratch(d, &mut scratch).is_some())
-        .count();
-    let t_compiled = t.elapsed();
-    assert_eq!(baseline, compiled, "compiled plan must answer identically");
+        .map(|d| index.query_with_scratch(d, &mut scratch))
+        .collect();
+    let elapsed = t.elapsed();
+    // Each answer is the one stored placement whose validity box covers
+    // the vector (Eq. 5), or none.
+    for (dims, id) in queries.iter().zip(&answers) {
+        let covering = served.structure().iter().find(|(_, e)| e.covers(dims));
+        assert_eq!(*id, covering.map(|(id, _)| id), "{dims:?}");
+    }
     println!(
-        "{} queries: interpretive {:?}, compiled {:?} ({:.1}x), {} hit covered space",
+        "{} queries in {elapsed:?} through one reused scratch, {} hit covered space",
         queries.len(),
-        t_baseline,
-        t_compiled,
-        t_baseline.as_secs_f64() / t_compiled.as_secs_f64().max(1e-12),
-        compiled
+        answers.iter().flatten().count()
     );
 
     // --- 4. The wire protocol (what `mps-serve` speaks) ---------------

@@ -134,7 +134,7 @@ pub enum MpsError {
     /// unknown name, circuit mismatch).
     Query(QueryError),
     /// The serving layer refused (directory scan, artifact load,
-    /// compiled-index divergence, duplicate names).
+    /// duplicate names).
     Serve(ServeError),
     /// A region refinement pass was refused (malformed region, or the
     /// merged result failed the invariant battery).

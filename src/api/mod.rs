@@ -20,7 +20,7 @@
 //! | every other `*_pairs` shim *(removed)*              | its typed namesake over [`Dims::from_pairs`](mps_geom::Dims::from_pairs) |
 //! | `check_invariants() -> Result<(), String>`          | `-> Result<(), InvariantError>`                |
 //! | `MpsGenerator` + `save_json` + `load_json` by hand  | [`Workspace::generate_or_load`]                |
-//! | `CompiledQueryIndex::build` + `verify_against`      | automatic behind every [`Workspace`] handle    |
+//! | `CompiledQueryIndex::build` + `verify_against` *(removed)* | `mps.index()`: the structure's own index, built once from its entries |
 //! | `StructureRegistry::open(dir)`                      | [`Workspace::serve_registry`]                  |
 //! | `GenerateError` / `PersistError` / `ServeError` / `String` | one [`MpsError`] with `From` impls       |
 //!

@@ -3,8 +3,8 @@
 //!
 //! The paper's economics are *generate once, query many* (Fig. 1); the
 //! repo grew each stage separately — [`MpsGenerator`] for generation,
-//! `save_json`/`load_json` for persistence, [`CompiledQueryIndex`] for
-//! the serving hot path, [`StructureRegistry`] for hot-swappable
+//! `save_json`/`load_json` for persistence, the structure's
+//! [`CompiledQueryIndex`] for the serving hot path, [`StructureRegistry`] for hot-swappable
 //! serving — and every consumer re-stitched them by hand. A
 //! [`Workspace`] is that stitching done once, behind one directory:
 //!
@@ -12,10 +12,9 @@
 //!   an existing artifact is loaded (re-validated, circuit
 //!   cross-checked), otherwise the structure is generated **and
 //!   persisted** so the next session loads instead;
-//! * every handle auto-compiles a [`CompiledQueryIndex`], cross-checked
-//!   against the interpretive path before first use, so
-//!   [`Workspace::query`] always runs the fast plan with bit-identical
-//!   answers;
+//! * every handle builds its structure's [`CompiledQueryIndex`] before
+//!   first use, so [`Workspace::query`] always runs the flat index, the
+//!   structure's only row form;
 //! * [`Workspace::serve_registry`] opens the same directory as a
 //!   hot-swappable [`StructureRegistry`], ready to put behind
 //!   `mps-serve`.
@@ -156,17 +155,16 @@ impl Workspace {
     }
 
     /// Resolves `name` for `circuit`: loads the artifact if present
-    /// (re-validating the envelope, the Eq.-5 battery, the compiled
-    /// index, *and* the circuit's dimension bounds), otherwise generates
-    /// under `config` and persists the result for future sessions.
+    /// (re-validating the envelope, the Eq.-5 battery *and* the
+    /// circuit's dimension bounds), otherwise generates under `config`
+    /// and persists the result for future sessions.
     ///
     /// # Errors
     ///
-    /// Any stage error: [`MpsError::Persist`] on a corrupt artifact or
-    /// unwritable directory, [`QueryError::CircuitMismatch`] when the
-    /// artifact belongs to a different circuit, [`MpsError::Generate`]
-    /// on invalid circuits, [`MpsError::Serve`] when the compiled index
-    /// diverges.
+    /// Any stage error: [`MpsError::Persist`] on an unwritable
+    /// directory, [`MpsError::Serve`] on a corrupt artifact,
+    /// [`QueryError::CircuitMismatch`] when the artifact belongs to a
+    /// different circuit, [`MpsError::Generate`] on invalid circuits.
     pub fn generate_or_load(
         &mut self,
         name: &str,
@@ -195,7 +193,7 @@ impl Workspace {
     ///
     /// Returns [`MpsError::Serve`] (wrapping the persist-layer
     /// rejection) when the artifact is missing, malformed, wrong-format
-    /// or invariant-violating, or when its compiled index diverges.
+    /// or invariant-violating.
     pub fn load(&mut self, name: &str) -> Result<&StructureHandle, MpsError> {
         let served = ServedStructure::open(name, self.artifact_path(name))?;
         self.handles.insert(name.to_owned(), Arc::new(served));
@@ -208,8 +206,7 @@ impl Workspace {
     /// # Errors
     ///
     /// [`MpsError::Generate`] on invalid circuits, [`MpsError::Persist`]
-    /// when the artifact cannot be written, [`MpsError::Serve`] when the
-    /// compiled index diverges.
+    /// when the artifact cannot be written.
     pub fn generate(
         &mut self,
         name: &str,
@@ -227,8 +224,7 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// [`MpsError::Persist`] when the artifact cannot be written,
-    /// [`MpsError::Serve`] when the compiled index diverges.
+    /// [`MpsError::Persist`] when the artifact cannot be written.
     pub fn adopt(
         &mut self,
         name: &str,
@@ -237,15 +233,15 @@ impl Workspace {
         self.install(name, mps)
     }
 
-    /// Persists `mps` to the artifact path, compiles + cross-checks the
-    /// handle, and installs it.
+    /// Persists `mps` to the artifact path, builds the handle's index,
+    /// and installs it.
     fn install(
         &mut self,
         name: &str,
         mps: MultiPlacementStructure,
     ) -> Result<&StructureHandle, MpsError> {
         mps.save_json(self.artifact_path(name))?;
-        let served = ServedStructure::try_from_structure(name, mps)?;
+        let served = ServedStructure::from_structure(name, mps);
         self.handles.insert(name.to_owned(), Arc::new(served));
         Ok(self.handles[name].as_ref())
     }
@@ -267,9 +263,8 @@ impl Workspace {
     /// [`QueryError::UnknownStructure`] for unknown names,
     /// [`MpsError::Refine`] on a malformed region (wrong arity, outside
     /// bounds) or when the merged structure fails the invariant
-    /// battery, [`MpsError::Persist`]/[`MpsError::Serve`] when the
-    /// refined artifact cannot be written or its compiled index
-    /// diverges.
+    /// battery, [`MpsError::Persist`] when the refined artifact cannot
+    /// be written.
     pub fn refine(
         &mut self,
         name: &str,
@@ -295,9 +290,7 @@ impl Workspace {
         Ok(path)
     }
 
-    /// Answers one typed query through the compiled plan — bit-identical
-    /// to the structure's own interpretive path (the handle cross-checked
-    /// that at construction).
+    /// Answers one typed query through the handle's flat index.
     ///
     /// `Ok(None)` means the vector is in-arity but uncovered (or outside
     /// the designer bounds) — exactly the structure's `query` semantics.
@@ -369,8 +362,8 @@ impl Workspace {
     }
 
     /// Opens the workspace directory as a hot-swappable serving
-    /// registry: every persisted artifact is re-validated, compiled and
-    /// cross-checked, ready to put behind a [`mps_serve::Server`].
+    /// registry: every persisted artifact is re-validated and indexed,
+    /// ready to put behind a [`mps_serve::Server`].
     ///
     /// # Errors
     ///

@@ -1,19 +1,18 @@
 //! The redesign's acceptance battery: the facade path — `Workspace`
-//! handles answering typed `Dims` queries through the compiled plan —
-//! must be **bit-identical** to the structure's own interpretive query
-//! path, on the committed golden fixture and on ≥ 1,000 random probes
-//! per circuit.
+//! handles answering typed `Dims` queries — must be **bit-identical** to
+//! the structure's own query path, on the committed golden fixture and
+//! on ≥ 1,000 random probes per circuit.
 //!
 //! Two paths are diffed on every probe, both fed the same raw tuple
 //! vector wrapped as a `Dims`:
 //!
-//! 1. `mps.query(&Dims)` — the typed interpretive path;
-//! 2. `ws.query(name, &Dims)` — the full facade (compiled index behind a
-//!    `Workspace` handle).
+//! 1. `mps.query(&Dims)` — the structure in hand;
+//! 2. `ws.query(name, &Dims)` — the full facade (a persisted and
+//!    reloaded copy behind a `Workspace` handle).
 #![cfg(feature = "serde")]
 
 use analog_mps::api::Workspace;
-use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
+use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure, QueryScratch};
 use analog_mps::netlist::benchmarks;
 use analog_mps::{Coord, Dims};
 use rand::rngs::StdRng;
@@ -131,7 +130,7 @@ fn scratch_and_batch_paths_agree_with_query() {
     let singles: Vec<_> = typed_stream.iter().map(|typed| mps.query(typed)).collect();
 
     assert_eq!(mps.query_batch(&typed_stream), singles);
-    let mut scratch = Vec::new();
+    let mut scratch = QueryScratch::new();
     for (typed, &id) in typed_stream.iter().zip(&singles) {
         assert_eq!(mps.query_with_scratch(typed, &mut scratch), id);
         assert_eq!(

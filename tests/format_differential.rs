@@ -3,18 +3,17 @@
 //! must round-trip `mps-v3` JSON → binary → JSON with
 //! byte-identical re-serialization, and the structure loaded from
 //! either format must answer identically under a large random probe
-//! battery (≥ 1000 probes per circuit via
-//! [`CompiledQueryIndex::verify_against`]).
+//! battery (≥ 1000 probes per circuit, each direction).
 #![cfg(feature = "serde")]
+
+mod common;
 
 use analog_mps::mps::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
 use analog_mps::netlist::benchmarks;
-use analog_mps::serve::CompiledQueryIndex;
 
 const FIXTURE: &str = include_str!("fixtures/circ02_mps.json");
 
-/// Random probes per circuit. The registry's load-time check uses a few
-/// dozen; the differential battery goes much deeper.
+/// Random probes per circuit and direction.
 const PROBES: usize = 1000;
 
 const PROBE_SEED: u64 = 0xD1FF_0001;
@@ -43,14 +42,11 @@ fn assert_formats_equivalent(mps: &MultiPlacementStructure, label: &str) {
         "{label}: JSON-loaded structure must re-serialize to identical binary"
     );
 
-    // Identical answers: compile each load into the flat query index and
-    // cross-verify against the *other* load over a deep probe battery.
-    CompiledQueryIndex::build(&from_bin)
-        .verify_against(&from_json, PROBES, PROBE_SEED)
-        .unwrap_or_else(|e| panic!("{label}: binary load diverges from JSON load: {e}"));
-    CompiledQueryIndex::build(&from_json)
-        .verify_against(&from_bin, PROBES, PROBE_SEED.rotate_left(17))
-        .unwrap_or_else(|e| panic!("{label}: JSON load diverges from binary load: {e}"));
+    // Identical answers: both loads probed over a deep battery, once per
+    // direction's seed.
+    for seed in [PROBE_SEED, PROBE_SEED.rotate_left(17)] {
+        common::assert_same_answers(&from_json, &from_bin, PROBES, seed, label);
+    }
 }
 
 #[test]

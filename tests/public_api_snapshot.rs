@@ -94,8 +94,8 @@ const TYPED_METHODS: &[(&str, &str)] = &[
         "crates/core/src/structure.rs",
         "fn instantiate_compacted_or_fallback",
     ),
-    ("crates/serve/src/compiled.rs", "fn query"),
-    ("crates/serve/src/compiled.rs", "fn query_with_scratch"),
+    ("crates/core/src/compiled.rs", "fn query"),
+    ("crates/core/src/compiled.rs", "fn query_with_scratch"),
 ];
 
 #[test]

@@ -231,8 +231,7 @@ fn refinement_under_live_load_never_diverges_and_survives_restart() {
     }
 
     // Restart: the refined artifact reloads from disk bit-identically —
-    // ServedStructure::open re-runs the full validation funnel including
-    // the compiled-index cross-check.
+    // ServedStructure::open re-runs the full validation funnel.
     let live = server.registry().get("circ01").unwrap();
     let reloaded = ServedStructure::open("circ01", ws.artifact_path("circ01")).unwrap();
     assert_eq!(
