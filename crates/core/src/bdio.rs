@@ -17,11 +17,9 @@
 //! re-locates the moved block's pins and recomputes its nets (plus the pad
 //! nets when the bounding box moves). Every box the explorer passes is
 //! legal at its upper corner ([`mps_placer::expand_placement`] guarantees
-//! it), and blocks are anchored at their lower-left corner, so no state in
-//! the box overlaps or escapes the floorplan: the evaluator then keeps no
-//! overlap or escape terms. A box that is not legal at its upper corner
-//! keeps them, updating the moved block's N−1 overlap pairs and its escape
-//! area.
+//! it, and [`Bdio::optimize`] requires it), and blocks are anchored at
+//! their lower-left corner, so no state in the box overlaps or escapes the
+//! floorplan: the evaluator keeps no overlap or escape terms.
 //!
 //! The loop makes exactly the draws and decisions of
 //! [`mps_anneal::Annealer::run`] over the same problem: the same random
@@ -136,7 +134,9 @@ impl<'a> Bdio<'a> {
     /// # Panics
     ///
     /// Panics if `dims_box.block_count()` differs from
-    /// `placement.block_count()`.
+    /// `placement.block_count()`, and if `placement` overlaps, or escapes
+    /// the calculator's floorplan, at the upper corner of `dims_box`. Every
+    /// box from [`mps_placer::expand_placement`] is legal there.
     #[must_use]
     pub fn optimize(&self, placement: &Placement, dims_box: &DimsBox, seed: u64) -> BdioResult {
         assert_eq!(

@@ -1,18 +1,16 @@
 //! Differential test of the BDIO inner anneal.
 //!
 //! `Bdio::optimize` runs its own Metropolis loop over one dimension vector
-//! changed in place, costed incrementally, and skips the penalty terms
-//! inside boxes that are legal at their upper corner. This test runs the
-//! plain reference instead: `Annealer::run` over a problem that draws the
-//! same moves and costs every state from scratch with
-//! `CostCalculator::cost`. The average cost, the best cost and the best
-//! dimension vector must agree to the bit, on boxes from
-//! `expand_placement` (the penalty-free path) and on boxes that are not
-//! legal at their upper corner (the path that tracks overlap and escape).
+//! changed in place, costed incrementally without the penalty terms, which
+//! are 0 inside a box legal at its upper corner. This test runs the plain
+//! reference instead: `Annealer::run` over a problem that draws the same
+//! moves and costs every state from scratch with `CostCalculator::cost`.
+//! The average cost, the best cost and the best dimension vector must
+//! agree to the bit, on boxes from `expand_placement`.
 
 use mps_anneal::{Annealer, AnnealerConfig, Problem};
 use mps_core::{Bdio, BdioConfig};
-use mps_geom::{BlockRanges, Coord, DimsBox, Interval, Rect};
+use mps_geom::{Coord, DimsBox, Interval, Rect};
 use mps_netlist::{benchmarks, BlockId, Circuit};
 use mps_placer::{
     expand_placement, CostCalculator, CostWeights, ExpansionConfig, Placement, SequencePair,
@@ -187,38 +185,6 @@ fn optimize_matches_the_reference_anneal_with_symmetry_and_a_cold_schedule() {
         for seed in [4, 5] {
             assert_matches_reference(&calc, &placement, &dbox, BdioConfig::default(), seed);
             assert_matches_reference(&calc, &placement, &dbox, cold, seed);
-        }
-    }
-}
-
-#[test]
-fn optimize_matches_the_reference_anneal_in_boxes_illegal_at_their_upper_corner() {
-    for name in ["TwoStage Opamp", "benchmark24"] {
-        let bm = benchmarks::by_name(name).unwrap();
-        let circuit = &bm.circuit;
-        let fp = circuit.suggested_floorplan(1.5);
-        for (placement, dbox) in expanded_cases(circuit, &fp, 0xBAD) {
-            // Every interval reaches 60% past its expanded end, so the
-            // upper corner overlaps and escapes the floorplan, and so do
-            // many states inside.
-            let grown = DimsBox::new(
-                dbox.ranges()
-                    .iter()
-                    .map(|r| {
-                        let grow = |iv: Interval| Interval::new(iv.lo(), iv.hi() + iv.hi() * 3 / 5);
-                        BlockRanges::new(grow(r.w), grow(r.h))
-                    })
-                    .collect(),
-            );
-            assert!(!placement.is_legal(&upper_corner(&grown), Some(&fp)));
-            assert!(!placement.is_legal(&upper_corner(&grown), None));
-            let bounded = CostCalculator::new(circuit).with_floorplan(fp);
-            let unbounded = CostCalculator::new(circuit);
-            for seed in [6, 7] {
-                for calc in [&bounded, &unbounded] {
-                    assert_matches_reference(calc, &placement, &grown, BdioConfig::default(), seed);
-                }
-            }
         }
     }
 }

@@ -8,8 +8,10 @@
 //!   (Eq. 2 of the paper).
 //! * [`Rect`] / [`Point`] — axis-aligned rectangles on the floorplan surface.
 //! * [`IntervalMap`] — a sorted, non-overlapping linked-list-of-intervals row
-//!   mapping dimension values to arrays of placement indices (Fig. 3 of the
-//!   paper). One such row exists per block per axis.
+//!   mapping dimension values to arrays of placement indices (one row of
+//!   Fig. 3 of the paper). The multi-placement structure holds its rows
+//!   only as one flat index; this form is what the legacy artifact readers
+//!   decode into and what tests and benches check that index against.
 //! * [`DimsBox`] — a product of per-block `(w, h)` intervals: the
 //!   hyper-rectangular validity region of one stored placement in the
 //!   2N-dimensional block-dimension space.

@@ -334,16 +334,17 @@ impl<'a> CostCalculator<'a> {
     /// dimensions inside `dims_box`, starting at `dims`, that recosts
     /// one-block moves incrementally.
     ///
-    /// Blocks are anchored at their lower-left corner, so a block below
-    /// its box's upper corner lies inside its rectangle at that corner. If
-    /// `placement` is legal at the upper corner, as every box from
-    /// [`crate::expand_placement`] is, then overlap and escape are 0 in
-    /// every state of the box, and the evaluator keeps neither term.
+    /// `placement` must be legal at the box's upper corner, as it is for
+    /// every box from [`crate::expand_placement`]. Blocks are anchored at
+    /// their lower-left corner, so a block below its box's upper corner
+    /// lies inside its rectangle at that corner: overlap and escape are 0
+    /// in every state of the box, and the evaluator keeps neither term.
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is not inside `dims_box`, if the arities differ
-    /// from the circuit's block count, and at
+    /// Panics if `placement` overlaps, or escapes the floorplan, at the
+    /// upper corner of `dims_box`, if `dims` is not inside `dims_box`, if
+    /// the arities differ from the circuit's block count, and at
     /// [`IncrementalCost::propose`] if a move leaves the box.
     #[must_use]
     pub fn incremental<'s>(
@@ -357,25 +358,23 @@ impl<'a> CostCalculator<'a> {
 }
 
 /// [`CostCalculator::cost`] of one placement whose block dimensions move
-/// one block at a time — the BDIO's inner anneal (§3.2).
+/// one block at a time inside a box legal at its upper corner — the BDIO's
+/// inner anneal (§3.2).
 ///
-/// The evaluator caches the current state's terms: the block rects, each
-/// pin's absolute point, the integer HPWL of each net and the bounding
-/// box, plus, where states can be illegal, the overlap of each block pair
-/// and each block's area outside the floorplan. A proposal that resizes
-/// block `i` re-locates only `i`'s pins and recomputes `i`'s nets from the
-/// cached points (plus the pad nets when the bounding box changes), and
-/// the bounding box. Where states can be illegal it also recomputes `i`'s
-/// N−1 overlap pairs and `i`'s escape area; inside a box that is legal at
-/// its upper corner it skips both, since every state of the box is legal.
-/// [`IncrementalCost::commit`] keeps the proposal; the next
-/// [`IncrementalCost::propose`] drops an uncommitted one.
+/// Every state of such a box is legal, so the evaluator caches only the
+/// wirelength and area terms: the block rects, each pin's absolute point,
+/// the integer HPWL of each net and the bounding box. A proposal that
+/// resizes block `i` re-locates only `i`'s pins and recomputes `i`'s nets
+/// from the cached points (plus the pad nets when the bounding box
+/// changes), and the bounding box. [`IncrementalCost::commit`] keeps the
+/// proposal; the next [`IncrementalCost::propose`] drops an uncommitted
+/// one.
 ///
-/// Every energy equals [`CostCalculator::cost`] bit for bit. Points, HPWL,
-/// overlap and escape are integers, so their updates are exact. No f64
-/// delta is added to a running total: the wirelength is re-summed from the
-/// cached per-net values in net order, the symmetry term is recomputed in
-/// full, and the total goes through the same [`CostBreakdown::total`].
+/// Every energy equals [`CostCalculator::cost`] bit for bit. Points and
+/// HPWL are integers, so their updates are exact. No f64 delta is added to
+/// a running total: the wirelength is re-summed from the cached per-net
+/// values in net order, the symmetry term is recomputed in full, and the
+/// total goes through the same [`CostBreakdown::total`].
 ///
 /// # Example
 ///
@@ -409,9 +408,6 @@ pub struct IncrementalCost<'a> {
     /// [`NetAdjacency::net_pins`].
     points: Vec<Point>,
     hpwl: Vec<Option<Coord>>,
-    /// The overlap and escape terms; `None` inside a box whose every
-    /// state is legal, where both are 0.
-    penalties: Option<Penalties>,
     energy: f64,
     pending: Option<Pending>,
     /// Net values the pending proposal overwrote, in overwrite order.
@@ -431,86 +427,6 @@ struct Pending {
     energy: f64,
 }
 
-/// The overlap and escape terms of an evaluator whose states can be
-/// illegal.
-#[derive(Debug)]
-struct Penalties {
-    /// Row-major `n × n` pair overlaps. While a proposal is pending only
-    /// the moved block's row is current; commit mirrors it into the column.
-    overlap: Vec<u64>,
-    overlap_total: u64,
-    escape: Vec<u64>,
-    escape_total: u64,
-    /// The moved block's overlap row before the pending proposal.
-    saved_row: Vec<u64>,
-    /// The moved block's escape, the overlap total and the escape total
-    /// before the pending proposal.
-    saved: (u64, u64, u64),
-}
-
-impl Penalties {
-    fn new(rects: &[Rect], floorplan: Option<Rect>) -> Self {
-        let n = rects.len();
-        let mut overlap = vec![0; n * n];
-        let mut overlap_total = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let area = rects[i].overlap_area(&rects[j]);
-                overlap[i * n + j] = area;
-                overlap[j * n + i] = area;
-                overlap_total += area;
-            }
-        }
-        let escape: Vec<u64> = match floorplan {
-            Some(fp) => rects.iter().map(|r| escape_area(r, &fp)).collect(),
-            None => vec![0; n],
-        };
-        Self {
-            overlap,
-            overlap_total,
-            escape_total: escape.iter().sum(),
-            escape,
-            saved_row: Vec::with_capacity(n),
-            saved: (0, 0, 0),
-        }
-    }
-
-    /// Recosts block `block`, now at `rects[block]`.
-    fn propose(&mut self, block: usize, rects: &[Rect], floorplan: Option<Rect>) {
-        let (n, rect) = (rects.len(), rects[block]);
-        self.saved = (self.escape[block], self.overlap_total, self.escape_total);
-        let row = &mut self.overlap[block * n..(block + 1) * n];
-        self.saved_row.clear();
-        self.saved_row.extend_from_slice(row);
-        let mut overlap_total = self.overlap_total - row.iter().sum::<u64>();
-        for (j, (slot, other)) in row.iter_mut().zip(rects).enumerate() {
-            if j != block {
-                *slot = rect.overlap_area(other);
-                overlap_total += *slot;
-            }
-        }
-        self.overlap_total = overlap_total;
-        if let Some(fp) = floorplan {
-            let escape = escape_area(&rect, &fp);
-            self.escape_total = self.escape_total - self.escape[block] + escape;
-            self.escape[block] = escape;
-        }
-    }
-
-    fn commit(&mut self, block: usize) {
-        let n = self.escape.len();
-        for j in 0..n {
-            self.overlap[j * n + block] = self.overlap[block * n + j];
-        }
-    }
-
-    fn discard(&mut self, block: usize) {
-        let n = self.escape.len();
-        self.overlap[block * n..(block + 1) * n].copy_from_slice(&self.saved_row);
-        (self.escape[block], self.overlap_total, self.escape_total) = self.saved;
-    }
-}
-
 impl<'a> IncrementalCost<'a> {
     fn new(
         calc: &'a CostCalculator<'a>,
@@ -519,15 +435,17 @@ impl<'a> IncrementalCost<'a> {
         dims_box: &'a DimsBox,
     ) -> Self {
         assert!(dims_box.contains(dims), "starting state outside the box");
-        let rects = placement.rects(dims);
-        let bb = Rect::bounding_box_of(&rects);
         let upper: Vec<(Coord, Coord)> = dims_box
             .ranges()
             .iter()
             .map(|r| (r.w.hi(), r.h.hi()))
             .collect();
-        let penalties = (!placement.is_legal(&upper, calc.floorplan.as_ref()))
-            .then(|| Penalties::new(&rects, calc.floorplan));
+        assert!(
+            placement.is_legal(&upper, calc.floorplan.as_ref()),
+            "placement overlaps or escapes the floorplan at the box's upper corner"
+        );
+        let rects = placement.rects(dims);
+        let bb = Rect::bounding_box_of(&rects);
         let adjacency = calc
             .adjacency
             .get_or_init(|| NetAdjacency::of(calc.circuit));
@@ -559,7 +477,6 @@ impl<'a> IncrementalCost<'a> {
             hpwl,
             rects,
             bb,
-            penalties,
             energy: 0.0,
             pending: None,
             saved_hpwl: Vec::new(),
@@ -630,10 +547,6 @@ impl<'a> IncrementalCost<'a> {
             }
         }
 
-        if let Some(penalties) = &mut self.penalties {
-            penalties.propose(block, &self.rects, self.calc.floorplan);
-        }
-
         pending.energy = self.total();
         self.pending = Some(pending);
         pending.energy
@@ -645,9 +558,6 @@ impl<'a> IncrementalCost<'a> {
         let Some(pending) = self.pending.take() else {
             return;
         };
-        if let Some(penalties) = &mut self.penalties {
-            penalties.commit(pending.block);
-        }
         self.saved_hpwl.clear();
         self.energy = pending.energy;
     }
@@ -673,9 +583,6 @@ impl<'a> IncrementalCost<'a> {
         for (&(q, _), &point) in self.adjacency.block_pins[i].iter().zip(&self.saved_points) {
             self.points[q] = point;
         }
-        if let Some(penalties) = &mut self.penalties {
-            penalties.discard(i);
-        }
         self.dims[i] = p.dims;
         self.rects[i] = p.rect;
         self.bb = p.bb;
@@ -684,19 +591,8 @@ impl<'a> IncrementalCost<'a> {
     /// The weighted total of the cached terms.
     fn total(&self) -> f64 {
         let wirelength = weighted_wirelength(self.calc.circuit.nets(), self.hpwl.iter().copied());
-        let (overlap, escape) = self
-            .penalties
-            .as_ref()
-            .map_or((0, 0), |p| (p.overlap_total, p.escape_total));
         self.calc
-            .assemble(
-                wirelength,
-                self.bb,
-                overlap,
-                escape,
-                self.placement,
-                &self.dims,
-            )
+            .assemble(wirelength, self.bb, 0, 0, self.placement, &self.dims)
             .total(&self.calc.weights)
     }
 }
@@ -721,6 +617,7 @@ serde::impl_serde_struct!(CostWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mps_geom::{BlockRanges, Interval};
     use mps_netlist::{benchmarks, Block, Circuit, Net, Pad, PadSide, Pin};
 
     fn pair_circuit() -> Circuit {
@@ -842,5 +739,33 @@ mod tests {
         let bd = calc.breakdown(&p, &dims);
         assert!((bd.total(calc.weights()) - calc.cost(&p, &dims)).abs() < 1e-9);
         assert!(bd.is_legal());
+    }
+
+    /// Blocks A at (0, 0) and B at (10, 0), both 10 × 10 at the box's
+    /// lower corner, with A's width ranging up to `a_w` and B's up to
+    /// `b_w`.
+    fn side_by_side(a_w: Coord, b_w: Coord) -> (Placement, DimsBox) {
+        let p = Placement::new(vec![Point::new(0, 0), Point::new(10, 0)]);
+        let range = |w| BlockRanges::new(Interval::new(10, w), Interval::new(10, 10));
+        (p, DimsBox::new(vec![range(a_w), range(b_w)]))
+    }
+
+    #[test]
+    #[should_panic(expected = "at the box's upper corner")]
+    fn incremental_rejects_a_box_overlapping_at_its_upper_corner() {
+        let c = pair_circuit();
+        // A at width 11 reaches into B.
+        let (p, dims_box) = side_by_side(11, 10);
+        let _ = CostCalculator::new(&c).incremental(&p, &[(10, 10), (10, 10)], &dims_box);
+    }
+
+    #[test]
+    #[should_panic(expected = "at the box's upper corner")]
+    fn incremental_rejects_a_box_escaping_the_floorplan_at_its_upper_corner() {
+        let c = pair_circuit();
+        // B at width 13 ends at x = 23, past the floorplan's right edge.
+        let (p, dims_box) = side_by_side(10, 13);
+        let calc = CostCalculator::new(&c).with_floorplan(Rect::from_xywh(0, 0, 22, 10));
+        let _ = calc.incremental(&p, &[(10, 10), (10, 10)], &dims_box);
     }
 }

@@ -9,8 +9,8 @@
 //!   optimization-based placers and an optional symmetry penalty.
 //! * [`IncrementalCost`] — the same cost, bit for bit, for a placement
 //!   whose block dimensions move one block at a time (the BDIO's inner
-//!   anneal): a move recomputes only what the moved block touches, and
-//!   inside a box legal at its upper corner no penalty term at all.
+//!   anneal) inside a box legal at its upper corner: a move recomputes
+//!   only what the moved block touches, and no state needs a penalty term.
 //! * [`expand_placement`] — the *Placement Expansion* step (§3.1.2): grow
 //!   block dimensions from their minima until overlap or out-of-bounds,
 //!   producing the initial validity box of a candidate placement.
@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bstar;
 mod cost;
 mod expansion;
 mod placement;
@@ -49,7 +48,6 @@ mod seqpair;
 mod symmetry;
 mod template;
 
-pub use bstar::BStarTree;
 pub use cost::{CostBreakdown, CostCalculator, CostWeights, IncrementalCost};
 pub use expansion::{expand_placement, ExpandPlacementError, ExpansionConfig};
 pub use placement::Placement;

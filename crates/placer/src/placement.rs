@@ -144,17 +144,6 @@ impl Placement {
         true
     }
 
-    /// Total pairwise overlap area (the penalty term optimization-based
-    /// placers anneal away).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len() != self.block_count()`.
-    #[must_use]
-    pub fn total_overlap_area(&self, dims: &[(Coord, Coord)]) -> u64 {
-        pairwise_overlap_area(&self.rects(dims))
-    }
-
     /// Area outside the floorplan, summed over blocks (out-of-bounds
     /// penalty).
     ///
@@ -290,10 +279,18 @@ mod tests {
 
     #[test]
     fn overlap_area_accumulates() {
+        let circuit = mps_netlist::Circuit::builder("two")
+            .block(mps_netlist::Block::new("A", 10, 10, 10, 10))
+            .block(mps_netlist::Block::new("B", 20, 20, 5, 5))
+            .net_connecting("n", &[0, 1])
+            .build()
+            .unwrap();
+        let calc = crate::CostCalculator::new(&circuit);
+        let overlap = |p: &Placement| calc.breakdown(p, &dims2()).overlap_area;
         let p = Placement::new(vec![Point::new(0, 0), Point::new(5, 5)]);
-        assert_eq!(p.total_overlap_area(&dims2()), 25);
+        assert_eq!(overlap(&p), 25.0);
         let apart = Placement::new(vec![Point::new(0, 0), Point::new(50, 50)]);
-        assert_eq!(apart.total_overlap_area(&dims2()), 0);
+        assert_eq!(overlap(&apart), 0.0);
     }
 
     #[test]

@@ -184,12 +184,8 @@ impl SequencePair {
         let n = self.pos.len();
         assert_eq!(dims.len(), n, "dimension arity mismatch");
         let mut pos_idx = vec![0usize; n];
-        let mut neg_idx = vec![0usize; n];
         for (k, &b) in self.pos.iter().enumerate() {
             pos_idx[b] = k;
-        }
-        for (k, &b) in self.neg.iter().enumerate() {
-            neg_idx[b] = k;
         }
         let mut x = vec![0 as Coord; n];
         let mut y = vec![0 as Coord; n];
@@ -211,39 +207,6 @@ impl SequencePair {
             y[b] = by;
         }
         Placement::new((0..n).map(|i| Point::new(x[i], y[i])).collect())
-    }
-
-    /// Swaps two random entries of `Γ+` (a standard SA move).
-    pub fn swap_positive(&mut self, rng: &mut StdRng) {
-        if self.pos.len() >= 2 {
-            let i = rng.random_range(0..self.pos.len());
-            let j = rng.random_range(0..self.pos.len());
-            self.pos.swap(i, j);
-        }
-    }
-
-    /// Swaps two random entries of `Γ−`.
-    pub fn swap_negative(&mut self, rng: &mut StdRng) {
-        if self.neg.len() >= 2 {
-            let i = rng.random_range(0..self.neg.len());
-            let j = rng.random_range(0..self.neg.len());
-            self.neg.swap(i, j);
-        }
-    }
-
-    /// Swaps the same two blocks in both sequences (exchanges the blocks'
-    /// roles without changing the floorplan topology).
-    pub fn swap_both(&mut self, rng: &mut StdRng) {
-        if self.pos.len() < 2 {
-            return;
-        }
-        let a = rng.random_range(0..self.pos.len());
-        let b = rng.random_range(0..self.pos.len());
-        let (ba, bb) = (self.pos[a], self.pos[b]);
-        self.pos.swap(a, b);
-        let na = self.index_in(&self.neg, ba);
-        let nb = self.index_in(&self.neg, bb);
-        self.neg.swap(na, nb);
     }
 }
 
@@ -447,39 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn moves_preserve_permutation_property() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut sp = SequencePair::random(8, &mut rng);
-        for _ in 0..100 {
-            match rng.random_range(0..3) {
-                0 => sp.swap_positive(&mut rng),
-                1 => sp.swap_negative(&mut rng),
-                _ => sp.swap_both(&mut rng),
-            }
-            let rebuilt = SequencePair::new(sp.positive().to_vec(), sp.negative().to_vec());
-            assert!(rebuilt.is_some(), "move corrupted the pair: {sp:?}");
-        }
-    }
-
-    #[test]
-    fn swap_both_keeps_packing_legal() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut sp = SequencePair::random(6, &mut rng);
-        let dims: Vec<(Coord, Coord)> = (0..6).map(|i| (10 + 2 * i, 14 - i)).collect();
-        for _ in 0..50 {
-            sp.swap_both(&mut rng);
-            assert!(sp.pack(&dims).is_legal(&dims, None));
-        }
-    }
-
-    #[test]
     fn single_block_edge_cases() {
         let sp = SequencePair::row(1);
         let p = sp.pack(&[(7, 9)]);
         assert_eq!(p.coords()[0], Point::origin());
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut sp = SequencePair::row(1);
-        sp.swap_positive(&mut rng);
-        sp.swap_both(&mut rng); // no-ops, no panic
     }
 }

@@ -4,8 +4,8 @@ use mps_geom::{BlockRanges, Coord, DimsBox, Interval, Point, Rect};
 use mps_netlist::benchmarks::{self, random_circuit};
 use mps_netlist::{modgen, BlockId, Circuit, Net, Pad, PadSide, Pin};
 use mps_placer::{
-    expand_placement, BStarTree, CostCalculator, CostWeights, ExpandPlacementError,
-    ExpansionConfig, Placement, SequencePair, SymmetryConstraints, SymmetryGroup, Template,
+    expand_placement, CostCalculator, CostWeights, ExpandPlacementError, ExpansionConfig,
+    Placement, SequencePair, SymmetryConstraints, SymmetryGroup, Template,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,53 +15,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // ------------------------------------------------------------------
-    // Both topological representations always produce legal, compacted
-    // floorplans — for any tree/pair shape and any dimensions.
+    // Sequence pairs always pack into legal, compacted floorplans — for
+    // any pair and any dimensions.
     // ------------------------------------------------------------------
 
     #[test]
-    fn bstar_and_seqpair_packings_are_legal(
+    fn seqpair_packings_are_legal(
         seed in 0u64..10_000,
         n in 1usize..22,
         dims in prop::collection::vec((1i64..60, 1i64..60), 22),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = &dims[..n];
-
-        let tree = BStarTree::random(n, &mut rng);
-        tree.check_invariants().map_err(TestCaseError::fail)?;
-        let pt = tree.pack(dims);
-        prop_assert!(pt.is_legal(dims, None));
-
-        let sp = SequencePair::random(n, &mut rng);
-        let ps = sp.pack(dims);
+        let ps = SequencePair::random(n, &mut rng).pack(dims);
         prop_assert!(ps.is_legal(dims, None));
-
-        // Both packers anchor at the origin.
-        prop_assert_eq!(pt.bounding_box(dims).unwrap().origin(), mps_geom::Point::origin());
+        // The packer anchors at the origin.
         prop_assert_eq!(ps.bounding_box(dims).unwrap().origin(), mps_geom::Point::origin());
-    }
-
-    #[test]
-    fn bstar_moves_never_break_legality(
-        seed in 0u64..5_000,
-        n in 2usize..15,
-        moves in prop::collection::vec(0u8..3, 1..40),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = BStarTree::random(n, &mut rng);
-        let dims: Vec<(Coord, Coord)> = (0..n)
-            .map(|_| (rng.random_range(1..40), rng.random_range(1..40)))
-            .collect();
-        for &m in &moves {
-            match m {
-                0 => tree.swap_blocks(&mut rng),
-                1 => tree.move_subtree(&mut rng),
-                _ => tree.rotate(&mut rng),
-            }
-            tree.check_invariants().map_err(TestCaseError::fail)?;
-            prop_assert!(tree.pack(&dims).is_legal(&dims, None));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -159,11 +128,10 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // The incremental evaluator is the full cost, bit for bit, through
-    // any stream of one-block moves — overlapping and escaping states,
+    // Inside a box from `expand_placement` the incremental evaluator is
+    // the full cost, bit for bit, through any stream of one-block moves —
     // pad nets on every side, multi-pin nets at off-centre offsets,
-    // weighted nets, with and without floorplan and symmetry — and inside
-    // a box from `expand_placement`, where it keeps no penalty terms.
+    // weighted nets, with and without floorplan and symmetry.
     // ------------------------------------------------------------------
 
     #[test]
@@ -172,37 +140,13 @@ proptest! {
         blocks in 2usize..9,
         bounded in 0u8..2,
         symmetric in 0u8..2,
-        within in 0u8..2,
         steps in 1usize..60,
     ) {
         let circuit = circuit_with_pads(blocks, blocks + 3, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1C05);
         let fp = circuit.suggested_floorplan(1.0);
-        let (placement, dims_box) = if within == 1 {
-            // A packing at minimum dimensions, spread so blocks can grow.
-            let packed = SequencePair::random(blocks, &mut rng).pack(&circuit.min_dims());
-            let spread: Placement =
-                packed.coords().iter().map(|p| Point::new(p.x * 2, p.y * 2)).collect();
-            let Ok(dims_box) = expand_placement(&circuit, &spread, &fp, &ExpansionConfig::default())
-            else {
-                return Ok(()); // the spread escaped the floorplan
-            };
-            (spread, dims_box)
-        } else {
-            // Coordinates reach past the floorplan's lower-left corner
-            // and are dense enough that blocks overlap. Any two blocks
-            // overlap at the box's upper corner, so the evaluator tracks
-            // the penalty terms.
-            let placement: Placement = (0..blocks)
-                .map(|_| {
-                    Point::new(
-                        rng.random_range(-20..fp.width()),
-                        rng.random_range(-20..fp.height()),
-                    )
-                })
-                .collect();
-            let wide = BlockRanges::new(Interval::new(1, 1_000), Interval::new(1, 1_000));
-            (placement, DimsBox::new(vec![wide; blocks]))
+        let Some((placement, dims_box)) = spread_and_expand(&circuit, &fp, &mut rng) else {
+            return Ok(()); // the spread escaped the floorplan
         };
         let symmetry = SymmetryConstraints::new(vec![SymmetryGroup {
             pairs: vec![(BlockId(0), BlockId(1))],
@@ -225,22 +169,21 @@ proptest! {
         };
         let mut dims: Vec<(Coord, Coord)> = (0..blocks).map(|i| random_dims(i, &mut rng)).collect();
         let upper: Vec<(Coord, Coord)> = ranges.iter().map(|r| (r.w.hi(), r.h.hi())).collect();
-        prop_assert_eq!(placement.is_legal(&upper, Some(&fp)), within == 1);
+        prop_assert!(placement.is_legal(&upper, Some(&fp)));
 
         let mut eval = calc.incremental(&placement, &dims, &dims_box);
         prop_assert_eq!(eval.energy().to_bits(), calc.cost(&placement, &dims).to_bits());
-        let mut bb_moves = 0;
         for step in 0..steps {
             let (i, d) = if step == 0 {
                 // Resize the block reaching the right edge: the bounding
-                // box moves, so every pad net must be recosted.
+                // box may move, and then every pad net must be recosted.
                 let i = (0..blocks)
                     .max_by_key(|&i| placement.rect(i, &dims).right())
                     .unwrap();
-                let w = match within {
-                    1 if dims[i].0 == ranges[i].w.hi() => ranges[i].w.lo(),
-                    1 => ranges[i].w.hi(),
-                    _ => dims[i].0 + 7,
+                let w = if dims[i].0 == ranges[i].w.hi() {
+                    ranges[i].w.lo()
+                } else {
+                    ranges[i].w.hi()
                 };
                 (i, (w, dims[i].1))
             } else if rng.random_bool(0.1) {
@@ -252,12 +195,7 @@ proptest! {
             };
             let mut proposed = dims.clone();
             proposed[i] = d;
-            if placement.bounding_box(&proposed) != placement.bounding_box(&dims) {
-                bb_moves += 1;
-            }
-            if within == 1 {
-                prop_assert!(placement.is_legal(&proposed, Some(&fp)));
-            }
+            prop_assert!(placement.is_legal(&proposed, Some(&fp)));
             let energy = eval.propose(i, d);
             prop_assert_eq!(
                 energy.to_bits(),
@@ -277,13 +215,6 @@ proptest! {
         let sides: Vec<PadSide> = circuit.nets().iter().filter_map(|n| n.pad().map(|p| p.side)).collect();
         for side in [PadSide::Left, PadSide::Right, PadSide::Bottom, PadSide::Top] {
             prop_assert!(sides.contains(&side));
-        }
-        // Inside a box the first move may leave the bounding box where it
-        // was (the block cannot resize, or another block shares its right
-        // edge); `tests/bdio_differential.rs` in mps-core covers box moves
-        // there.
-        if within == 0 {
-            prop_assert!(bb_moves > 0, "no move changed the bounding box");
         }
     }
 
@@ -510,6 +441,74 @@ fn expansion_inside_tight_floorplan_stays_inside() {
     let dbox = expand_placement(&circuit, &p, &fp, &ExpansionConfig::default()).unwrap();
     assert!(dbox.ranges()[0].w.hi() <= b.max_width());
     assert!(dbox.ranges()[0].h.hi() <= b.max_height());
+}
+
+/// A random packing of `circuit` at minimum dimensions, spread apart so
+/// that blocks can grow, with its expanded box; `None` when the spread
+/// escapes `fp`.
+fn spread_and_expand(
+    circuit: &Circuit,
+    fp: &Rect,
+    rng: &mut StdRng,
+) -> Option<(Placement, DimsBox)> {
+    let packed = SequencePair::random(circuit.block_count(), rng).pack(&circuit.min_dims());
+    let spread: Placement = packed
+        .coords()
+        .iter()
+        .map(|p| Point::new(p.x * 2, p.y * 2))
+        .collect();
+    let dims_box = expand_placement(circuit, &spread, fp, &ExpansionConfig::default()).ok()?;
+    Some((spread, dims_box))
+}
+
+#[test]
+fn incremental_cost_recosts_pad_nets_when_the_bounding_box_grows() {
+    // The first move of the property above may leave the bounding box
+    // where it was (the block cannot resize, or another block shares its
+    // right edge). Here each case starts at its box's lower corner and
+    // grows the block reaching the right edge to its box's upper width,
+    // which moves the bounding box and so every pad on its right side.
+    let mut grown = 0;
+    for seed in 0..40u64 {
+        let blocks = 2 + (seed % 7) as usize;
+        let circuit = circuit_with_pads(blocks, blocks + 3, seed);
+        let fp = circuit.suggested_floorplan(1.0);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1C05);
+        let Some((placement, dims_box)) = spread_and_expand(&circuit, &fp, &mut rng) else {
+            continue;
+        };
+        let lower: Vec<(Coord, Coord)> = dims_box
+            .ranges()
+            .iter()
+            .map(|r| (r.w.lo(), r.h.lo()))
+            .collect();
+        let i = (0..blocks)
+            .max_by_key(|&i| placement.rect(i, &lower).right())
+            .unwrap();
+        let mut upper = lower.clone();
+        upper[i].0 = dims_box.ranges()[i].w.hi();
+        if upper == lower {
+            continue; // the block cannot grow
+        }
+        assert_ne!(
+            placement.bounding_box(&upper),
+            placement.bounding_box(&lower)
+        );
+        let calc = CostCalculator::new(&circuit).with_floorplan(fp);
+        let mut eval = calc.incremental(&placement, &lower, &dims_box);
+        let energy = eval.propose(i, upper[i]);
+        assert_eq!(
+            energy.to_bits(),
+            calc.cost(&placement, &upper).to_bits(),
+            "seed {seed}: block {i} grown to {:?}",
+            upper[i]
+        );
+        grown += 1;
+    }
+    assert!(
+        grown >= 30,
+        "only {grown} of 40 cases grew the bounding box"
+    );
 }
 
 /// `random_circuit` with its pins moved to random off-centre offsets,
