@@ -1018,15 +1018,10 @@ fn main() {
     };
     let client_cost_before = hot_cost(&weak);
 
-    // `--refine on` exercises the worker spawn path; the long interval
-    // keeps publishes out of the measured phases so every response can
-    // be diffed against a known version — the passes themselves are
-    // triggered synchronously through the protocol below.
-    let server = spawn_server(
-        &server_bin,
-        &refine_dir,
-        &["--refine", "on", "--refine-interval", "3600"],
-    );
+    // A pass runs only when triggered through the protocol below, so no
+    // publish lands inside a measured phase and every response can be
+    // diffed against a known version.
+    let server = spawn_server(&server_bin, &refine_dir, &[]);
     eprintln!("loadgen: refinement x2 against {}", server.addr);
     let refine_pool_before: Arc<Vec<PoolEntry>> = Arc::new(
         (0..pool_len)

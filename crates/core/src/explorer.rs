@@ -20,7 +20,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Tuning of the outer loop.
+/// Initial Metropolis temperature of the outer loop (cost units).
+const T0: f64 = 2_000.0;
+/// Final Metropolis temperature of the outer loop.
+const T_END: f64 = 1.0;
+/// Attempts at drawing a random legal placement, and then at packing a
+/// random sequence pair that fits, before the row template.
+const MAX_INITIAL_TRIES: usize = 64;
+/// The walk restarts from a fresh random placement every this many
+/// proposals. Restarts keep the explorer discovering *new* arrangements
+/// instead of repeatedly re-conquering the niche around the current
+/// optimum — without them the live placement count saturates long before
+/// the paper's 50–130 band.
+const RESTART_INTERVAL: usize = 48;
+
+/// Tuning of the outer loop. Its Metropolis temperatures, restart
+/// cadence and tries at a random initial placement are fixed constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplorerConfig {
     /// Maximum number of placement proposals.
@@ -32,22 +47,9 @@ pub struct ExplorerConfig {
     /// "based on a percentage value set by the user, a set number of
     /// blocks' x and y coordinates are randomly varied".
     pub perturb_fraction: f64,
-    /// Initial Metropolis temperature (cost units).
-    pub t0: f64,
-    /// Final Metropolis temperature.
-    pub t_end: f64,
     /// Whether Resolve Overlaps may fork boxes on strict containment
     /// (`false` only for the ablation study).
     pub fork_on_containment: bool,
-    /// Attempts at drawing a random legal placement before falling back to
-    /// a packed sequence pair.
-    pub max_initial_tries: usize,
-    /// Restart the walk from a fresh random placement every this many
-    /// proposals (0 disables restarts). Restarts keep the explorer
-    /// discovering *new* arrangements instead of repeatedly re-conquering
-    /// the niche around the current optimum — without them the live
-    /// placement count saturates long before the paper's 50–130 band.
-    pub restart_interval: usize,
 }
 
 impl Default for ExplorerConfig {
@@ -56,11 +58,7 @@ impl Default for ExplorerConfig {
             outer_iterations: 300,
             coverage_target: 0.95,
             perturb_fraction: 0.35,
-            t0: 2_000.0,
-            t_end: 1.0,
             fork_on_containment: true,
-            max_initial_tries: 64,
-            restart_interval: 48,
         }
     }
 }
@@ -109,14 +107,11 @@ pub(crate) fn explore(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = ExplorerStats::default();
     let floorplan = mps.floorplan();
-    let schedule = AdaptiveSchedule::new(
-        config.t0.max(1e-9),
-        config.t_end.clamp(1e-9, config.t0.max(1e-9)),
-    );
+    let schedule = AdaptiveSchedule::new(T0, T_END);
     let min_dims = circuit.min_dims();
 
     // §3.1.1 Placement Selector: a random legal starting placement.
-    let mut current = initial_placement(circuit, &floorplan, config.max_initial_tries, &mut rng);
+    let mut current = initial_placement(circuit, &floorplan, &mut rng);
     let mut current_cost = f64::INFINITY;
 
     for k in 0..config.outer_iterations {
@@ -124,13 +119,13 @@ pub(crate) fn explore(
             stats.reached_target = true;
             break;
         }
-        let restart = config.restart_interval > 0 && k > 0 && k % config.restart_interval == 0;
+        let restart = k > 0 && k % RESTART_INTERVAL == 0;
         let candidate = if k == 0 {
             current.clone()
         } else if restart {
             // Periodic restart: jump to a fresh random placement and reset
             // the walk there (the cost baseline resets with it).
-            current = initial_placement(circuit, &floorplan, config.max_initial_tries, &mut rng);
+            current = initial_placement(circuit, &floorplan, &mut rng);
             current_cost = f64::INFINITY;
             current.clone()
         } else {
@@ -245,14 +240,9 @@ fn compact(
 /// Draws a random placement that is legal at minimum dimensions; falls
 /// back to packing a random sequence pair (always legal) when random
 /// scatter keeps colliding.
-fn initial_placement(
-    circuit: &Circuit,
-    floorplan: &Rect,
-    max_tries: usize,
-    rng: &mut StdRng,
-) -> Placement {
+fn initial_placement(circuit: &Circuit, floorplan: &Rect, rng: &mut StdRng) -> Placement {
     let min_dims = circuit.min_dims();
-    for _ in 0..max_tries {
+    for _ in 0..MAX_INITIAL_TRIES {
         let candidate = random_placement(&min_dims, floorplan, rng);
         if candidate.is_legal(&min_dims, Some(floorplan)) {
             return candidate;
@@ -260,7 +250,7 @@ fn initial_placement(
     }
     // Fallback: packed sequence pairs are overlap-free by construction;
     // keep drawing until one fits the floorplan (a row of minima may not).
-    for _ in 0..max_tries {
+    for _ in 0..MAX_INITIAL_TRIES {
         let packed = SequencePair::random(circuit.block_count(), rng).pack(&min_dims);
         if packed.is_legal(&min_dims, Some(floorplan)) {
             return packed;
@@ -456,7 +446,7 @@ mod tests {
         let fp = circuit.suggested_floorplan(1.4);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
-            let p = initial_placement(&circuit, &fp, 16, &mut rng);
+            let p = initial_placement(&circuit, &fp, &mut rng);
             assert!(p.is_legal(&circuit.min_dims(), Some(&fp)));
         }
     }

@@ -1,11 +1,18 @@
 //! One-time generation of a multi-placement structure (Fig. 1a).
 
-use crate::explorer::{explore, ExplorerConfig, ExplorerStats};
-use crate::{Bdio, BdioConfig, MultiPlacementStructure};
+use crate::explorer::{ExplorerConfig, ExplorerStats};
+use crate::parallel::run_one_start;
+use crate::{BdioConfig, MultiPlacementStructure};
 use mps_netlist::{Circuit, ValidateCircuitError};
-use mps_placer::{CostCalculator, CostWeights, ExpansionConfig, SymmetryConstraints, Template};
+use mps_placer::{CostWeights, ExpansionConfig, SymmetryConstraints, Template};
 use std::fmt;
 use std::time::{Duration, Instant};
+
+/// Floorplan slack handed to [`Circuit::suggested_floorplan`].
+const FLOORPLAN_SLACK: f64 = 1.5;
+/// Effort (log2 candidate count) of the fallback template search, run
+/// only when generation stored no placement.
+const FALLBACK_EFFORT_LOG2: u32 = 6;
 
 /// Everything that can go wrong while generating a structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,8 +43,11 @@ impl From<ValidateCircuitError> for GenerateError {
     }
 }
 
-/// Full configuration of the generation algorithm. Build with
-/// [`GeneratorConfig::builder`].
+/// Configuration of the generation algorithm: every setting a caller
+/// varies. Build with [`GeneratorConfig::builder`]. The floorplan slack
+/// and the effort of the fallback template search are fixed constants,
+/// as are the outer loop's temperatures and restart cadence (see
+/// [`ExplorerConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Outer-loop (Placement Explorer) tuning.
@@ -48,12 +58,8 @@ pub struct GeneratorConfig {
     pub expansion: ExpansionConfig,
     /// Cost-function weights (§3.2.2: "customizable").
     pub weights: CostWeights,
-    /// Floorplan slack handed to [`Circuit::suggested_floorplan`].
-    pub floorplan_slack: f64,
     /// Master RNG seed.
     pub seed: u64,
-    /// Effort (log2 candidate count) of the fallback template search.
-    pub fallback_effort_log2: u32,
     /// Independently seeded explorer starts whose structures are merged
     /// into one (see [`crate::parallel`]). `1` reproduces the paper's
     /// single-walk generation exactly.
@@ -73,9 +79,7 @@ impl Default for GeneratorConfig {
             bdio: BdioConfig::default(),
             expansion: ExpansionConfig::default(),
             weights: CostWeights::default(),
-            floorplan_slack: 1.5,
             seed: 0,
-            fallback_effort_log2: 6,
             num_starts: 1,
             threads: 1,
         }
@@ -150,13 +154,6 @@ impl GeneratorConfigBuilder {
         self
     }
 
-    /// Floorplan slack multiplier (≥ 1).
-    #[must_use]
-    pub fn floorplan_slack(mut self, slack: f64) -> Self {
-        self.config.floorplan_slack = slack;
-        self
-    }
-
     /// Enables or disables Eq.-6 range optimization (ablation).
     #[must_use]
     pub fn optimize_ranges(mut self, enabled: bool) -> Self {
@@ -203,7 +200,7 @@ impl GeneratorConfigBuilder {
     /// # Panics
     ///
     /// Panics if the coverage target is outside `(0, 1]`, a fraction is
-    /// outside `(0, 1]`, or the floorplan slack is below 1.
+    /// outside `(0, 1]`, or the start count is zero.
     #[must_use]
     pub fn build(self) -> GeneratorConfig {
         let c = &self.config;
@@ -218,10 +215,6 @@ impl GeneratorConfigBuilder {
         assert!(
             c.bdio.perturb_fraction > 0.0 && c.bdio.perturb_fraction <= 1.0,
             "dimension perturb fraction must be in (0, 1]"
-        );
-        assert!(
-            c.floorplan_slack >= 1.0,
-            "floorplan slack must be at least 1"
         );
         assert!(c.num_starts >= 1, "at least one start is required");
         self.config
@@ -359,9 +352,7 @@ impl<'a> MpsGenerator<'a> {
     ) -> Result<(MultiPlacementStructure, GenerationReport), GenerateError> {
         self.circuit.validate()?;
         let start = Instant::now();
-        let floorplan = self
-            .circuit
-            .suggested_floorplan(self.config.floorplan_slack);
+        let floorplan = self.circuit.suggested_floorplan(FLOORPLAN_SLACK);
 
         let mut phases = PhaseTimings::default();
         let (mut mps, per_start, explorer_stats) = if self.config.num_starts > 1 {
@@ -373,24 +364,11 @@ impl<'a> MpsGenerator<'a> {
                 &mut phases,
             )
         } else {
-            let mut mps = MultiPlacementStructure::new(self.circuit, floorplan);
-            let mut calc = CostCalculator::new(self.circuit)
-                .with_weights(self.config.weights)
-                .with_floorplan(floorplan);
-            if let Some(sym) = self.symmetry {
-                calc = calc.with_symmetry(sym);
-            }
-            let bdio = Bdio::new(&calc, self.config.bdio);
-            let explorer_stats = explore(
-                self.circuit,
-                &mut mps,
-                &bdio,
-                &self.config.expansion,
-                &self.config.explorer,
-                self.config.seed,
-                &mut phases,
-            );
-            (mps, vec![explorer_stats], explorer_stats)
+            // Start 0 walks from the master seed; its structure is
+            // returned as stored, without the merge's compaction.
+            let start = run_one_start(self.circuit, &self.config, self.symmetry, floorplan, 0);
+            phases += start.timings;
+            (start.mps, vec![start.stats], start.stats)
         };
 
         // §3.1.4: map the uncovered remainder of the space to a
@@ -401,9 +379,7 @@ impl<'a> MpsGenerator<'a> {
             .iter()
             .min_by(|a, b| a.1.best_cost.total_cmp(&b.1.best_cost))
             .map(|(_, e)| Template::from_placement(&e.placement, &e.best_dims))
-            .unwrap_or_else(|| {
-                Template::expert_default(self.circuit, self.config.fallback_effort_log2)
-            });
+            .unwrap_or_else(|| Template::expert_default(self.circuit, FALLBACK_EFFORT_LOG2));
         mps.set_fallback(fallback);
         // Build the rows here, so the reported duration covers them.
         let _ = mps.index();
@@ -490,10 +466,6 @@ mod tests {
         .is_err());
         assert!(std::panic::catch_unwind(|| {
             GeneratorConfig::builder().perturb_fraction(1.5).build()
-        })
-        .is_err());
-        assert!(std::panic::catch_unwind(|| {
-            GeneratorConfig::builder().floorplan_slack(0.9).build()
         })
         .is_err());
     }

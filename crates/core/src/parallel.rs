@@ -79,14 +79,15 @@ pub fn effective_threads(configured: usize, starts: usize) -> usize {
 }
 
 /// One start's raw output before merging.
-struct StartOutcome {
-    mps: MultiPlacementStructure,
-    stats: ExplorerStats,
-    timings: PhaseTimings,
+pub(crate) struct StartOutcome {
+    pub(crate) mps: MultiPlacementStructure,
+    pub(crate) stats: ExplorerStats,
+    pub(crate) timings: PhaseTimings,
 }
 
 /// Runs one independently seeded explorer walk into a fresh structure.
-fn run_one_start(
+/// Single-start generation is start 0 alone.
+pub(crate) fn run_one_start(
     circuit: &Circuit,
     config: &GeneratorConfig,
     symmetry: Option<&SymmetryConstraints>,

@@ -329,7 +329,7 @@ impl MultiPlacementStructure {
 
     /// Writes the compact envelope to a file **atomically** (temp file +
     /// fsync + rename): a crash mid-save — now a live possibility with
-    /// the background refiner persisting into serving directories — can
+    /// refinement passes persisting into serving directories — can
     /// never leave a truncated artifact under the destination name.
     ///
     /// # Errors

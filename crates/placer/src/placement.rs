@@ -144,20 +144,6 @@ impl Placement {
         true
     }
 
-    /// Area outside the floorplan, summed over blocks (out-of-bounds
-    /// penalty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len() != self.block_count()`.
-    #[must_use]
-    pub fn out_of_bounds_area(&self, dims: &[(Coord, Coord)], floorplan: &Rect) -> u64 {
-        self.rects(dims)
-            .iter()
-            .map(|r| escape_area(r, floorplan))
-            .sum()
-    }
-
     /// Returns a copy translated so the bounding box's lower-left corner
     /// sits at the origin (canonical form for comparing placements).
     ///
@@ -291,14 +277,6 @@ mod tests {
         assert_eq!(overlap(&p), 25.0);
         let apart = Placement::new(vec![Point::new(0, 0), Point::new(50, 50)]);
         assert_eq!(overlap(&apart), 0.0);
-    }
-
-    #[test]
-    fn out_of_bounds_area_counts_escape() {
-        let p = Placement::new(vec![Point::new(-5, 0), Point::new(20, 0)]);
-        let fp = Rect::from_xywh(0, 0, 100, 100);
-        // Block 0 (10x10 at x=-5): 5x10 = 50 outside.
-        assert_eq!(p.out_of_bounds_area(&dims2(), &fp), 50);
     }
 
     #[test]

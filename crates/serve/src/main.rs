@@ -4,7 +4,7 @@
 //! ```sh
 //! mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N]
 //!           [--max-connections N] [--cache-entries N] [--cache-shards N]
-//!           [--telemetry on|off] [--refine on|off] [--refine-interval SECS]
+//!           [--telemetry on|off]
 //! mps-serve convert <IN> <OUT>
 //! ```
 //!
@@ -45,15 +45,15 @@
 //! requests answer either way, and the request counters and gauges in
 //! `metrics` keep counting.
 //!
-//! `--refine on` starts the traffic-adaptive refinement worker: every
-//! `--refine-interval SECS` (default 30) it reads the query-dimension
-//! heatmaps, picks the hottest structure whose traffic concentrates in
-//! a region of dims-space, re-anneals that region, and — only when the
-//! hot-set instantiated-placement cost strictly improves and the full
-//! invariant battery passes — persists the winner back to its artifact
-//! (atomically) and hot-swaps it into serving. Default off; the
-//! synchronous `refine` protocol request works regardless. See
-//! `crates/serve/PROTOCOL.md` for the full wire contract.
+//! Traffic-adaptive refinement runs one pass per `{"kind":"refine"}`
+//! request: it reads the query-dimension heatmaps, picks the hottest
+//! structure whose traffic concentrates in a region of dims-space,
+//! re-anneals that region, and — only when the hot-set
+//! instantiated-placement cost strictly improves and the full invariant
+//! battery passes — persists the winner back to its artifact
+//! (atomically) and hot-swaps it into serving. Its counters are read
+//! from `metrics`. See `crates/serve/PROTOCOL.md` for the full wire
+//! contract.
 
 use mps_core::MultiPlacementStructure;
 use mps_serve::{Server, ServerConfig, StructureRegistry};
@@ -64,8 +64,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: mps-serve <ARTIFACT_DIR> [--tcp PORT] [--workers N] [--shards N] \
                      [--max-connections N] [--cache-entries N] [--cache-shards N]\n\
-                     \x20                [--telemetry on|off] [--refine on|off] \
-                     [--refine-interval SECS]\n\
+                     \x20                [--telemetry on|off]\n\
                      \x20      mps-serve convert <IN> <OUT>   (writes mps-v3, encoding by \
                      extension: .json = JSON, .mpsb = binary; reads mps-v1 and binary v2 too)";
 
@@ -155,15 +154,6 @@ fn main() -> ExitCode {
                 Some("off") => config.telemetry = false,
                 _ => return usage(),
             },
-            "--refine" => match it.next().as_deref() {
-                Some("on") => config.refine = true,
-                Some("off") => config.refine = false,
-                _ => return usage(),
-            },
-            "--refine-interval" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(secs)) => config.refine_interval_secs = secs,
-                _ => return usage(),
-            },
             "--help" | "-h" => {
                 // An explicit help request is a success, not an error.
                 println!("{USAGE}");
@@ -203,16 +193,6 @@ fn main() -> ExitCode {
         config.effective_shards()
     );
     let server = Arc::new(Server::with_config(Arc::clone(&registry), config));
-
-    // The background refinement worker (a no-op unless `--refine on`):
-    // detached; it holds only a weak server reference and exits when
-    // the server drops.
-    if server.spawn_refiner().is_some() {
-        eprintln!(
-            "mps-serve: refinement worker on ({}s interval)",
-            server.config().refine_interval_secs.max(1)
-        );
-    }
 
     // Optional localhost TCP side: connections owned by shard event
     // loops, all sharing the same registry snapshots, pool and cache.

@@ -90,14 +90,10 @@ pub enum Request {
     /// Drain the slow-request ring: the N worst requests since the last
     /// `trace`, each with its per-stage time breakdown.
     Trace,
-    /// Traffic-adaptive refinement: trigger one synchronous refinement
-    /// pass now (`"action":"run"`, the default) or report the
-    /// refinement counters without running anything
-    /// (`"action":"status"`). Works whether or not the background
-    /// refinement worker is enabled.
+    /// Traffic-adaptive refinement: run one synchronous refinement pass
+    /// now. The only `action` is `"run"`, which may be left out; the
+    /// counters are read from `metrics`.
     Refine {
-        /// Run a pass (`true`) or only report status (`false`).
-        run: bool,
         /// Restrict the pass to this structure instead of letting the
         /// heat-based candidate selection pick one.
         structure: Option<String>,
@@ -381,6 +377,15 @@ fn protocol_error(message: String) -> RequestError {
     RequestError::new(ErrorKind::Protocol, message)
 }
 
+/// The refusal of a `refine` request whose `action` is not `"run"`:
+/// an old `"status"` poll must never start an anneal.
+fn refine_action_refused(action: &str) -> RequestError {
+    protocol_error(format!(
+        "unknown refine `action` `{action}` (a `refine` request runs one pass; \
+         read the refinement counters from `metrics`)"
+    ))
+}
+
 /// Reads a `dims_list` array, one vector at a time. After the first bad
 /// vector the rest is only validated.
 fn read_dims_list(
@@ -556,17 +561,12 @@ impl Members<'_> {
             "metrics" => Ok(Request::Metrics),
             "trace" => Ok(Request::Trace),
             "refine" => {
-                let run = match string_member(self.action, "action")?.as_deref() {
-                    None | Some("run") => true,
-                    Some("status") => false,
-                    Some(other) => {
-                        return Err(protocol_error(format!(
-                            "unknown refine `action` `{other}` (this server speaks run, status)"
-                        )));
-                    }
-                };
+                match string_member(self.action, "action")?.as_deref() {
+                    None | Some("run") => {}
+                    Some(other) => return Err(refine_action_refused(other)),
+                }
                 let structure = string_member(self.structure, "structure")?.map(Cow::into_owned);
-                Ok(Request::Refine { run, structure })
+                Ok(Request::Refine { structure })
             }
             other => Err(RequestError::new(
                 ErrorKind::UnknownKind,
@@ -661,7 +661,8 @@ mod tests {
     /// to.
     mod oracle {
         use crate::protocol::{
-            Envelope, EnvelopeError, ErrorKind, Request, RequestError, REQUEST_KINDS,
+            refine_action_refused, Envelope, EnvelopeError, ErrorKind, Request, RequestError,
+            REQUEST_KINDS,
         };
         use mps_geom::{Coord, Dims, DimsError};
         use serde::{Map, Value};
@@ -752,25 +753,18 @@ mod tests {
                 "metrics" => Ok(Request::Metrics),
                 "trace" => Ok(Request::Trace),
                 "refine" => {
-                    let run = match obj.get("action") {
-                        None => true,
-                        Some(action) => match action.as_str() {
-                            Some("run") => true,
-                            Some("status") => false,
-                            Some(other) => {
-                                return Err(RequestError::new(
-                                    ErrorKind::Protocol,
-                                    format!("unknown refine `action` `{other}` (this server speaks run, status)"),
-                                ));
-                            }
+                    if let Some(action) = obj.get("action") {
+                        match action.as_str() {
+                            Some("run") => {}
+                            Some(other) => return Err(refine_action_refused(other)),
                             None => {
                                 return Err(RequestError::new(
                                     ErrorKind::Protocol,
                                     format!("`action` must be a string, found {}", action.kind()),
                                 ));
                             }
-                        },
-                    };
+                        }
+                    }
                     let structure = match obj.get("structure") {
                         None => None,
                         Some(value) => {
@@ -782,7 +776,7 @@ mod tests {
                             })?)
                         }
                     };
-                    Ok(Request::Refine { run, structure })
+                    Ok(Request::Refine { structure })
                 }
                 other => Err(RequestError::new(
                     ErrorKind::UnknownKind,
@@ -957,22 +951,11 @@ mod tests {
         );
         assert_eq!(
             parse_request(r#"{"kind":"refine"}"#).unwrap(),
-            Request::Refine {
-                run: true,
-                structure: None,
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"kind":"refine","action":"status"}"#).unwrap(),
-            Request::Refine {
-                run: false,
-                structure: None,
-            }
+            Request::Refine { structure: None }
         );
         assert_eq!(
             parse_request(r#"{"kind":"refine","action":"run","structure":"circ01"}"#).unwrap(),
             Request::Refine {
-                run: true,
                 structure: Some("circ01".into()),
             }
         );
@@ -996,6 +979,28 @@ mod tests {
         // The optional structure surfaces through structure_name.
         let req = parse_request(r#"{"kind":"refine","structure":"s"}"#).unwrap();
         assert_eq!(req.structure_name(), Some("s"));
+    }
+
+    #[test]
+    fn refine_actions_other_than_run_are_refused_and_point_to_metrics() {
+        // An old status poll must be refused, never read as a run.
+        for action in ["status", "now", "RUN", ""] {
+            let line = format!(r#"{{"kind":"refine","action":"{action}","structure":"s"}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Protocol, "{line}");
+            assert!(err.message.contains("`metrics`"), "{line}: {err:?}");
+            assert!(!assert_decodes_like_the_oracle(&line), "{line}");
+        }
+        // An absent action and `"run"` both run a pass.
+        for line in [
+            r#"{"kind":"refine"}"#,
+            r#"{"kind":"refine","action":"run"}"#,
+        ] {
+            assert_eq!(
+                parse_request(line).unwrap(),
+                Request::Refine { structure: None }
+            );
+        }
     }
 
     #[test]

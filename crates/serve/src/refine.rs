@@ -4,8 +4,8 @@
 //! The paper's economics are *generate once, query many*; the telemetry
 //! layer (PR 8) records *where* the many queries actually land — the
 //! per-structure query-dimension heatmaps of
-//! [`crate::telemetry::StructureHeat`]. This module spends idle
-//! background cycles turning that signal into better structures:
+//! [`crate::telemetry::StructureHeat`]. This module turns that signal
+//! into better structures, one pass per `refine` request:
 //!
 //! 1. **Select** — snapshot every structure's heat grid and pick the
 //!    hottest one whose traffic *concentrates*: per block axis, find
@@ -47,8 +47,7 @@ use crate::telemetry::{HeatSnapshot, HEAT_BINS};
 use mps_core::{GeneratorConfig, MultiPlacementStructure};
 use mps_geom::{BlockRanges, Dims, Interval};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Minimum recorded vectors before a structure's heat grid is trusted
 /// to describe its traffic.
@@ -71,14 +70,14 @@ const COST_PROBES: u64 = 64;
 /// Multi-start walks per refinement pass.
 const REFINE_STARTS: usize = 4;
 /// Outer annealing iterations per walk — a fraction of a full
-/// generation budget; refinement is meant to run continuously, not to
-/// redo the offline work in one pass.
+/// generation budget; a client can request as many passes as it likes,
+/// so one pass need not redo the offline work.
 const REFINE_OUTER: usize = 80;
 /// Inner annealing iterations per outer step.
 const REFINE_INNER: usize = 40;
 
 /// Counters behind the `refinement` block of the `metrics` and
-/// `refine` status responses. All monotone atomics plus the name of the
+/// `refine` responses. All monotone atomics plus the name of the
 /// structure the last pass targeted.
 #[derive(Debug, Default)]
 pub(crate) struct RefineStats {
@@ -314,8 +313,8 @@ fn select_candidate(
 }
 
 /// Runs one refinement pass: select, re-anneal, verify, compare,
-/// persist, publish. Synchronous — the `refine` protocol request runs
-/// it on a worker-pool thread, the background worker on its own thread.
+/// persist, publish. Synchronous — a tagged TCP `refine` request runs it
+/// on a worker-pool thread, any other `refine` request inline.
 pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
     let stats = server.refine_stats();
     let _serialized = crate::lock_recover(&stats.run_lock);
@@ -395,7 +394,7 @@ pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
     let generation = match committed {
         Err(e) => return reject(format!("persisting refined artifact failed: {e}")),
         Ok(None) => {
-            // The next interval re-anneals from the new base.
+            // The next pass re-anneals from the new base.
             return reject(format!(
                 "registry generation moved during the pass (base {base_generation}, now {})",
                 server.registry().generation()
@@ -417,31 +416,6 @@ pub(crate) fn run_pass(server: &Server, target: Option<&str>) -> RefineOutcome {
         cost_after,
         gain_ppm,
         generation,
-    }
-}
-
-/// The background refinement worker: wakes every `interval`, runs one
-/// pass, and exits when the server is dropped (it holds only a weak
-/// reference). Sleeps in short slices so shutdown never waits out a
-/// long interval.
-pub(crate) fn worker_loop(server: &Weak<Server>, interval: Duration) {
-    const SLICE: Duration = Duration::from_millis(100);
-    loop {
-        let mut remaining = interval;
-        while remaining > Duration::ZERO {
-            let nap = remaining.min(SLICE);
-            std::thread::sleep(nap);
-            remaining = remaining.saturating_sub(nap);
-            if server.strong_count() == 0 {
-                return;
-            }
-        }
-        let Some(server) = server.upgrade() else {
-            return;
-        };
-        // Outcomes are recorded in the refinement counters; the worker
-        // itself is fire-and-forget.
-        let _ = run_pass(&server, None);
     }
 }
 

@@ -309,7 +309,7 @@ impl StructureRegistry {
     /// [`StructureRegistry::publish`] and [`StructureRegistry::reload`],
     /// so no concurrent commit can land between the three steps.
     ///
-    /// This is the refinement worker's compare-and-swap publish: a pass
+    /// This is the refinement pass's compare-and-swap publish: a pass
     /// anneals from a base snapshot for a while, and a `reload` that
     /// committed meanwhile must win — the stale candidate is rejected
     /// *before* `persist` runs, so a rejected pass leaves the artifact

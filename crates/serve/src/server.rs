@@ -74,7 +74,9 @@ pub(crate) enum Reply {
     Frame(Vec<u8>),
 }
 
-/// Construction knobs for a [`Server`].
+/// Construction knobs for a [`Server`]. Refinement has none: a pass
+/// runs on each `refine` request, and its counters are read from
+/// `metrics`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker pool threads behind heavy tagged TCP requests: batches of
@@ -102,14 +104,6 @@ pub struct ServerConfig {
     /// `metrics` response reports `"enabled":false` (the loadgen
     /// overhead gate measures exactly this difference).
     pub telemetry: bool,
-    /// Whether [`Server::spawn_refiner`] actually starts the background
-    /// refinement worker (off by default — refinement spends anneal
-    /// cycles and rewrites artifacts, so it is strictly opt-in). The
-    /// synchronous `refine` protocol request works either way.
-    pub refine: bool,
-    /// Seconds between background refinement passes (clamped to at
-    /// least 1). Only meaningful with `refine` on.
-    pub refine_interval_secs: u64,
 }
 
 impl Default for ServerConfig {
@@ -121,8 +115,6 @@ impl Default for ServerConfig {
             shards: 0,
             max_connections: 4096,
             telemetry: true,
-            refine: false,
-            refine_interval_secs: 30,
         }
     }
 }
@@ -290,27 +282,6 @@ impl Server {
     /// The refinement counters (see [`crate::refine`]).
     pub(crate) fn refine_stats(&self) -> &crate::refine::RefineStats {
         &self.refine_stats
-    }
-
-    /// Starts the background refinement worker when the configuration
-    /// enables it ([`ServerConfig::refine`]): a detached thread that
-    /// wakes every [`ServerConfig::refine_interval_secs`], runs one
-    /// refinement pass (select a hot concentrated structure, re-anneal
-    /// its hot region, publish on strict hot-set improvement — the
-    /// `refine` module documents the pass), and exits when the server is
-    /// dropped. Returns `None` when refinement is off.
-    pub fn spawn_refiner(self: &Arc<Self>) -> Option<std::thread::JoinHandle<()>> {
-        if !self.config.refine {
-            return None;
-        }
-        let weak = Arc::downgrade(self);
-        let interval = std::time::Duration::from_secs(self.config.refine_interval_secs.max(1));
-        Some(
-            std::thread::Builder::new()
-                .name("mps-serve-refine".to_owned())
-                .spawn(move || crate::refine::worker_loop(&weak, interval))
-                .expect("spawning the refinement worker thread"),
-        )
     }
 
     /// Counts and renders a refusal that never reached `admit` — the
@@ -658,7 +629,7 @@ impl Server {
             // A triggered refinement pass re-anneals a structure —
             // milliseconds to seconds of CPU; it must never block the
             // pipelined stream behind it.
-            Request::Refine { run, .. } => *run,
+            Request::Refine { .. } => true,
             _ => false,
         }
     }
@@ -905,34 +876,31 @@ impl Server {
             }
             Request::Metrics => Ok(Outcome::Map(self.metrics())),
             Request::Trace => Ok(Outcome::Map(self.trace_map())),
-            Request::Refine { run, structure } => {
+            Request::Refine { structure } => {
                 let mut map = ok_header("refine");
-                map.insert("ran", Value::Bool(run));
-                if run {
-                    match crate::refine::run_pass(self, structure.as_deref()) {
-                        crate::refine::RefineOutcome::NoCandidate { reason } => {
-                            map.insert("outcome", Value::String("no_candidate".to_owned()));
-                            map.insert("reason", Value::String(reason));
-                        }
-                        crate::refine::RefineOutcome::Rejected { structure, reason } => {
-                            map.insert("outcome", Value::String("rejected".to_owned()));
-                            map.insert("structure", Value::String(structure));
-                            map.insert("reason", Value::String(reason));
-                        }
-                        crate::refine::RefineOutcome::Accepted {
-                            structure,
-                            cost_before,
-                            cost_after,
-                            gain_ppm,
-                            generation,
-                        } => {
-                            map.insert("outcome", Value::String("accepted".to_owned()));
-                            map.insert("structure", Value::String(structure));
-                            map.insert("cost_before", cost_before.to_value());
-                            map.insert("cost_after", cost_after.to_value());
-                            map.insert("gain_ppm", gain_ppm.to_value());
-                            map.insert("generation", generation.to_value());
-                        }
+                match crate::refine::run_pass(self, structure.as_deref()) {
+                    crate::refine::RefineOutcome::NoCandidate { reason } => {
+                        map.insert("outcome", Value::String("no_candidate".to_owned()));
+                        map.insert("reason", Value::String(reason));
+                    }
+                    crate::refine::RefineOutcome::Rejected { structure, reason } => {
+                        map.insert("outcome", Value::String("rejected".to_owned()));
+                        map.insert("structure", Value::String(structure));
+                        map.insert("reason", Value::String(reason));
+                    }
+                    crate::refine::RefineOutcome::Accepted {
+                        structure,
+                        cost_before,
+                        cost_after,
+                        gain_ppm,
+                        generation,
+                    } => {
+                        map.insert("outcome", Value::String("accepted".to_owned()));
+                        map.insert("structure", Value::String(structure));
+                        map.insert("cost_before", cost_before.to_value());
+                        map.insert("cost_after", cost_after.to_value());
+                        map.insert("gain_ppm", gain_ppm.to_value());
+                        map.insert("generation", generation.to_value());
                     }
                 }
                 map.insert("refinement", Value::Object(self.refinement_map()));
@@ -1001,13 +969,11 @@ impl Server {
     }
 
     /// The refinement gauge object of the `metrics` and `refine`
-    /// responses: the background-worker knobs plus the pass counters
-    /// (see [`crate::refine`] and PROTOCOL.md).
+    /// responses: the pass counters (see [`crate::refine`] and
+    /// PROTOCOL.md).
     fn refinement_map(&self) -> Map {
         let s = self.refine_stats();
         let mut map = Map::new();
-        map.insert("enabled", Value::Bool(self.config.refine));
-        map.insert("interval_secs", self.config.refine_interval_secs.to_value());
         map.insert("attempted", s.attempted.load(Ordering::Relaxed).to_value());
         map.insert("accepted", s.accepted.load(Ordering::Relaxed).to_value());
         map.insert("rejected", s.rejected.load(Ordering::Relaxed).to_value());
@@ -1378,22 +1344,32 @@ mod tests {
     #[test]
     fn refine_status_and_refinement_blocks_are_reported() {
         let server = test_server();
+        // metrics is the one place to read the counters.
+        let metrics = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
+        let block = metrics.get("refinement").unwrap();
+        assert_eq!(block.get("attempted").and_then(Value::as_u64), Some(0));
+        assert_eq!(block.get("accepted").and_then(Value::as_u64), Some(0));
+        assert!(matches!(block.get("active"), Some(Value::Null)));
+        assert!(block.get("enabled").is_none() && block.get("interval_secs").is_none());
+        // A status poll is refused before it can start an anneal.
         let status = parse(
             &server
                 .handle_line(r#"{"kind":"refine","action":"status"}"#)
                 .unwrap(),
         );
-        assert_eq!(status.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(status.get("kind").and_then(Value::as_str), Some("refine"));
-        assert_eq!(status.get("ran").and_then(Value::as_bool), Some(false));
-        let block = status.get("refinement").unwrap();
-        assert_eq!(block.get("enabled").and_then(Value::as_bool), Some(false));
-        assert_eq!(block.get("attempted").and_then(Value::as_u64), Some(0));
-        assert_eq!(block.get("accepted").and_then(Value::as_u64), Some(0));
-        assert!(matches!(block.get("active"), Some(Value::Null)));
+        assert_eq!(status.get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(
+            status
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Value::as_str),
+            Some("protocol")
+        );
         // With no recorded traffic a triggered run has nothing to refine.
         let run = parse(&server.handle_line(r#"{"kind":"refine"}"#).unwrap());
-        assert_eq!(run.get("ran").and_then(Value::as_bool), Some(true));
+        assert_eq!(run.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(run.get("kind").and_then(Value::as_str), Some("refine"));
+        assert!(run.get("ran").is_none());
         assert_eq!(
             run.get("outcome").and_then(Value::as_str),
             Some("no_candidate")
@@ -1408,15 +1384,10 @@ mod tests {
             missing.get("outcome").and_then(Value::as_str),
             Some("no_candidate")
         );
-        // metrics carries the refinement block too.
-        let stats = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
-        let stats_block = stats.get("refinement").unwrap();
-        assert_eq!(
-            stats_block.get("interval_secs").and_then(Value::as_u64),
-            Some(30)
-        );
+        // Neither pass selected a candidate, so nothing was attempted.
         let metrics = parse(&server.handle_line(r#"{"kind":"metrics"}"#).unwrap());
-        assert!(metrics.get("refinement").is_some());
+        let block = metrics.get("refinement").unwrap();
+        assert_eq!(block.get("attempted").and_then(Value::as_u64), Some(0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! across whatever byte splits the transport chose, admits each line
 //! (parse, the tagged-id contract, counting), answers cheap requests
 //! inline, hands heavy tagged requests (batches of 256+ vectors and
-//! `refine` with `run`, see [`Server::is_heavy`]) to its caller for the
+//! `refine` runs, see [`Server::is_heavy`]) to its caller for the
 //! worker pool, counts the replies still owed, refuses a line longer
 //! than 8 MiB, and answers a final line that has no newline at EOF.
 //! Everything else, `instantiate` included whether cached or not, is

@@ -1,6 +1,7 @@
 //! Process-level tests of the real `mps-serve` binary: the oversized
-//! request-line defense over actual TCP, and the `convert` subcommand
-//! round-tripping artifacts between the JSON and binary encodings.
+//! request-line defense over actual TCP, the `convert` subcommand
+//! round-tripping artifacts between the JSON and binary encodings, and
+//! the usage refusal of unknown flags.
 #![cfg(feature = "serde")]
 
 use mps_core::{GeneratorConfig, MpsGenerator, MultiPlacementStructure};
@@ -171,5 +172,26 @@ fn convert_subcommand_roundtrips_both_directions() {
         .unwrap();
     assert!(!status.success(), "converting a missing file must fail");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Refinement runs only on a `refine` request and has no flags:
+/// `--refine` and `--refine-interval` are refused with the usage line
+/// and exit code 2 before any artifact is read.
+#[test]
+fn removed_refine_flags_exit_with_usage() {
+    let dir = scratch_dir("flags");
+    for args in [["--refine", "on"], ["--refine-interval", "30"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mps-serve"))
+            .arg(&dir)
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.starts_with("usage: mps-serve"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("--refine"), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

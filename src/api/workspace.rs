@@ -248,7 +248,7 @@ impl Workspace {
 
     /// Re-anneals a region of dims-space for `name` and installs the
     /// result — the facade over [`mps_core::refine_region`], the same
-    /// entry point `mps-serve`'s traffic-adaptive refinement worker
+    /// entry point `mps-serve`'s traffic-adaptive `refine` request
     /// drives from live heatmaps. Here the caller names the region
     /// (one [`BlockRanges`] per block, each inside the structure's
     /// designer bounds); the deterministic multi-start walks explore
